@@ -53,7 +53,6 @@ from .core import (
     TheoremBound,
     alpha_coefficient,
     alpha_table,
-    deprecated_result_alias as _deprecated_result_alias,
     estimate_concentration,
     estimate_counts,
     parse_target,
@@ -187,9 +186,3 @@ __all__ = [
     "wedge_sampling",
     "weighted_concentration",
 ]
-
-
-def __getattr__(name: str):
-    if name == "EstimationResult":
-        return _deprecated_result_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

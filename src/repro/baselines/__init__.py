@@ -1,13 +1,9 @@
 """Baselines the paper compares against (§6.3).
 
 Every baseline returns the unified :class:`~repro.core.result.Estimate`
-and exposes a streaming ``Session`` class; the per-method result
-dataclasses (``GuiseResult``, ``WedgeSamplingResult``, …) are deprecated
-aliases of :class:`~repro.core.result.Estimate`, kept importable for one
-release.
+and exposes a streaming ``Session`` class.
 """
 
-from ..core.result import deprecated_result_alias
 from .guise import GuiseSession, guise, guise_neighbors
 from .hardiman_katzir import HardimanKatzirSession, hardiman_katzir
 from .path_sampling import (
@@ -19,14 +15,6 @@ from .path_sampling import (
 from .psrw import psrw_estimate, psrw_spec, srw_estimate, srw_spec
 from .wedge import WedgeSampler, WedgeSession, wedge_sampling
 from .wedge_mhrw import WedgeMHRWSession, wedge_mhrw
-
-_DEPRECATED_RESULTS = (
-    "GuiseResult",
-    "HardimanKatzirResult",
-    "PathSamplingResult",
-    "WedgeMHRWResult",
-    "WedgeSamplingResult",
-)
 
 __all__ = [
     "GuiseSession",
@@ -48,9 +36,3 @@ __all__ = [
     "wedge_mhrw",
     "wedge_sampling",
 ]
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED_RESULTS:
-        return deprecated_result_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

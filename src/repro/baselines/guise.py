@@ -16,8 +16,7 @@ experiments can show exactly that.
 :class:`GuiseSession` exposes the run through the streaming estimator
 protocol (``step``/``snapshot``/``result``); :func:`guise` is the
 one-shot wrapper and returns the unified
-:class:`~repro.core.result.Estimate` (``GuiseResult`` is a deprecated
-alias).  Visit tallies for all sizes stay available as
+:class:`~repro.core.result.Estimate`.  Visit tallies for all sizes stay available as
 ``result.visits``.
 """
 
@@ -28,7 +27,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.result import Estimate, deprecated_result_alias
+from ..core.result import Estimate
 from ..core.session import Session
 from ..graphlets.catalog import classify_nodes, graphlets
 
@@ -203,8 +202,3 @@ def guise(
         raise ValueError("steps must be positive")
     return GuiseSession(graph, steps, k=k, seed=seed, seed_node=seed_node).result()
 
-
-def __getattr__(name: str):
-    if name == "GuiseResult":
-        return deprecated_result_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,9 +17,8 @@ the original construction so that equivalence is *measured*, not assumed.
 
 :class:`HardimanKatzirSession` exposes the run through the streaming
 estimator protocol; :func:`hardiman_katzir` returns the unified
-:class:`~repro.core.result.Estimate` (``HardimanKatzirResult`` is a
-deprecated alias) with ``clustering_coefficient`` and the raw ``phi``/
-``psi`` accumulators in the meta dict.
+:class:`~repro.core.result.Estimate` with ``clustering_coefficient``
+and the raw ``phi``/``psi`` accumulators in the meta dict.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.result import Estimate, deprecated_result_alias
+from ..core.result import Estimate
 from ..core.session import Session
 from ..relgraph.spaces import NodeSpace
 from ..walks.walkers import SimpleWalk
@@ -101,8 +100,3 @@ def hardiman_katzir(
         raise ValueError("steps must be positive")
     return HardimanKatzirSession(graph, steps, seed=seed, seed_node=seed_node).result()
 
-
-def __getattr__(name: str):
-    if name == "HardimanKatzirResult":
-        return deprecated_result_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

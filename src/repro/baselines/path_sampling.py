@@ -20,8 +20,8 @@ hits, which is what makes S rather than S' the correct normalizer).
 The 3-star (beta = 0) is invisible to this sampler — the reason the paper
 declines to adapt path sampling to restricted access (§6.3.3).  Its
 concentration and count are ``nan`` in the unified
-:class:`~repro.core.result.Estimate` this module returns
-(``PathSamplingResult`` is a deprecated alias); count estimates are in
+:class:`~repro.core.result.Estimate` this module returns; count
+estimates are in
 ``meta['count_estimates']`` / :meth:`Estimate.count_dict`.
 """
 
@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.alpha import hamilton_paths
-from ..core.result import Estimate, deprecated_result_alias
+from ..core.result import Estimate
 from ..core.session import Session
 from ..graphlets.catalog import classify_nodes, graphlets
 from ..graphs.graph import Graph
@@ -149,8 +149,3 @@ def path_sampling(
     """One-shot 3-path sampling."""
     return PathSampler(graph, random.Random(seed)).run(samples)
 
-
-def __getattr__(name: str):
-    if name == "PathSamplingResult":
-        return deprecated_result_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,8 +16,8 @@ Requires the whole graph up front (the O(|V|) preprocessing the paper's
 
 :class:`WedgeSession` exposes the run through the streaming estimator
 protocol; :func:`wedge_sampling` and :meth:`WedgeSampler.run` return the
-unified :class:`~repro.core.result.Estimate` (``WedgeSamplingResult`` is
-a deprecated alias) whose k=3 concentrations are ``[c_1^3, c_2^3]``;
+unified :class:`~repro.core.result.Estimate` whose k=3 concentrations
+are ``[c_1^3, c_2^3]``;
 triadic extras (``triangle_count``, ``closed_fraction``, …) ride in the
 meta dict and stay readable as attributes.
 """
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.result import Estimate, deprecated_result_alias
+from ..core.result import Estimate
 from ..core.session import Session
 from ..graphs.graph import Graph
 
@@ -138,8 +138,3 @@ def wedge_sampling(
     """One-shot wedge sampling."""
     return WedgeSampler(graph, random.Random(seed)).run(samples)
 
-
-def __getattr__(name: str):
-    if name == "WedgeSamplingResult":
-        return deprecated_result_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,8 +17,7 @@ also carries the measured (cache-aware) call count.
 
 :class:`WedgeMHRWSession` exposes the run through the streaming estimator
 protocol; :func:`wedge_mhrw` returns the unified
-:class:`~repro.core.result.Estimate` (``WedgeMHRWResult`` is a deprecated
-alias).
+:class:`~repro.core.result.Estimate`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.result import Estimate, deprecated_result_alias
+from ..core.result import Estimate
 from ..core.session import Session
 from ..walks.mhrw import MetropolisHastingsWalk, wedge_weight
 
@@ -128,8 +127,3 @@ def graph_size_guard(graph) -> int:
     """Safety bound for pre-walk loops (number of nodes when known)."""
     return getattr(graph, "num_nodes", 1_000_000)
 
-
-def __getattr__(name: str):
-    if name == "WedgeMHRWResult":
-        return deprecated_result_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -194,7 +194,6 @@ def cmd_estimate(args) -> int:
             chains=args.chains,
             burn_in=args.burn_in,
             target=_stopping_target(args),
-            block_size=args.block_size,
         )
     except (KeyError, ValueError) as exc:
         # KeyError.__str__ is the repr of its argument; unwrap it.
@@ -577,15 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="independent walk chains to split the step budget over "
         "(without --backend csr the chains run serially and a "
         "fallback warning is printed once)",
-    )
-    p.add_argument(
-        "--block-size",
-        type=int,
-        default=None,
-        dest="block_size",
-        help="lockstep transitions per engine call on the vectorized "
-        "multi-chain path (throughput knob only: results are "
-        "blocking-independent)",
     )
     _add_target_arguments(p)
     p.set_defaults(func=cmd_estimate)

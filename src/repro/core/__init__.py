@@ -17,7 +17,7 @@ from .checkpoints import checkpoint_session, run_with_checkpoints
 from .css import css_templates, sampling_weight
 from .estimator import MethodSpec, SRWSession, run_estimation
 from .joint import run_joint_estimation
-from .result import Estimate, deprecated_result_alias
+from .result import Estimate
 from .session import EstimationConfig, Estimator, Session
 from .stopping import (
     AllOf,
@@ -92,9 +92,3 @@ __all__ = [
     "lemma5_variances",
     "weighted_concentration",
 ]
-
-
-def __getattr__(name: str):
-    if name == "EstimationResult":
-        return deprecated_result_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,9 +1,9 @@
 """The estimation loop: Algorithm 1 with the CSS and NB-SRW options.
 
-One pass of :func:`run_estimation` performs ``steps`` transitions of a
-(possibly non-backtracking) random walk on G(d), turns every window of
-``l = k - d + 1`` consecutive states covering k distinct nodes into a
-graphlet sample, and accumulates the re-weighted indicator sums
+One run performs ``steps`` transitions of a (possibly non-backtracking)
+random walk on G(d), turns every window of ``l = k - d + 1`` consecutive
+states covering k distinct nodes into a graphlet sample, and accumulates
+the re-weighted indicator sums
 
     S_i = sum over samples of type i of  1 / (alpha_i * pi~_e(X))   (basic)
     S_i = sum over samples of type i of  1 / p~(X)                  (CSS)
@@ -11,24 +11,28 @@ graphlet sample, and accumulates the re-weighted indicator sums
 from which both concentrations (S_i / sum_j S_j, Eq. 5/8) and counts
 (2|R(d)| * S_i / n, Eq. 4/7) follow.
 
-Multi-chain runs
-----------------
-``run_estimation(..., chains=B)`` splits the step budget across B
-independent chains and pools their sums — the independent-chain
-aggregation the paper uses for its empirical-variance experiments.  Each
-chain is an independent walk (per-chain seeds derived from the caller's
-RNG); since every S_i is a sum over samples, pooling is exact: the merged
-result is distributed like one run whose samples came from B chains.  On
-the CSR backend — for *every* walk dimension d, including the expensive
-G(3)/G(4) regime of SRW3/SRW4/PSRW — the chains advance in lockstep
-through the vectorized :class:`~repro.walks.batched.BatchedWalkEngine`,
-and window classification plus re-weighting — basic *and* CSS — run
-block-at-a-time through :class:`_VectorizedAccumulator` (CSS weights
-gather through the compiled :func:`~repro.core.css.css_weight_table`,
-d >= 3 state degrees through the swap-frontier kernel of
-:mod:`repro.relgraph.vectorized`); on other backends chains run serially
-and a :class:`~repro.walks.batched.BatchFallbackWarning` is emitted once
-per run.  ``chains=1`` (the default) is byte-for-byte the seed estimator.
+One run path
+------------
+:func:`run_estimation` is ``SRWSession(...).result()``: every SRW run —
+one-shot, streamed, served by the daemon — goes through
+:class:`SRWSession`, which has exactly two modes:
+
+* **vectorized** (``chains > 1`` on a batch-capable backend, i.e. CSR,
+  any d): the B chains advance in lockstep through the
+  :class:`~repro.walks.batched.BatchedWalkEngine`, and window
+  classification plus re-weighting — basic *and* CSS — run
+  block-at-a-time through :class:`_VectorizedAccumulator`;
+* **serial** (``chains == 1``, or a backend without vectorized kernels):
+  one walker-driven :class:`_SerialChain` per chain, whose
+  :meth:`~_SerialChain.advance` is Algorithm 1's tight per-transition
+  loop.  Multi-chain serial runs warn once
+  (:class:`~repro.walks.batched.BatchFallbackWarning`).
+
+With ``chains=B`` the step budget is split across B independent chains
+(:func:`split_budget`) and their sums pooled — the independent-chain
+aggregation the paper uses for its empirical-variance experiments.
+Since every S_i is a sum over samples, pooling is exact: the merged
+result is distributed like one run whose samples came from B chains.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from ..walks.walkers import make_engine, make_walk
 from .alpha import alpha_table
 from .css import css_weight_table, sampling_weight
 from .expanded_chain import nominal_degree
-from .result import Estimate, deprecated_result_alias
+from .result import Estimate
 from .session import Session
 
 
@@ -116,12 +120,13 @@ def split_budget(steps: int, chains: int) -> List[int]:
     """The multichain budget split: as even as possible, the first
     ``steps % chains`` chains taking one extra transition.
 
-    This is the one definition every batched path shares —
-    :func:`_run_multichain`, :class:`SRWSession` streaming, and the
-    speedup benchmark — because two invariants hang off it: the split is
-    non-increasing (what lets :class:`_VectorizedAccumulator` treat
-    in-budget chains as a column prefix) and identical across callers
-    (what makes a streamed session bit-identical to the one-shot run).
+    The one definition every multi-chain path shares, because two
+    invariants hang off it: the split is non-increasing (what lets
+    :class:`_VectorizedAccumulator` treat in-budget chains as a column
+    prefix), and ``split_budget(c, B)[b]`` is also where serial chain
+    ``b`` stands after ``c`` consumed units of a streamed
+    :class:`SRWSession` (what makes any streaming of the budget end on
+    the one-shot split).
     """
     return [steps // chains + (1 if b < steps % chains else 0) for b in range(chains)]
 
@@ -129,8 +134,8 @@ def split_budget(steps: int, chains: int) -> List[int]:
 def _between_chain_stderr(chain_sums: Sequence[np.ndarray]) -> Optional[np.ndarray]:
     """Per-type standard error of the mean across chain concentrations.
 
-    Fed by both multi-chain paths — the serial per-chain estimates and
-    the vectorized accumulator's per-(chain, type) cells.  Needs at
+    Fed by both session modes — the serial chains' sums and the
+    vectorized accumulator's per-(chain, type) cells.  Needs at
     least two chains with positive total sums; returns None otherwise.
     """
     per_chain = []
@@ -164,10 +169,11 @@ def run_estimation(
     seed_node: int = 0,
     burn_in: int = 0,
     chains: int = 1,
-    block_size: Optional[int] = None,
 ) -> Estimate:
     """Algorithm 1: estimate k-node graphlet statistics with ``steps``
     random-walk transitions.
+
+    Exactly ``SRWSession(graph, spec, steps, ...).result()``.
 
     Parameters
     ----------
@@ -186,23 +192,13 @@ def run_estimation(
         (the paper relies on SLLN asymptotics and uses none).
     chains:
         Number of independent chains the budget is split over.  With
-        ``chains=1`` the estimator is bit-identical to the seed serial
-        loop; with ``chains=B`` the pooled sums estimate the same
-        quantities (vectorized on the CSR backend, any d).
-    block_size:
-        Lockstep transitions the vectorized multi-chain path consumes
-        per engine call (default 512).  A pure throughput knob: the
-        accumulator's pooled sums are blocking-independent, so any value
-        yields bit-identical results.  Ignored with ``chains=1``.
+        ``chains=B`` the pooled sums estimate the same quantities
+        (vectorized on the CSR backend, any d).
     """
-    if chains < 1:
-        raise ValueError(f"chains must be >= 1, got {chains}")
-    if chains == 1:
-        return _run_walk(graph, spec, [steps], rng, seed_node, burn_in)[-1]
-    return _run_multichain(
-        graph, spec, steps, chains, rng, seed_node, burn_in,
-        block_size=block_size,
-    )
+    return SRWSession(
+        graph, spec, steps, rng=rng, seed_node=seed_node, burn_in=burn_in,
+        chains=chains,
+    ).result()
 
 
 def _effective_degree_fn(
@@ -228,305 +224,112 @@ def _effective_degree_fn(
     return state_degree
 
 
-def _run_walk(
-    graph,
-    spec: MethodSpec,
-    checkpoints: List[int],
-    rng: Optional[random.Random] = None,
-    seed_node: int = 0,
-    burn_in: int = 0,
-) -> List[Estimate]:
-    """Shared walk loop; snapshots the running sums at each checkpoint
-    (ascending, the last one being the total step count)."""
-    if not checkpoints or checkpoints != sorted(set(checkpoints)):
-        raise ValueError("checkpoints must be distinct and ascending")
-    steps = checkpoints[-1]
-    if checkpoints[0] <= 0:
-        raise ValueError(f"steps must be positive, got {checkpoints[0]}")
-    rng = rng if rng is not None else random.Random()
-    space = walk_space(spec.d)
-    walker = make_walk(graph, space, non_backtracking=spec.nb, rng=rng, seed_node=seed_node)
-    k, d, l = spec.k, spec.d, spec.l
-    alphas = alpha_table(k, d)
-    num_types = len(alphas)
-    sums = np.zeros(num_types)
-    sample_counts = np.zeros(num_types, dtype=np.int64)
+class _SerialChain:
+    """One walker-driven chain of Algorithm 1, resumable.
 
-    effective_degree = _effective_degree_fn(graph, space, spec)
-
-    start_time = time.perf_counter()
-    for _ in range(burn_in):
-        walker.step()
-
-    # Build the initial window of l states (Algorithm 1 line 3) and the
-    # multiset of covered nodes.
-    window: List[Tuple[int, ...]] = [walker.state]
-    for _ in range(l - 1):
-        window.append(walker.step())
-    node_multiplicity: Dict[int, int] = {}
-    for state in window:
-        for v in state:
-            node_multiplicity[v] = node_multiplicity.get(v, 0) + 1
-
-    # Degrees of window states, computed once per state on entry (reused as
-    # the state slides through the middle positions).  Not needed when the
-    # window has no middle (l <= 2) and the basic estimator is in use.
-    need_degrees = l > 2
-    window_degrees: List[int] = (
-        [effective_degree(s) for s in window] if need_degrees else [0] * l
-    )
-
-    valid_samples = 0
-    checkpoint_set = set(checkpoints)
-    snapshots: List[Estimate] = []
-
-    def snapshot(at_step: int) -> Estimate:
-        return Estimate(
-            method=spec.name,
-            k=k,
-            steps=at_step,
-            samples=valid_samples,
-            sums=sums.copy(),
-            sample_counts=sample_counts.copy(),
-            elapsed_seconds=time.perf_counter() - start_time,
-            meta=_srw_meta(spec, alphas, graph),
-        )
-
-    neighbor_set = graph.neighbor_set
-    for step_index in range(steps):
-        if len(node_multiplicity) == k:
-            nodes = sorted(node_multiplicity)
-            # Labeled bitmask of the induced subgraph over the sorted nodes.
-            mask = 0
-            bit = 0
-            for i in range(k):
-                u_adj = neighbor_set(nodes[i])
-                for j in range(i + 1, k):
-                    if nodes[j] in u_adj:
-                        mask |= 1 << bit
-                    bit += 1
-            type_index = classify_bitmask(mask, k)
-            if spec.css:
-                p_tilde = sampling_weight(mask, nodes, k, d, effective_degree)
-                weight = 1.0 / p_tilde
-            else:
-                # 1 / (alpha_i * pi~_e) with pi~_e = prod of inverse middle
-                # degrees (Theorem 2); for l = 2 the product is empty.
-                weight = 1.0 / alphas[type_index]
-                for degree in window_degrees[1:-1]:
-                    weight *= degree
-            sums[type_index] += weight
-            sample_counts[type_index] += 1
-            valid_samples += 1
-
-        new_state = walker.step()
-        old_state = window.pop(0)
-        window.append(new_state)
-        for v in old_state:
-            remaining = node_multiplicity[v] - 1
-            if remaining:
-                node_multiplicity[v] = remaining
-            else:
-                del node_multiplicity[v]
-        for v in new_state:
-            node_multiplicity[v] = node_multiplicity.get(v, 0) + 1
-        if need_degrees:
-            window_degrees.pop(0)
-            window_degrees.append(effective_degree(new_state))
-        if step_index + 1 in checkpoint_set:
-            snapshots.append(snapshot(step_index + 1))
-
-    return snapshots
-
-
-class _ChainAccumulator:
-    """Algorithm 1's window/classification pipeline for one chain.
-
-    Mirrors the accumulation of :func:`_run_walk` but is *fed* states one
-    at a time (``push``) instead of driving a walker itself, which lets
-    the multi-chain runner interleave B accumulators over the state blocks
-    of a :class:`~repro.walks.batched.BatchedWalkEngine`.
-
-    Feeding protocol: ``push(initial_state)`` once, then one ``push`` per
-    walk transition.  The first ``burn_in`` transitions are discarded,
-    the next ``l - 1`` fill the window (uncounted, like the serial loop's
-    window build), and every following transition processes the current
-    window *before* sliding — exactly the serial loop's order — until
-    ``budget`` counted transitions are consumed.
+    Construction walks ``burn_in`` discarded transitions and builds the
+    initial window of l states (Algorithm 1 line 3); each
+    :meth:`advance` then runs the loop body — classify and re-weight the
+    current window, then slide it by one transition — for ``n`` more
+    counted transitions, keeping window and sums between calls.
     """
 
-    __slots__ = (
-        "graph",
-        "spec",
-        "alphas",
-        "effective_degree",
-        "sums",
-        "sample_counts",
-        "budget",
-        "burn_left",
-        "window",
-        "node_multiplicity",
-        "window_degrees",
-        "need_degrees",
-        "valid_samples",
-        "steps_done",
-        "_started",
-    )
-
     def __init__(
-        self,
-        graph,
-        spec: MethodSpec,
-        alphas: Sequence[float],
-        effective_degree: Callable[[Tuple[int, ...]], int],
-        budget: int,
-        burn_in: int = 0,
+        self, graph, spec: MethodSpec, alphas, rng: random.Random,
+        seed_node: int, burn_in: int,
     ) -> None:
+        space = walk_space(spec.d)
+        walker = make_walk(
+            graph, space, non_backtracking=spec.nb, rng=rng, seed_node=seed_node
+        )
         self.graph = graph
         self.spec = spec
         self.alphas = alphas
-        self.effective_degree = effective_degree
+        self.walker = walker
+        self.effective_degree = _effective_degree_fn(graph, space, spec)
         self.sums = np.zeros(len(alphas))
         self.sample_counts = np.zeros(len(alphas), dtype=np.int64)
-        self.budget = budget
-        self.burn_left = burn_in
-        self.window: List[Tuple[int, ...]] = []
-        self.node_multiplicity: Dict[int, int] = {}
-        self.window_degrees: List[int] = []
-        self.need_degrees = spec.l > 2
         self.valid_samples = 0
-        self.steps_done = 0
-        self._started = False
+        self.steps = 0  # counted transitions done
 
-    @property
-    def done(self) -> bool:
-        return self.steps_done >= self.budget
+        for _ in range(burn_in):
+            walker.step()
+        # The initial window of l states and the multiset of covered nodes.
+        self.window: List[Tuple[int, ...]] = [walker.state]
+        for _ in range(spec.l - 1):
+            self.window.append(walker.step())
+        self.node_multiplicity: Dict[int, int] = {}
+        for state in self.window:
+            for v in state:
+                self.node_multiplicity[v] = self.node_multiplicity.get(v, 0) + 1
+        # Degrees of window states, computed once per state on entry
+        # (reused as the state slides through the middle positions).  Not
+        # needed when the window has no middle (l <= 2) and the basic
+        # estimator is in use.
+        self.need_degrees = spec.l > 2
+        self.window_degrees: List[int] = (
+            [self.effective_degree(s) for s in self.window]
+            if self.need_degrees
+            else [0] * spec.l
+        )
 
-    def _admit(self, state: Tuple[int, ...]) -> None:
-        """Add a state to the window and its nodes to the multiset."""
-        self.window.append(state)
-        for v in state:
-            self.node_multiplicity[v] = self.node_multiplicity.get(v, 0) + 1
-        if self.need_degrees:
-            self.window_degrees.append(self.effective_degree(state))
-
-    def push(self, state: Tuple[int, ...]) -> None:
-        if self.done:
-            return
-        if not self._started:  # the chain's initial state, not a transition
-            self._started = True
-            self._admit(state)
-            return
-        if self.burn_left > 0:
-            # Discarded transition: restart the window from this state.
-            self.burn_left -= 1
-            self.window.clear()
-            self.node_multiplicity.clear()
-            self.window_degrees.clear()
-            self._admit(state)
-            return
-        if len(self.window) < self.spec.l:
-            self._admit(state)
-            return
-        self._process_window()
-        # Slide: drop the oldest state, admit the new one.
-        old_state = self.window.pop(0)
-        for v in old_state:
-            remaining = self.node_multiplicity[v] - 1
-            if remaining:
-                self.node_multiplicity[v] = remaining
-            else:
-                del self.node_multiplicity[v]
-        if self.need_degrees:
-            self.window_degrees.pop(0)
-        self._admit(state)
-        self.steps_done += 1
-
-    def _process_window(self) -> None:
-        """Classify and re-weight the current window (one Algorithm 1
-        iteration); windows covering != k distinct nodes are invalid."""
-        spec = self.spec
+    def advance(self, n: int) -> None:
+        """Run ``n`` more counted transitions."""
+        spec, alphas, walker = self.spec, self.alphas, self.walker
         k, d = spec.k, spec.d
-        if len(self.node_multiplicity) != k:
-            return
-        nodes = sorted(self.node_multiplicity)
+        sums, sample_counts = self.sums, self.sample_counts
+        window, node_multiplicity = self.window, self.node_multiplicity
+        window_degrees, need_degrees = self.window_degrees, self.need_degrees
+        effective_degree = self.effective_degree
+        valid_samples = self.valid_samples
         neighbor_set = self.graph.neighbor_set
-        mask = 0
-        bit = 0
-        for i in range(k):
-            u_adj = neighbor_set(nodes[i])
-            for j in range(i + 1, k):
-                if nodes[j] in u_adj:
-                    mask |= 1 << bit
-                bit += 1
-        type_index = classify_bitmask(mask, k)
-        if spec.css:
-            p_tilde = sampling_weight(mask, nodes, k, d, self.effective_degree)
-            weight = 1.0 / p_tilde
-        else:
-            weight = 1.0 / self.alphas[type_index]
-            for degree in self.window_degrees[1:-1]:
-                weight *= degree
-        self.sums[type_index] += weight
-        self.sample_counts[type_index] += 1
-        self.valid_samples += 1
+        for _ in range(n):
+            if len(node_multiplicity) == k:
+                nodes = sorted(node_multiplicity)
+                # Labeled bitmask of the induced subgraph over the sorted nodes.
+                mask = 0
+                bit = 0
+                for i in range(k):
+                    u_adj = neighbor_set(nodes[i])
+                    for j in range(i + 1, k):
+                        if nodes[j] in u_adj:
+                            mask |= 1 << bit
+                        bit += 1
+                type_index = classify_bitmask(mask, k)
+                if spec.css:
+                    p_tilde = sampling_weight(mask, nodes, k, d, effective_degree)
+                    weight = 1.0 / p_tilde
+                else:
+                    # 1 / (alpha_i * pi~_e) with pi~_e = prod of inverse
+                    # middle degrees (Theorem 2); for l = 2 it is empty.
+                    weight = 1.0 / alphas[type_index]
+                    for degree in window_degrees[1:-1]:
+                        weight *= degree
+                sums[type_index] += weight
+                sample_counts[type_index] += 1
+                valid_samples += 1
+
+            new_state = walker.step()
+            old_state = window.pop(0)
+            window.append(new_state)
+            for v in old_state:
+                remaining = node_multiplicity[v] - 1
+                if remaining:
+                    node_multiplicity[v] = remaining
+                else:
+                    del node_multiplicity[v]
+            for v in new_state:
+                node_multiplicity[v] = node_multiplicity.get(v, 0) + 1
+            if need_degrees:
+                window_degrees.pop(0)
+                window_degrees.append(effective_degree(new_state))
+        self.valid_samples = valid_samples
+        self.steps += n
 
 
-def _batched_python(
-    graph, spec: MethodSpec, alphas, budgets: List[int], engine, burn_in: int
-):
-    """Drain a batched engine through one Python accumulator per chain.
-
-    The reference accumulation: :func:`_batched_vectorized` must process
-    exactly these windows and (for CSS) reproduce these sums bit for bit
-    — the parity suite in ``tests/test_csr.py`` drives both off
-    identically seeded engines.  Kept as the fallback should a future
-    block engine lack the vectorized probe surface (``has_edges`` /
-    ``degrees_array``) the fast path gathers through.
-    """
-    effective_degree = _effective_degree_fn(graph, walk_space(spec.d), spec)
-    accumulators = [
-        _ChainAccumulator(graph, spec, alphas, effective_degree, budget, burn_in)
-        for budget in budgets
-    ]
-    d = spec.d
-    initial = engine.states()
-    for b, acc in enumerate(accumulators):
-        state = (int(initial[b]),) if d == 1 else tuple(int(x) for x in initial[b])
-        acc.push(state)
-    # Each chain consumes burn_in discarded transitions, l - 1 window
-    # fills, then its counted budget — same accounting as _run_walk.
-    remaining = max(budgets) + burn_in + spec.l - 1
-    block_size = 1024
-    while remaining > 0 and not all(acc.done for acc in accumulators):
-        block = engine.step_block(min(block_size, remaining))
-        remaining -= block.shape[0]
-        if d == 1:
-            for b, acc in enumerate(accumulators):
-                if acc.done:
-                    continue
-                for value in block[:, b].tolist():
-                    acc.push((value,))
-        else:
-            for b, acc in enumerate(accumulators):
-                if acc.done:
-                    continue
-                for row in block[:, b].tolist():
-                    acc.push(tuple(row))
-    sums = np.zeros(len(alphas))
-    sample_counts = np.zeros(len(alphas), dtype=np.int64)
-    valid_samples = 0
-    for acc in accumulators:
-        if not acc.done:  # pragma: no cover - budget math guarantees done
-            raise RuntimeError("batched run ended before a chain's budget")
-        sums += acc.sums
-        sample_counts += acc.sample_counts
-        valid_samples += acc.valid_samples
-    return sums, sample_counts, valid_samples
-
-
-#: Default lockstep transitions per engine call in the vectorized
-#: accumulator.  Purely a throughput knob (see ``block_size`` below).
+#: Lockstep transitions per engine call in the vectorized accumulator.
+#: Purely a throughput constant: the per-(chain, type) cells are
+#: blocking-independent, so any value yields bit-identical sums.
 DEFAULT_ACC_BLOCK = 512
 
 
@@ -550,43 +353,31 @@ class _VectorizedAccumulator:
     Both paths scatter-add into per-(chain, type) cells with
     ``np.add.at`` — which applies duplicate indices *sequentially in
     order of appearance*, so every cell accumulates its windows in time
-    order exactly like a :class:`_ChainAccumulator`, and the
+    order exactly like a per-chain Python accumulator, and the
     chain-ordered pooling of :meth:`pooled_sums` is **bit-identical** to
-    the per-chain Python path (and independent of how the stream was
-    blocked, which is what lets streaming sessions reuse this class).
-    The cells also yield the between-chain standard error the serial
-    multi-chain path reports.
+    the per-chain reference (the test suite's oracle) and independent of
+    how the stream was blocked.  The cells also yield the between-chain
+    standard error.
 
-    ``budgets`` must be non-increasing (the even split of
-    :func:`_run_multichain` always is): chain ``b``'s counted windows
-    are then exactly the first ``budgets[b]`` rows, and the chains still
-    in budget at any row form a column prefix.
+    ``budgets`` must be non-increasing (:func:`split_budget` always
+    is): chain ``b``'s counted windows are then exactly the first
+    ``budgets[b]`` rows, and the chains still in budget at any row form
+    a column prefix.
 
     Driving protocol: construct (consumes ``burn_in`` discarded
     transitions plus the ``l - 2`` window prefill per chain), then call
     :meth:`advance` until :attr:`counted` reaches :attr:`total`.
     ``advance`` consumes any number of counted windows — whole blocks of
-    rows, or part of one row (the streaming session's round-robin
-    granularity; windows within a row count in chain order).
-
-    ``block_size`` caps the lockstep transitions consumed per engine
-    call.  Because the per-(chain, type) cells are blocking-independent
-    (see above), it affects throughput only — every value produces
-    bit-identical sums.
+    rows (at most :data:`DEFAULT_ACC_BLOCK` per engine call), or part of
+    one row (windows within a row count in chain order).
     """
 
     def __init__(
-        self, graph, spec: MethodSpec, alphas, budgets: List[int], engine,
-        burn_in: int, block_size: Optional[int] = None,
+        self, graph, spec: MethodSpec, alphas, budgets: List[int], engine, burn_in: int
     ) -> None:
         budgets_arr = np.asarray(budgets, dtype=np.int64)
         if np.any(budgets_arr[1:] > budgets_arr[:-1]):
             raise ValueError("budgets must be non-increasing")
-        if block_size is None:
-            block_size = DEFAULT_ACC_BLOCK
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
-        self._block_size = int(block_size)
         self.graph = graph
         self.spec = spec
         self.chains = len(budgets)
@@ -675,7 +466,7 @@ class _VectorizedAccumulator:
                 return
             # Rows keep one width until the next budget boundary.
             boundary = int(self.budgets[self.budgets > self._row].min())
-            t = min(boundary - self._row, n // width, self._block_size)
+            t = min(boundary - self._row, n // width, DEFAULT_ACC_BLOCK)
             stream = np.concatenate(
                 [
                     self._tail,
@@ -737,9 +528,8 @@ class _VectorizedAccumulator:
         """Per-type sums pooled over chains.
 
         Pools the per-chain cells sequentially in chain order — the
-        exact addition sequence of the Python reference pooling — so the
-        result is bit-identical to :func:`_batched_python` (basic and
-        CSS alike).
+        exact addition sequence of the per-chain reference pooling — so
+        the result is bit-identical to it (basic and CSS alike).
         """
         sums = np.zeros(self.num_types)
         for b in range(self.chains):
@@ -747,139 +537,34 @@ class _VectorizedAccumulator:
         return sums
 
 
-def _batched_vectorized(
-    graph, spec: MethodSpec, alphas, budgets: List[int], engine, burn_in: int
-):
-    """Aggregate all chains in one vectorized pass (basic **and** CSS).
-
-    See :class:`_VectorizedAccumulator` for the pipeline; this wrapper
-    drives it through the whole budget and returns pooled
-    ``(sums, sample_counts, valid_samples)``.
-    """
-    acc = _VectorizedAccumulator(graph, spec, alphas, budgets, engine, burn_in)
-    acc.advance(acc.total)
-    return acc.pooled_sums(), acc.sample_counts, acc.valid_samples
-
-
-def _run_multichain(
-    graph,
-    spec: MethodSpec,
-    steps: int,
-    chains: int,
-    rng: Optional[random.Random] = None,
-    seed_node: int = 0,
-    burn_in: int = 0,
-    block_size: Optional[int] = None,
-) -> Estimate:
-    """Pooled estimation over ``chains`` independent walks.
-
-    The total budget is split as evenly as possible (the first
-    ``steps % chains`` chains take one extra transition).  On a CSR
-    backend all chains — any d — advance in lockstep through the
-    vectorized engine with fully vectorized window accumulation for the
-    basic estimator *and* CSS (pooled sums bit-identical to the
-    per-chain Python reference accumulators, between-chain stderr from
-    the per-chain cells); otherwise each chain runs the serial loop with
-    its own RNG seeded from ``rng``, after warning once
-    (:class:`~repro.walks.batched.BatchFallbackWarning`) that the run
-    degraded.
-    """
-    if steps < chains:
-        raise ValueError(
-            f"need at least one transition per chain: steps={steps} < chains={chains}"
-        )
-    rng = rng if rng is not None else random.Random()
-    budgets = split_budget(steps, chains)
-    k, d = spec.k, spec.d
-    alphas = alpha_table(k, d)
-    start_time = time.perf_counter()
-
-    stderr = None
-    if batch_capable(graph, d):
-        engine = make_engine(
-            graph,
-            walk_space(d),
-            chains,
-            non_backtracking=spec.nb,
-            rng=rng,
-            seed_node=seed_node,
-        )
-        acc = _VectorizedAccumulator(
-            graph, spec, alphas, budgets, engine, burn_in,
-            block_size=block_size,
-        )
-        acc.advance(acc.total)
-        sums, sample_counts, valid_samples = (
-            acc.pooled_sums(),
-            acc.sample_counts,
-            acc.valid_samples,
-        )
-        stderr = _between_chain_stderr([acc.chain_sums[b] for b in range(chains)])
-    else:
-        # Fresh registry per run: a long-lived process running many
-        # estimations is warned about each degraded run, not just the
-        # first (see warn_serial_fallback).
-        warn_serial_fallback(graph, d, stacklevel=3, registry={})
-        chain_results = [
-            _run_walk(
-                graph,
-                spec,
-                [budgets[b]],
-                random.Random(rng.randrange(2**63)),
-                seed_node,
-                burn_in,
-            )[-1]
-            for b in range(chains)
-        ]
-        sums = np.sum([r.sums for r in chain_results], axis=0)
-        sample_counts = np.sum([r.sample_counts for r in chain_results], axis=0)
-        valid_samples = sum(r.valid_samples for r in chain_results)
-        stderr = _between_chain_stderr([r.sums for r in chain_results])
-
-    return Estimate(
-        method=spec.name,
-        k=k,
-        steps=sum(budgets),
-        samples=valid_samples,
-        sums=np.asarray(sums),
-        sample_counts=np.asarray(sample_counts),
-        stderr=stderr,
-        elapsed_seconds=time.perf_counter() - start_time,
-        meta=_srw_meta(spec, alphas, graph, chains=chains),
-    )
-
-
 class SRWSession(Session):
-    """Streaming run of one ``SRW{d}[CSS][NB]`` method.
+    """One run of an ``SRW{d}[CSS][NB]`` method — streamed or one-shot.
 
-    The session feeds each chain's walker through a
-    :class:`_ChainAccumulator` — exactly the accumulation of
-    :func:`_run_walk` — so with ``chains=1`` a fixed seed yields sums
-    bit-identical to :func:`run_estimation`, and a mid-run
-    ``snapshot()`` after ``t`` counted transitions equals a fresh
-    ``budget=t`` run of the same seed (streaming/batch parity).  With
-    ``chains=B`` the total budget is split like
-    :func:`_run_multichain` and the chains advance round-robin; pooled
-    snapshots additionally carry a between-chain standard error.
+    :func:`run_estimation` is this session's :meth:`result`, so every SRW
+    run goes through one of its two modes, fixed at construction:
 
-    One fast path: calling ``result()`` on a session that has not been
-    streamed at all (no prior ``step``/``snapshot``) delegates whole to
-    :func:`run_estimation`, so batch-capable backends keep their
-    vectorized multi-chain kernels — and a one-shot
-    ``repro.estimate(..., backend="csr", chains=B)`` is bit-identical
-    to the pre-registry entry point.
+    * **vectorized** (``chains > 1`` on a batch-capable backend — CSR,
+      basic and CSS, any d): ``step(n)`` drives the lockstep
+      :class:`_VectorizedAccumulator`, whose partial lockstep rows count
+      chains in order.  Its per-(chain, type) cells are
+      blocking-independent, so however the budget is streamed the final
+      sums are the same bits.
+    * **serial** (``chains == 1``, or a backend without vectorized
+      kernels): one :class:`_SerialChain` per chain.  After ``c``
+      consumed units chain ``b`` has run ``split_budget(c, B)[b]``
+      transitions (where a round-robin over the chains would stand), so
+      however the budget is streamed it ends on the one-shot split.
+      Chains are independent, so the order in which one ``step`` feeds
+      them cannot change their sums.  ``chains == 1`` keeps
+      the caller's rng; more chains each seed their own rng from it and
+      warn once (:class:`~repro.walks.batched.BatchFallbackWarning`).
 
-    Streamed runs with ``chains > 1`` on a batch-capable backend — basic
-    and CSS, any d — stay vectorized: ``step(n)`` drives the lockstep
-    :class:`_VectorizedAccumulator` (partial lockstep rows count chains
-    in round-robin order), and because its per-(chain, type) cells are
-    blocking-independent, a streamed session's final sums are
-    bit-identical to the one-shot ``run_estimation(...)`` of the same
-    seed.  Streamed multi-chain runs on other backends stay on the
-    serial per-chain path and warn once
-    (:class:`~repro.walks.batched.BatchFallbackWarning`); ``chains=1``
-    always streams serially — its bit-parity with
-    :func:`run_estimation` is part of the protocol contract.
+    A mid-run ``snapshot()`` after ``t`` counted transitions of a
+    single-chain session equals a fresh ``budget=t`` run of the same
+    seed (streaming/batch parity); multi-chain snapshots additionally
+    carry the between-chain standard error.  Construction — engine or
+    walkers, burn-in, initial windows — is timed into
+    ``elapsed_seconds`` like the steps that follow.
     """
 
     def __init__(
@@ -891,7 +576,6 @@ class SRWSession(Session):
         seed_node: int = 0,
         burn_in: int = 0,
         chains: int = 1,
-        block_size: Optional[int] = None,
     ) -> None:
         super().__init__(budget)
         if chains < 1:
@@ -900,190 +584,67 @@ class SRWSession(Session):
             raise ValueError(
                 f"need at least one transition per chain: budget={budget} < chains={chains}"
             )
+        start = time.perf_counter()
         self.graph = graph
         self.spec = spec
-        self._rng = rng if rng is not None else random.Random()
-        self._seed_node = seed_node
-        self._burn_in = burn_in
         self._chains = chains
-        self._block_size = block_size
         self._alphas = alpha_table(spec.k, spec.d)
-        # Chains are built lazily on the first streaming step, so an
-        # unstreamed result() can hand the untouched rng to the (possibly
-        # vectorized) batch runner.
-        self._walkers: List = []
-        self._accumulators: List[_ChainAccumulator] = []
-        self._stream: Optional[_VectorizedAccumulator] = None
-        self._cursor = 0
-        self._delegated: Optional[Estimate] = None
-        # Per-session fallback-warning dedup scope (one warning per
-        # session, however many internal sites check).
-        self._warn_registry: Dict = {}
-
-    def _chain_budgets(self) -> List[int]:
-        """The shared even budget split (bit-parity with the one-shot run)."""
-        return split_budget(self.budget, self._chains)
-
-    def _stream_capable(self) -> bool:
-        """Whether streaming can ride the vectorized multi-chain path."""
-        return self._chains > 1 and batch_capable(self.graph, self.spec.d)
-
-    def _ensure_stream(self) -> None:
-        if self._stream is not None:
-            return
-        # The engine derives its NumPy generator from the session rng with
-        # the same single draw _run_multichain makes, so a fully streamed
-        # session reproduces the one-shot batched run bit for bit.
-        engine = make_engine(
-            self.graph,
-            walk_space(self.spec.d),
-            self._chains,
-            non_backtracking=self.spec.nb,
-            rng=self._rng,
-            seed_node=self._seed_node,
-        )
-        self._stream = _VectorizedAccumulator(
-            self.graph,
-            self.spec,
-            self._alphas,
-            self._chain_budgets(),
-            engine,
-            self._burn_in,
-            block_size=self._block_size,
-        )
-
-    def _ensure_chains(self) -> None:
-        if self._accumulators:
-            return
-        graph, spec, chains = self.graph, self.spec, self._chains
-        if chains > 1:
-            warn_serial_fallback(
-                graph, spec.d, stacklevel=4, registry=self._warn_registry
+        rng = rng if rng is not None else random.Random()
+        self._vectorized: Optional[_VectorizedAccumulator] = None
+        self._serial: List[_SerialChain] = []
+        if chains > 1 and batch_capable(graph, spec.d):
+            engine = make_engine(
+                graph,
+                walk_space(spec.d),
+                chains,
+                non_backtracking=spec.nb,
+                rng=rng,
+                seed_node=seed_node,
             )
-        space = walk_space(spec.d)
-        effective_degree = _effective_degree_fn(graph, space, spec)
-        budgets = self._chain_budgets()
-        # One rng per chain, derived exactly like the serial multichain
-        # runner (chains=1 keeps the caller's rng: bit-parity with
-        # run_estimation).
-        if chains == 1:
-            chain_rngs = [self._rng]
+            self._vectorized = _VectorizedAccumulator(
+                graph, spec, self._alphas, split_budget(budget, chains), engine,
+                burn_in,
+            )
         else:
-            chain_rngs = [
-                random.Random(self._rng.randrange(2**63)) for _ in range(chains)
+            if chains > 1:
+                warn_serial_fallback(graph, spec.d, stacklevel=2)
+                chain_rngs = [random.Random(rng.randrange(2**63)) for _ in range(chains)]
+            else:
+                chain_rngs = [rng]
+            self._serial = [
+                _SerialChain(graph, spec, self._alphas, chain_rng, seed_node, burn_in)
+                for chain_rng in chain_rngs
             ]
-        for chain_rng, chain_budget in zip(chain_rngs, budgets):
-            walker = make_walk(
-                graph, space, non_backtracking=spec.nb, rng=chain_rng,
-                seed_node=self._seed_node,
-            )
-            accumulator = _ChainAccumulator(
-                graph, spec, self._alphas, effective_degree, chain_budget,
-                self._burn_in,
-            )
-            accumulator.push(walker.state)
-            self._walkers.append(walker)
-            self._accumulators.append(accumulator)
-
-    def result(self) -> Estimate:
-        if self._delegated is not None:
-            return self._delegated
-        if self._consumed == 0 and not self._accumulators and self._stream is None:
-            # Nothing streamed yet: run the whole budget through the
-            # standard runner (vectorized on batch-capable backends).
-            estimate = run_estimation(
-                self.graph,
-                self.spec,
-                self.budget,
-                rng=self._rng,
-                seed_node=self._seed_node,
-                burn_in=self._burn_in,
-                chains=self._chains,
-                block_size=self._block_size,
-            )
-            self._consumed = self.budget
-            self._elapsed = estimate.elapsed_seconds
-            self._delegated = estimate
-            return estimate
-        return super().result()
+        self._elapsed = time.perf_counter() - start
 
     def _advance(self, n: int) -> None:
-        if self._stream_capable():
-            self._ensure_stream()
-            self._stream.advance(n)
+        if self._vectorized is not None:
+            self._vectorized.advance(n)
             return
-        self._ensure_chains()
-        walkers, accumulators = self._walkers, self._accumulators
-        chains = len(accumulators)
-        cursor = self._cursor
-        remaining = n
-        while remaining > 0:
-            accumulator = accumulators[cursor % chains]
-            if accumulator.done:
-                cursor += 1
-                continue
-            walker = walkers[cursor % chains]
-            before = accumulator.steps_done
-            # One counted transition; pushes during burn-in/window fill
-            # do not increment steps_done and keep the loop going.
-            while accumulator.steps_done == before:
-                accumulator.push(walker.step())
-            cursor += 1
-            remaining -= 1
-        self._cursor = cursor
+        targets = split_budget(self._consumed + n, self._chains)
+        for chain, target in zip(self._serial, targets):
+            chain.advance(target - chain.steps)
 
     def snapshot(self) -> Estimate:
-        if self._delegated is not None:
-            return self._delegated
-        if self._stream is not None:
-            stream = self._stream
-            chain_rows = [stream.chain_sums[b] for b in range(stream.chains)]
-            return Estimate(
-                method=self.spec.name,
-                k=self.spec.k,
-                steps=self.consumed,
-                samples=stream.valid_samples,
-                sums=stream.pooled_sums().copy(),
-                sample_counts=stream.sample_counts.copy(),
-                stderr=_between_chain_stderr(chain_rows),
-                elapsed_seconds=self._elapsed,
-                meta=_srw_meta(
-                    self.spec, self._alphas, self.graph, chains=stream.chains
-                ),
-            )
-        if not self._accumulators and self._consumed == 0:
-            # Before the first step: an all-zero partial estimate, without
-            # touching the rng (keeps the unstreamed result() fast path).
-            num_types = len(self._alphas)
-            return Estimate(
-                method=self.spec.name,
-                k=self.spec.k,
-                steps=0,
-                samples=0,
-                sums=np.zeros(num_types),
-                sample_counts=np.zeros(num_types, dtype=np.int64),
-                elapsed_seconds=self._elapsed,
-                meta=_srw_meta(self.spec, self._alphas, self.graph, chains=self._chains),
-            )
-        accumulators = self._accumulators
-        sums = np.sum([a.sums for a in accumulators], axis=0)
-        sample_counts = np.sum([a.sample_counts for a in accumulators], axis=0)
-        valid_samples = sum(a.valid_samples for a in accumulators)
-        stderr = _between_chain_stderr([a.sums for a in accumulators])
+        if self._vectorized is not None:
+            acc = self._vectorized
+            chain_sums = [acc.chain_sums[b] for b in range(self._chains)]
+            sums = acc.pooled_sums()
+            sample_counts = acc.sample_counts.copy()
+            samples = acc.valid_samples
+        else:
+            chain_sums = [chain.sums for chain in self._serial]
+            sums = np.sum(chain_sums, axis=0)
+            sample_counts = np.sum([c.sample_counts for c in self._serial], axis=0)
+            samples = sum(chain.valid_samples for chain in self._serial)
         return Estimate(
             method=self.spec.name,
             k=self.spec.k,
             steps=self.consumed,
-            samples=valid_samples,
-            sums=np.asarray(sums, dtype=np.float64),
-            sample_counts=np.asarray(sample_counts, dtype=np.int64),
-            stderr=stderr,
+            samples=samples,
+            sums=sums,
+            sample_counts=sample_counts,
+            stderr=_between_chain_stderr(chain_sums),
             elapsed_seconds=self._elapsed,
-            meta=_srw_meta(self.spec, self._alphas, self.graph, chains=len(accumulators)),
+            meta=_srw_meta(self.spec, self._alphas, self.graph, chains=self._chains),
         )
-
-
-def __getattr__(name: str):
-    if name == "EstimationResult":
-        return deprecated_result_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

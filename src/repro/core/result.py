@@ -5,9 +5,8 @@ PSRW/SRW, GUISE, wedge sampling, wedge-MHRW, 3-path sampling,
 Hardiman–Katzir and the exact oracle — returns one :class:`Estimate`.
 Method-specific extras (rejection rates, wedge tallies, API-call counts,
 …) live in the ``meta`` dict and are readable as plain attributes
-(``result.rejection_rate``), so the per-method result dataclasses this
-type absorbed (``EstimationResult``, ``GuiseResult``, …, now deprecated
-aliases) keep their familiar feel without fragmenting the API.
+(``result.rejection_rate``), so method-specific results keep their
+familiar feel without fragmenting the API.
 
 Conventions
 -----------
@@ -285,22 +284,3 @@ class Estimate:
             f"Estimate(method={self.method!r}, k={self.k}, steps={self.steps}, "
             f"samples={self.samples})"
         )
-
-
-def deprecated_result_alias(name: str, stacklevel: int = 3):
-    """Resolve a deprecated per-method result name to :class:`Estimate`.
-
-    Used by the module-level ``__getattr__`` hooks that keep
-    ``EstimationResult``, ``GuiseResult``, ``WedgeSamplingResult``,
-    ``PathSamplingResult``, ``HardimanKatzirResult`` and
-    ``WedgeMHRWResult`` importable for one release.
-    """
-    import warnings
-
-    warnings.warn(
-        f"{name} is deprecated; every estimator now returns the unified "
-        "repro.Estimate result type",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return Estimate

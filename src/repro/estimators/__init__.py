@@ -125,7 +125,6 @@ def estimate(
     burn_in: int = 0,
     target=None,
     check_every: Optional[int] = None,
-    block_size: Optional[int] = None,
 ) -> Estimate:
     """One-shot estimation with any registered method.
 
@@ -141,15 +140,11 @@ def estimate(
     dynamic target, the run's step cap).  Fixed-seed runs of the
     framework methods are bit-identical to
     :func:`repro.core.run_estimation` with ``rng=random.Random(seed)``.
-    ``block_size`` tunes how many lockstep transitions the vectorized
-    multi-chain path consumes per engine call — a pure throughput knob
-    (results are blocking-independent), forwarded to methods that walk.
     """
     spec = None if target is None else as_stopping_spec(target)
     if budget is not None and spec is None:
         spec = StepBudget(int(budget))
         budget = None
-    options = {} if block_size is None else {"block_size": int(block_size)}
     config = EstimationConfig(
         method=method,
         k=k,
@@ -160,6 +155,5 @@ def estimate(
         chains=chains,
         burn_in=burn_in,
         target=spec,
-        options=options,
     )
     return run_config(graph, config, check_every=check_every)

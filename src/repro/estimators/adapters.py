@@ -81,7 +81,6 @@ class SRWEstimator:
             seed_node=config.seed_node,
             burn_in=config.burn_in,
             chains=config.chains,
-            block_size=config.options.get("block_size"),
         )
 
 
@@ -100,7 +99,6 @@ class PSRWEstimator:
             seed_node=config.seed_node,
             burn_in=config.burn_in,
             chains=config.chains,
-            block_size=config.options.get("block_size"),
         )
 
 
@@ -119,7 +117,6 @@ class PlainSRWEstimator:
             seed_node=config.seed_node,
             burn_in=config.burn_in,
             chains=config.chains,
-            block_size=config.options.get("block_size"),
         )
 
 

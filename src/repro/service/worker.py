@@ -7,11 +7,12 @@ zero-copy), then serves task tuples from its private queue:
 
 A task opens a streaming estimator session
 (:func:`repro.estimators.prepare`) and drains it in ``snapshot_steps``
-chunks, shipping a ``("partial", ...)`` frame after every chunk and a
-``("done", ...)`` frame with the finished estimate — the chunked
-session's final result is pinned bit-identical to the one-shot run
-(``tests/test_session.py``), which is what makes the daemon's answers
-match in-process ``repro.estimate`` exactly.
+chunks, shipping a ``("partial", ...)`` frame after every chunk but the
+last and a ``("done", ...)`` frame with the finished estimate.  An
+in-process ``repro.estimate`` drains the same session in one chunk, and
+the chunking cannot move a bit of the result (pinned by the streamed
+vs. one-shot tests in ``tests/test_estimators_api.py``), which is what
+makes the daemon's answers match in-process ``repro.estimate`` exactly.
 
 Between chunks the worker drains its control pipe, through which the
 daemon broadcasts cancelled request ids (timeouts, early stops,
@@ -48,12 +49,6 @@ def _run_task(graph, task, results, worker_id, control, cancelled) -> None:
     request_id, attempt, part, config_kwargs, snapshot_steps = task
     config = EstimationConfig(**config_kwargs)
     session = prepare(graph, config)
-    if snapshot_steps >= config.budget:
-        # No progressive frames wanted: take the exact same unstreamed
-        # path as an in-process ``repro.estimate`` call.
-        estimate = session.result()
-        results.put(("done", worker_id, request_id, attempt, part, estimate))
-        return
     while True:
         session.step(min(snapshot_steps, session.remaining))
         _drain_control(control, cancelled)

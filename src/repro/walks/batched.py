@@ -25,8 +25,8 @@ draw for d >= 3) with the forced-backtrack rule on degree-1 states,
 exactly mirroring the serial walkers' semantics.
 
 The engine only *walks*; windowing and graphlet classification stay with
-the estimator (:func:`repro.core.estimator.run_estimation` with
-``chains > 1``), which drains state blocks chain by chain.  Chains are
+the estimator (:class:`repro.core.estimator.SRWSession` with
+``chains > 1``), which classifies whole state blocks at once.  Chains are
 statistically independent given independent starting draws because every
 lane consumes its own slice of the shared vectorized RNG stream.
 

@@ -161,16 +161,17 @@ class TestBlockParity:
             for row in np.concatenate(history, axis=0):
                 assert np.array_equal(row, replay.step())
 
-    def test_block_size_is_a_pure_throughput_knob(self, karate):
+    def test_block_size_is_a_pure_throughput_knob(self, karate, monkeypatch):
         import repro
+        from repro.core import estimator
 
         base = repro.estimate(
             karate, "srw3", budget=2_048, seed=9, backend="csr", chains=16
         )
         for block_size in (1, 7, 4096):
+            monkeypatch.setattr(estimator, "DEFAULT_ACC_BLOCK", block_size)
             alt = repro.estimate(
-                karate, "srw3", budget=2_048, seed=9, backend="csr",
-                chains=16, block_size=block_size,
+                karate, "srw3", budget=2_048, seed=9, backend="csr", chains=16
             )
             assert np.array_equal(base.sums, alt.sums)
             assert np.array_equal(base.sample_counts, alt.sample_counts)

@@ -279,8 +279,9 @@ class TestMultiChain:
         their sums **bit for bit** — basic and CSS alike: per-window
         weights evaluate in the serial loop's operation order and
         per-(chain, type) cells accumulate in its addition order."""
+        from reference import _batched_python, _batched_vectorized
+
         from repro.core.alpha import alpha_table
-        from repro.core.estimator import _batched_python, _batched_vectorized
 
         csr = CSRGraph.from_graph(karate)
         spec = MethodSpec.parse(method, k)

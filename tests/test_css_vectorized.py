@@ -26,10 +26,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import _batched_python, _batched_vectorized
 
 from repro.core.alpha import alpha_table
 from repro.core.css import CSSWeightTable, css_templates, css_weight_table, sampling_weight
-from repro.core.estimator import MethodSpec, _batched_python, _batched_vectorized
+from repro.core.estimator import MethodSpec
 from repro.graphlets import (
     classification_table,
     classify_bitmask,

@@ -1,4 +1,4 @@
-"""Tests for the unified Estimate result type and the deprecated aliases."""
+"""Tests for the unified Estimate result type."""
 
 from __future__ import annotations
 
@@ -119,21 +119,17 @@ class TestDeprecatedAliases:
             ("repro.core", "EstimationResult"),
             ("repro.core.estimator", "EstimationResult"),
             ("repro.baselines", "GuiseResult"),
-            ("repro.baselines", "HardimanKatzirResult"),
-            ("repro.baselines", "PathSamplingResult"),
-            ("repro.baselines", "WedgeMHRWResult"),
-            ("repro.baselines", "WedgeSamplingResult"),
-            ("repro.baselines.guise", "GuiseResult"),
             ("repro.baselines.wedge", "WedgeSamplingResult"),
         ],
     )
-    def test_alias_warns_and_resolves_to_estimate(self, module, name):
+    def test_removed_alias_raises(self, module, name):
+        """The per-method result names are gone: every estimator returns
+        :class:`Estimate`, and the old names are plain missing attributes."""
         import importlib
 
         mod = importlib.import_module(module)
-        with pytest.deprecated_call():
-            alias = getattr(mod, name)
-        assert alias is Estimate
+        with pytest.raises(AttributeError):
+            getattr(mod, name)
 
     def test_unknown_module_attribute_still_raises(self):
         with pytest.raises(AttributeError):
@@ -142,9 +138,10 @@ class TestDeprecatedAliases:
 
 class TestDeprecationHygiene:
     def test_package_imports_clean_under_error_filter(self):
-        """Internal code must not touch the deprecated aliases: importing
+        """Internal code must not touch deprecated surfaces: importing
         the whole public surface with DeprecationWarning-as-error for
-        repro modules must succeed (mirrors the CI hygiene job)."""
+        repro modules must succeed (pytest.ini applies the same filter
+        to the whole suite)."""
         code = (
             "import warnings; "
             "warnings.filterwarnings('error', category=DeprecationWarning, "

@@ -109,10 +109,10 @@ class TestBitIdentity:
 
     @pytest.mark.filterwarnings("ignore:multi-chain run falling back")
     def test_fanout_matches_serial_multichain_reference(self, daemon):
-        """Fanout parts pool to the *serial* multi-chain runner's exact
+        """Fanout parts pool to the *serial* multi-chain session's exact
         answer (same per-chain seed derivation, same pooling algebra) —
         the list-backend graph is the reference that still takes the
-        serial ``_run_multichain`` path."""
+        session's serial mode."""
         graph = barabasi_albert(300, 3, seed=1)
         got = daemon.estimate(
             "srw2css", k=4, budget=4000, seed=3, chains=4, fanout=True

@@ -24,15 +24,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import _batched_python, _batched_vectorized
 
 from repro.core import MethodSpec, run_estimation
 from repro.core.alpha import alpha_table
-from repro.core.estimator import (
-    SRWSession,
-    _batched_python,
-    _batched_vectorized,
-    split_budget,
-)
+from repro.core.estimator import SRWSession, split_budget
 from repro.graphs import CSRGraph, Graph
 from repro.graphs.generators import barabasi_albert, complete_graph, path_graph
 from repro.relgraph import enumerate_states
