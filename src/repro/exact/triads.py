@@ -16,9 +16,10 @@ table (:mod:`repro.relgraph.fused`), one census for both.
 :func:`triad_census` additionally fans the canonical-edge range over a
 process pool in work-balanced blocks (``jobs=N``), with deterministic
 merging — exact k=3 ground truth on ``medium``/``large`` dataset tiers.
-Graphs travel to workers by reference, never by pickling arrays: a
-memory-mapped graph ships its directory, anything else is published to
-a POSIX shared-memory segment for the pool's lifetime.
+Workers receive the graph itself as :func:`repro.graphs.shared.published`
+yields it, so arrays never cross by pickle: shared and memory-mapped
+graphs pickle by reference, any other CSR graph is copied into a POSIX
+shared-memory segment for the pool's lifetime.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 
 from ..graphs.csr import CSRGraph
 from ..graphs.graph import Graph
+from ..graphs.shared import published
 
 #: Probe budget per vectorized intersection chunk; bounds the scratch
 #: arrays (candidate gather + composite keys) to a few hundred MB.
@@ -185,23 +187,11 @@ def _work_blocks(work: np.ndarray, num_blocks: int) -> List[Tuple[int, int]]:
 _WORKER_TABLES = None
 
 
-def _census_init(ref, chunk: int) -> None:
-    """Pool initializer: attach the graph by reference, build the probe
-    tables once.  Every worker derives the identical canonical-edge
-    order from the same arrays, so block indices shipped from the parent
-    address the same edges."""
+def _census_init(graph: CSRGraph, chunk: int) -> None:
+    """Pool initializer: build the probe tables once.  Every worker
+    derives the identical canonical-edge order from the same arrays, so
+    block indices shipped from the parent address the same edges."""
     global _WORKER_TABLES
-    kind, payload = ref
-    if kind == "mmap":
-        from ..graphs.mmap import MmapCSRGraph
-
-        graph = MmapCSRGraph.load(payload, verify=False)
-    elif kind == "shared":
-        from ..graphs.shared import SharedCSRGraph
-
-        graph = SharedCSRGraph.attach(payload)
-    else:
-        graph = payload
     indptr = np.asarray(graph.indptr, dtype=np.int64)
     indices = np.asarray(graph.indices, dtype=np.int64)
     n = indptr.size - 1
@@ -233,24 +223,6 @@ def _census_block(block: Tuple[int, int]) -> Tuple[int, int]:
         chunk,
     )
     return start, int(counts.sum())
-
-
-def _graph_ref(csr: CSRGraph):
-    """(ref, owner) — how workers re-materialize the graph.
-
-    Memory-mapped graphs ship their directory (workers share the page
-    cache); everything else is published to a shared segment the parent
-    owns and unlinks after the pool drains.
-    """
-    from ..graphs.mmap import MmapCSRGraph
-    from ..graphs.shared import SharedCSRGraph
-
-    if isinstance(csr, MmapCSRGraph):
-        return ("mmap", str(csr.directory)), None
-    if isinstance(csr, SharedCSRGraph):
-        return ("shared", csr.handle), None
-    owner = SharedCSRGraph.create(csr if type(csr) is CSRGraph else csr.copy())
-    return ("shared", owner.handle), owner
 
 
 def triad_census(graph, *, jobs: int = 1, chunk: int = TRI_CHUNK) -> TriadCensus:
@@ -285,17 +257,11 @@ def triad_census(graph, *, jobs: int = 1, chunk: int = TRI_CHUNK) -> TriadCensus
         return TriadCensus(triangles=int(counts.sum()) // 3, wedges=wedges)
 
     blocks = _work_blocks(work, num_blocks=_BLOCKS_PER_JOB * jobs)
-    ref, owner = _graph_ref(csr)
-    try:
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes=jobs, initializer=_census_init, initargs=(ref, chunk)
-        ) as pool:
-            partials = sorted(pool.imap_unordered(_census_block, blocks))
-    finally:
-        if owner is not None:
-            owner.close()
-            owner.unlink()
+    ctx = multiprocessing.get_context()
+    with published(csr) as shipped, ctx.Pool(
+        processes=jobs, initializer=_census_init, initargs=(shipped, chunk)
+    ) as pool:
+        partials = sorted(pool.imap_unordered(_census_block, blocks))
     total = sum(subtotal for _, subtotal in partials)
     return TriadCensus(triangles=total // 3, wedges=wedges)
 

@@ -40,8 +40,9 @@ from ..core.stopping import parse_target
 from ..estimators import run_config
 from ..exact import exact_concentrations_cached
 from ..graphlets.catalog import graphlet_by_name, graphlets
-from ..graphs.csr import CSRGraph, as_backend
+from ..graphs.csr import as_backend
 from ..graphs.graph import Graph
+from ..graphs.shared import published
 from .spec import ExperimentSpec, resolve_graph
 
 
@@ -111,104 +112,22 @@ def execute_task(graph: Graph, task: TrialTask) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Worker-pool plumbing.  The graph reaches workers once, as a small
-# *reference* through the pool initializer, instead of riding along with
-# every task (and instead of being pickled wholesale when avoidable):
-#
-#   ("shared", handle)  CSR arrays published to shared memory once; every
-#                       worker attaches zero-copy (and trials skip the
-#                       per-trial list->csr conversion the old path paid
-#                       whenever the spec asked for backend="csr").
-#   ("mmap", dir)       a saved memory-mapped CSR layout; every worker
-#                       re-opens the directory (validated by the parent
-#                       already, so attachers skip the checksum pass) and
-#                       shares the OS page cache instead of copying.
-#   ("source", str)     a spec graph-source string; each worker resolves
-#                       it once and caches the result by source (the
-#                       cache that matters for backend="list" sweeps).
-#   ("object", graph)   legacy fallback: the graph object itself (test
-#                       fixtures injected via run_experiment(graph=...)).
+# Worker-pool plumbing.  Workers receive the graph itself once, through
+# the pool initializer, as ``published`` yields it: shared and mmap
+# graphs pickle by reference (segment handle, directory), other CSR
+# graphs are copied into a shared segment for the pool's lifetime, and a
+# list Graph is inherited (fork) or unpickled once per worker (spawn).
 # ----------------------------------------------------------------------
-_WORKER_REF = None
-#: Worker-side graphs materialized from "source"/"shared" refs, keyed by
-#: source string / segment name so consecutive pools over the same graph
-#: reuse the materialization within a worker process.
-_WORKER_GRAPHS: dict = {}
-#: Worker-side materialization tally (the regression test for the
-#: one-materialization-per-worker guarantee reads this).
-_WORKER_STATS = {"materializations": 0}
+_WORKER_GRAPH = None
 
 
-def _init_worker(ref) -> None:
-    global _WORKER_REF
-    _WORKER_REF = ref
-
-
-def _worker_graph():
-    kind, payload = _WORKER_REF
-    if kind == "object":
-        return payload
-    key = (kind, payload if kind in ("source", "mmap") else payload.name)
-    graph = _WORKER_GRAPHS.get(key)
-    if graph is None:
-        _WORKER_STATS["materializations"] += 1
-        if kind == "source":
-            graph = resolve_graph(payload)
-        elif kind == "shared":
-            graph = CSRGraph.from_shared(payload)
-        elif kind == "mmap":
-            from ..graphs.mmap import MmapCSRGraph
-
-            graph = MmapCSRGraph.load(payload, verify=False)
-        else:
-            raise ValueError(f"unknown graph transport {kind!r}")
-        _WORKER_GRAPHS[key] = graph
-    return graph
+def _init_worker(graph) -> None:
+    global _WORKER_GRAPH
+    _WORKER_GRAPH = graph
 
 
 def _run_in_worker(task: TrialTask) -> dict:
-    return execute_task(_worker_graph(), task)
-
-
-def _graph_ref(graph, tasks, graph_source, transport: str):
-    """Resolve the transport and build ``(ref, shared_or_None)``.
-
-    ``"auto"`` prefers shared memory whenever every trial runs on the
-    CSR backend anyway (the graph is CSR, or all tasks pin
-    ``backend="csr"``), then the source string when the caller resolved
-    the graph from one, then the pickled object.  The caller owns the
-    returned :class:`SharedCSRGraph` (close + unlink after the pool).
-    """
-    from ..graphs.mmap import MmapCSRGraph
-
-    if transport == "auto":
-        all_csr = bool(tasks) and all(t.backend == "csr" for t in tasks)
-        if isinstance(graph, MmapCSRGraph):
-            transport = "mmap"
-        elif isinstance(graph, CSRGraph) or all_csr:
-            transport = "shared"
-        elif graph_source is not None:
-            transport = "source"
-        else:
-            transport = "object"
-    if transport == "mmap":
-        if not isinstance(graph, MmapCSRGraph):
-            raise ValueError("transport='mmap' needs a MmapCSRGraph")
-        return ("mmap", str(graph.directory)), None
-    if transport == "shared":
-        shared = CSRGraph.from_graph(
-            as_backend(graph, "csr", context="run_tasks(transport='shared')")
-        ).to_shared()
-        return ("shared", shared.handle), shared
-    if transport == "source":
-        if graph_source is None:
-            raise ValueError("transport='source' needs graph_source")
-        return ("source", graph_source), None
-    if transport == "object":
-        return ("object", graph), None
-    raise ValueError(
-        f"unknown transport {transport!r}; expected auto/mmap/shared/source/object"
-    )
+    return execute_task(_WORKER_GRAPH, task)
 
 
 def run_tasks(
@@ -216,23 +135,15 @@ def run_tasks(
     tasks: Sequence[TrialTask],
     jobs: int = 1,
     on_row: Optional[Callable[[dict], None]] = None,
-    *,
-    graph_source: Optional[str] = None,
-    transport: str = "auto",
 ) -> List[dict]:
     """Execute trials, serially or over a process pool.
 
     Returns rows sorted by task index — identical content whatever
-    ``jobs`` or ``transport`` is (asserted in ``tests/test_experiments``
-    and the service-speedup benchmark).  ``on_row`` observes rows in
+    ``jobs`` is (asserted in ``tests/test_experiments`` and
+    ``tests/test_engine_transport``).  ``on_row`` observes rows in
     *completion* order (the JSONL writer hangs off it), so artifact
     files may interleave methods under parallel execution; consumers
     key on ``row["index"]``.
-
-    ``graph_source`` (the spec's graph string, when ``graph`` was
-    resolved from one) and ``transport`` control how the graph reaches
-    workers — see the transport table above.  The default ``"auto"``
-    picks shared memory for CSR work, the source string otherwise.
     """
     jobs = max(1, int(jobs))
     tasks = list(tasks)
@@ -244,27 +155,21 @@ def run_tasks(
                 on_row(row)
             rows.append(row)
         return rows
-    # With the shared transport, workers attach an already-CSR graph, so
-    # a task's as_backend(graph, "csr") becomes a no-op — the per-trial
-    # list->csr conversion the pickling pool paid disappears with the
-    # pickling itself.
-    ref, shared = _graph_ref(graph, tasks, graph_source, transport)
+    # Convert once here rather than once per trial in the workers: each
+    # task's as_backend(graph, "csr") is then the identity.
+    if all(task.backend == "csr" for task in tasks):
+        graph = as_backend(graph, "csr", context="run_tasks")
     rows = []
     ctx = multiprocessing.get_context()
-    try:
-        with ctx.Pool(
-            processes=min(jobs, len(tasks)),
-            initializer=_init_worker,
-            initargs=(ref,),
-        ) as pool:
-            for row in pool.imap_unordered(_run_in_worker, tasks):
-                if on_row is not None:
-                    on_row(row)
-                rows.append(row)
-    finally:
-        if shared is not None:
-            shared.close()
-            shared.unlink()
+    with published(graph) as shipped, ctx.Pool(
+        processes=min(jobs, len(tasks)),
+        initializer=_init_worker,
+        initargs=(shipped,),
+    ) as pool:
+        for row in pool.imap_unordered(_run_in_worker, tasks):
+            if on_row is not None:
+                on_row(row)
+            rows.append(row)
     return sorted(rows, key=lambda r: r["index"])
 
 
@@ -548,10 +453,8 @@ def run_experiment(
     only missing trials execute — an interrupted sweep continues instead
     of restarting, and a finished one is a no-op.
     """
-    graph_source = None
     if graph is None:
         graph = resolve_graph(spec.graph)
-        graph_source = spec.graph  # lets workers re-resolve instead of unpickling
     tasks = build_tasks(spec, graph)
     config_hash = spec.config_hash()
 
@@ -592,9 +495,7 @@ def run_experiment(
 
     start = time.perf_counter()
     try:
-        fresh = run_tasks(
-            graph, pending, jobs=jobs, on_row=on_row, graph_source=graph_source
-        )
+        fresh = run_tasks(graph, pending, jobs=jobs, on_row=on_row)
     finally:
         if handle is not None:
             handle.close()

@@ -3,9 +3,10 @@
 A :class:`~repro.graphs.csr.CSRGraph` is three contiguous ``int64``
 arrays — ``indptr``, ``indices`` and the derived degree vector.  For a
 multi-process serving layer (``repro.service``) or a worker pool
-(``repro.experiments.engine``) that is the *entire* state worth sharing,
-so instead of pickling the graph into every worker this module copies
-the three arrays into one POSIX shared-memory segment::
+(``repro.experiments.engine``, ``repro.exact.triads``) that is the
+*entire* state worth sharing, so instead of pickling the graph into
+every worker this module copies the three arrays into one POSIX
+shared-memory segment::
 
     [ indptr (n + 1) | indices (2m) | degrees (n) ]      all int64
 
@@ -48,20 +49,31 @@ the stdlib discipline stays sound.
 Pickling a :class:`SharedCSRGraph` serializes only its handle and
 unpickles as a fresh attach, so shared graphs can be passed directly
 through ``multiprocessing`` plumbing without copying the arrays.
+
+Worker pools
+------------
+Pools receive the graph itself: :func:`published` yields the object to
+hand to the pool initializer.
+Shared and memory-mapped graphs pickle by reference (a segment handle,
+a directory path), so they cross as they are; any other CSR graph is
+copied into a segment for the pool's lifetime; a list :class:`Graph`
+is inherited by fork workers and unpickled once per spawn worker.
 """
 
 from __future__ import annotations
 
 import os
 import secrets
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from multiprocessing import shared_memory
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .csr import CSRGraph
 from .graph import GraphError
+from .mmap import MmapCSRGraph
 
 #: Prefix of every segment this module creates; the test suite (and the
 #: CI leak check) sweep ``/dev/shm`` for it to assert nothing leaked.
@@ -255,3 +267,22 @@ class SharedCSRGraph(CSRGraph):
     def copy(self) -> CSRGraph:
         """Private (non-shared) deep copy of the adjacency arrays."""
         return CSRGraph(self.indptr.copy(), self.indices.copy())
+
+
+@contextmanager
+def published(graph) -> Iterator:
+    """Yield what pool workers should receive for ``graph``.
+
+    A :class:`SharedCSRGraph` or :class:`~repro.graphs.mmap.MmapCSRGraph`
+    is yielded unchanged: its pickle re-attaches by reference, and the
+    caller keeps ownership.  Any other CSR graph is copied into a fresh
+    segment that is closed and unlinked on exit.  Anything else (a list
+    :class:`~repro.graphs.graph.Graph`) is yielded unchanged.
+    """
+    if not isinstance(graph, CSRGraph) or isinstance(
+        graph, (SharedCSRGraph, MmapCSRGraph)
+    ):
+        yield graph
+        return
+    with SharedCSRGraph.create(graph) as owner:
+        yield owner

@@ -13,6 +13,7 @@ without ever flaking; the workflow selects it via
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
@@ -70,3 +71,20 @@ def p5() -> Graph:
 @pytest.fixture(scope="session")
 def star4() -> Graph:
     return star_graph(4)
+
+
+@pytest.fixture(params=["fork", "spawn"])
+def start_method(request, monkeypatch):
+    """Run the test's process pools under each start method.
+
+    Fork workers inherit the graph handed to the pool initializer;
+    spawn (and forkserver) workers unpickle it, so shared and mmap
+    graphs re-attach through their ``__reduce__``.
+    """
+    real = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing,
+        "get_context",
+        lambda method=None: real(method or request.param),
+    )
+    return request.param

@@ -1,28 +1,22 @@
-"""Worker-pool graph transports (ISSUE 6 satellite 4).
+"""How the graph reaches ``run_tasks`` pool workers.
 
-``run_tasks`` ships the graph to pool workers as a small reference —
-shared-memory handle, source string, or (legacy) the pickled object —
-and every transport must produce rows bit-identical to the serial run.
-The per-worker cache behind the "source" transport must materialize the
-graph once per worker process, not once per trial.
+Workers receive the graph itself, as ``published`` yields it.  Every
+graph kind must produce rows bit-identical to the serial run under both
+fork (workers inherit the graph) and spawn (workers unpickle it), a
+caller's shared graph must survive the pool, and CSR trials on a list
+graph must convert once, in the parent.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import time
+import os
 
 import pytest
 
-from repro.experiments import engine
-from repro.experiments.engine import (
-    TrialTask,
-    canonical_line,
-    run_experiment,
-    run_tasks,
-)
-from repro.experiments.spec import ExperimentSpec, resolve_graph
-from repro.graphs import CSRGraph, SharedCSRGraph, barabasi_albert
+from repro.experiments.engine import TrialTask, canonical_line, run_tasks
+from repro.experiments.spec import resolve_graph
+from repro.graphs import CSRGraph, MmapCSRGraph, SharedCSRGraph
 
 SOURCE = "ba:200:3:2"
 
@@ -43,188 +37,79 @@ def _tasks(backend, n=4, budget=1500):
     ]
 
 
-class TestTransportParity:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"transport": "object"},
-            {"transport": "shared"},
-            {"transport": "source", "graph_source": SOURCE},
-            {"transport": "auto"},
-            {"transport": "auto", "graph_source": SOURCE},
-        ],
-        ids=lambda kw: "+".join(
-            v for v in (kw["transport"], kw.get("graph_source", "")) if v
-        ),
-    )
-    def test_parallel_rows_equal_serial(self, kwargs):
-        graph = resolve_graph(SOURCE)
-        tasks = _tasks(backend="csr")
+def _mmap(tmp_path):
+    CSRGraph.from_graph(resolve_graph(SOURCE)).save(tmp_path / "layout")
+    return MmapCSRGraph.load(tmp_path / "layout")
+
+
+#: case -> (graph factory, task backend)
+CASES = {
+    "list-graph-list-tasks": (lambda tmp: resolve_graph(SOURCE), "list"),
+    "list-graph-csr-tasks": (lambda tmp: resolve_graph(SOURCE), "csr"),
+    "csr": (lambda tmp: CSRGraph.from_graph(resolve_graph(SOURCE)), None),
+    "mmap": (_mmap, "csr"),
+    "shared": (lambda tmp: CSRGraph.from_graph(resolve_graph(SOURCE)).to_shared(), "csr"),
+    "stream": (lambda tmp: resolve_graph("stream:200:3:2:4:8"), "csr"),
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_parallel_rows_equal_serial(case, start_method, tmp_path):
+    make_graph, backend = CASES[case]
+    graph = make_graph(tmp_path)
+    tasks = _tasks(backend)
+    try:
         serial = [canonical_line(r) for r in run_tasks(graph, tasks, jobs=1)]
-        rows = run_tasks(graph, tasks, jobs=2, **kwargs)
+        rows = run_tasks(graph, tasks, jobs=2)
         assert [canonical_line(r) for r in rows] == serial
-
-    def test_list_backend_rides_source_transport(self):
-        graph = resolve_graph(SOURCE)
-        tasks = _tasks(backend="list")
-        serial = [canonical_line(r) for r in run_tasks(graph, tasks, jobs=1)]
-        rows = run_tasks(graph, tasks, jobs=2, graph_source=SOURCE)
-        assert [canonical_line(r) for r in rows] == serial
-
-    def test_unknown_transport_rejected(self):
-        graph = resolve_graph(SOURCE)
-        with pytest.raises(ValueError, match="unknown transport"):
-            run_tasks(graph, _tasks(backend="csr"), jobs=2, transport="carrier")
-
-    def test_mmap_transport_rows_equal_serial(self, tmp_path):
-        """Workers reattach the on-disk layout by path — no graph bytes
-        cross the pipe, and rows stay bit-identical to serial."""
-        from repro.graphs import MmapCSRGraph
-
-        csr = CSRGraph.from_graph(resolve_graph(SOURCE))
-        csr.save(tmp_path / "layout")
-        m = MmapCSRGraph.load(tmp_path / "layout")
-        tasks = _tasks(backend="csr")
-        serial = [canonical_line(r) for r in run_tasks(m, tasks, jobs=1)]
-        rows = run_tasks(m, tasks, jobs=2, transport="mmap")
-        assert [canonical_line(r) for r in rows] == serial
-
-    def test_mmap_transport_requires_mmap_graph(self):
-        graph = resolve_graph(SOURCE)
-        with pytest.raises(ValueError, match="mmap"):
-            run_tasks(graph, _tasks(backend="csr"), jobs=2, transport="mmap")
-
-    def test_source_transport_requires_a_source(self):
-        graph = resolve_graph(SOURCE)
-        with pytest.raises(ValueError, match="needs graph_source"):
-            run_tasks(graph, _tasks(backend="csr"), jobs=2, transport="source")
+    finally:
+        if isinstance(graph, SharedCSRGraph):
+            graph.close()
+            graph.unlink()
 
 
-class TestAutoSelection:
-    def test_csr_graph_prefers_shared(self):
-        graph = CSRGraph.from_graph(barabasi_albert(50, 3, seed=1))
-        ref, shared = engine._graph_ref(graph, _tasks(backend=None), None, "auto")
-        assert ref[0] == "shared"
+def test_callers_shared_graph_survives_the_pool():
+    """A pool over a caller's shared graph must not close or unlink it."""
+    shared = CSRGraph.from_graph(resolve_graph(SOURCE)).to_shared()
+    try:
+        run_tasks(shared, _tasks("csr"), jobs=2)
+        assert not shared.closed
+        attached = CSRGraph.from_shared(shared.handle)
+        assert attached == shared
+        attached.close()
+    finally:
         shared.close()
         shared.unlink()
 
-    def test_all_csr_tasks_prefer_shared(self):
-        graph = barabasi_albert(50, 3, seed=1)
-        ref, shared = engine._graph_ref(graph, _tasks(backend="csr"), SOURCE, "auto")
-        assert ref[0] == "shared"
-        shared.close()
-        shared.unlink()
 
-    def test_mmap_graph_prefers_mmap(self, tmp_path):
-        from repro.graphs import MmapCSRGraph
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the counting patch reaches pool workers through fork",
+)
+def test_csr_tasks_convert_once_in_the_parent(monkeypatch):
+    """CSR trials on a list graph convert it in the parent: no worker
+    calls ``CSRGraph.from_graph``."""
+    graph = resolve_graph(SOURCE)
+    tasks = _tasks("csr", n=6, budget=300)
+    serial = [canonical_line(r) for r in run_tasks(graph, tasks, jobs=1)]
 
-        CSRGraph.from_graph(barabasi_albert(50, 3, seed=1)).save(tmp_path / "g")
-        m = MmapCSRGraph.load(tmp_path / "g")
-        ref, shared = engine._graph_ref(m, _tasks(backend="csr"), None, "auto")
-        assert (ref, shared) == (("mmap", str(m.directory)), None)
+    parent = os.getpid()
+    worker_calls = multiprocessing.Value("i", 0)
+    real = CSRGraph.from_graph.__func__
 
-    def test_list_tasks_fall_back_to_source_then_object(self):
-        graph = barabasi_albert(50, 3, seed=1)
-        ref, shared = engine._graph_ref(graph, _tasks(backend="list"), SOURCE, "auto")
-        assert (ref, shared) == (("source", SOURCE), None)
-        ref, shared = engine._graph_ref(graph, _tasks(backend="list"), None, "auto")
-        assert (ref, shared) == (("object", graph), None)
+    def counting(cls, g):
+        if os.getpid() != parent:
+            with worker_calls.get_lock():
+                worker_calls.value += 1
+        return real(cls, g)
 
-
-class TestWorkerCache:
-    def test_worker_graph_materializes_once_per_key(self, monkeypatch):
-        """In-process unit check of the worker-side cache: repeated
-        lookups of the same ref hit the cache, distinct refs do not."""
-        calls = []
-
-        def counting_resolve(source):
-            calls.append(source)
-            return resolve_graph(source)
-
-        monkeypatch.setattr(engine, "resolve_graph", counting_resolve)
-        monkeypatch.setattr(engine, "_WORKER_GRAPHS", {})
-        monkeypatch.setattr(engine, "_WORKER_STATS", {"materializations": 0})
-
-        engine._init_worker(("source", "ba:40:3:1"))
-        first = engine._worker_graph()
-        assert engine._worker_graph() is first
-        assert calls == ["ba:40:3:1"]
-        assert engine._WORKER_STATS["materializations"] == 1
-
-        shared = CSRGraph.from_graph(barabasi_albert(40, 3, seed=1)).to_shared()
-        try:
-            engine._init_worker(("shared", shared.handle))
-            attached = engine._worker_graph()
-            assert isinstance(attached, SharedCSRGraph)
-            assert engine._worker_graph() is attached
-            assert engine._WORKER_STATS["materializations"] == 2
-            attached.close()
-        finally:
-            shared.close()
-            shared.unlink()
-        # Object refs bypass the cache entirely.
-        graph = barabasi_albert(40, 3, seed=1)
-        engine._init_worker(("object", graph))
-        assert engine._worker_graph() is graph
-        assert engine._WORKER_STATS["materializations"] == 2
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork",
-        reason="the counting monkeypatch reaches pool workers via fork",
+    monkeypatch.setattr(CSRGraph, "from_graph", classmethod(counting))
+    real_get_context = multiprocessing.get_context
+    monkeypatch.setattr(
+        multiprocessing,
+        "get_context",
+        lambda method=None: real_get_context(method or "fork"),
     )
-    def test_pool_workers_materialize_once_each(self, monkeypatch):
-        """Regression for the per-trial resolve the old pool paid: with 6
-        trials on 2 workers the graph is materialized at most twice (once
-        per worker), never once per trial."""
-        counter = multiprocessing.Value("i", 0)
-        real_resolve = resolve_graph
-
-        def counting_resolve(source):
-            with counter.get_lock():
-                counter.value += 1
-            time.sleep(0.05)  # keep both workers busy long enough to start
-            return real_resolve(source)
-
-        # Pool workers are forked, so they inherit the patched module.
-        monkeypatch.setattr(engine, "resolve_graph", counting_resolve)
-        graph = resolve_graph(SOURCE)
-        tasks = _tasks(backend="list", n=6, budget=300)
-        serial = [canonical_line(r) for r in run_tasks(graph, tasks, jobs=1)]
-        rows = run_tasks(
-            graph, tasks, jobs=2, graph_source=SOURCE, transport="source"
-        )
-        assert [canonical_line(r) for r in rows] == serial
-        assert 1 <= counter.value <= 2, (
-            f"expected one materialization per worker, saw {counter.value} "
-            f"for {len(tasks)} trials"
-        )
-
-
-class TestRunExperimentWiring:
-    def test_spec_graph_source_reaches_run_tasks(self, monkeypatch):
-        captured = {}
-        real_run_tasks = engine.run_tasks
-
-        def spy(graph, tasks, jobs=1, on_row=None, *, graph_source=None,
-                transport="auto"):
-            captured["graph_source"] = graph_source
-            return real_run_tasks(
-                graph, tasks, jobs=jobs, on_row=on_row,
-                graph_source=graph_source, transport=transport,
-            )
-
-        monkeypatch.setattr(engine, "run_tasks", spy)
-        spec = ExperimentSpec(
-            name="transport-wiring",
-            graph="ba:60:3:1",
-            k=4,
-            methods=["srw2css"],
-            budget=400,
-            trials=2,
-        )
-        run_experiment(spec, jobs=1)
-        assert captured["graph_source"] == "ba:60:3:1"
-        # An injected graph fixture overrides the spec's source: workers
-        # must not re-resolve a source the trials never ran on.
-        run_experiment(spec, graph=resolve_graph("ba:60:3:1"), jobs=1)
-        assert captured["graph_source"] is None
+    rows = run_tasks(graph, tasks, jobs=2)
+    assert [canonical_line(r) for r in rows] == serial
+    assert worker_calls.value == 0

@@ -182,13 +182,23 @@ class TestTriadCensus:
         assert census.wedges == wedge_count(graph)
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_parallel_census_matches_serial(self, karate, jobs):
-        from repro.graphs import load_dataset
+    def test_parallel_census_matches_serial(self, karate, jobs, start_method):
+        from repro.graphs import CSRGraph, load_dataset
 
-        for graph in (karate, load_dataset("facebook-like")):
-            serial = triad_census(graph, jobs=1)
-            parallel = triad_census(graph, jobs=jobs)
-            assert parallel == serial
+        shared = CSRGraph.from_graph(karate).to_shared()
+        try:
+            for graph in (karate, load_dataset("facebook-like"), shared):
+                serial = triad_census(graph, jobs=1)
+                parallel = triad_census(graph, jobs=jobs)
+                assert parallel == serial
+            # The caller's segment stays open and attachable.
+            assert not shared.closed
+            attached = CSRGraph.from_shared(shared.handle)
+            assert attached == shared
+            attached.close()
+        finally:
+            shared.close()
+            shared.unlink()
 
     def test_parallel_census_on_mmap(self, tmp_path, karate):
         from repro.graphs import CSRGraph, MmapCSRGraph

@@ -24,13 +24,14 @@ from repro.graphs import (
     CSRGraph,
     Graph,
     GraphError,
+    MmapCSRGraph,
     SharedCSRGraph,
     SharedGraphHandle,
     barabasi_albert,
     erdos_renyi,
     load_dataset,
 )
-from repro.graphs.shared import SEGMENT_PREFIX
+from repro.graphs.shared import SEGMENT_PREFIX, published
 
 
 def _segments() -> set:
@@ -172,6 +173,29 @@ class TestLifecycle:
         # The copy survives the segment teardown.
         assert private == csr
         assert not isinstance(private, SharedCSRGraph)
+
+
+class TestPublished:
+    def test_plain_csr_gets_a_segment_for_the_block(self):
+        csr = CSRGraph.from_graph(load_dataset("karate"))
+        with published(csr) as shipped:
+            assert isinstance(shipped, SharedCSRGraph) and shipped == csr
+            assert shipped.handle.name in _segments()
+        assert shipped.closed  # the autouse fixture checks the unlink
+
+    def test_list_mmap_and_shared_graphs_pass_unchanged(self, tmp_path):
+        karate = load_dataset("karate")
+        CSRGraph.from_graph(karate).save(tmp_path / "k")
+        mapped = MmapCSRGraph.load(tmp_path / "k")
+        shared = CSRGraph.from_graph(karate).to_shared()
+        try:
+            for graph in (karate, mapped, shared):
+                with published(graph) as shipped:
+                    assert shipped is graph
+            assert not shared.closed
+        finally:
+            shared.close()
+            shared.unlink()
 
 
 def _walk_forever(handle, started):
