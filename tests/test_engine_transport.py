@@ -14,8 +14,13 @@ import os
 
 import pytest
 
-from repro.experiments.engine import TrialTask, canonical_line, run_tasks
-from repro.experiments.spec import resolve_graph
+from repro.experiments.engine import (
+    TrialTask,
+    canonical_line,
+    run_experiment,
+    run_tasks,
+)
+from repro.experiments.spec import ExperimentSpec, resolve_graph
 from repro.graphs import CSRGraph, MmapCSRGraph, SharedCSRGraph
 
 SOURCE = "ba:200:3:2"
@@ -66,6 +71,50 @@ def test_parallel_rows_equal_serial(case, start_method, tmp_path):
         if isinstance(graph, SharedCSRGraph):
             graph.close()
             graph.unlink()
+
+
+def _spec_rows(backend, jobs):
+    spec = ExperimentSpec(
+        name="transport-parity",
+        graph=SOURCE,
+        k=4,
+        methods=["srw2css"],
+        budget=1500,
+        trials=4,
+        backend=backend,
+    )
+    return [canonical_line(r) for r in run_experiment(spec, jobs=jobs).rows]
+
+
+class TestTransportParity:
+    """Each id names a former transport; the case runs the graph form
+    that transport used to carry through the one ``published`` path."""
+
+    @pytest.mark.parametrize(
+        "transport",
+        ["object", "shared", "source+ba:200:3:2", "auto", "auto+ba:200:3:2"],
+    )
+    def test_parallel_rows_equal_serial(self, transport):
+        if transport.endswith(SOURCE):
+            # A spec names the graph by source string; run_experiment
+            # resolves it once and hands the graph itself to the pool.
+            backend = "list" if transport.startswith("source") else "csr"
+            assert _spec_rows(backend, jobs=2) == _spec_rows(backend, jobs=1)
+            return
+        graph = resolve_graph(SOURCE)
+        if transport == "object":
+            graph = CSRGraph.from_graph(graph)
+        elif transport == "shared":
+            graph = CSRGraph.from_graph(graph).to_shared()
+        tasks = _tasks("csr")
+        try:
+            serial = [canonical_line(r) for r in run_tasks(graph, tasks, jobs=1)]
+            rows = run_tasks(graph, tasks, jobs=2)
+            assert [canonical_line(r) for r in rows] == serial
+        finally:
+            if isinstance(graph, SharedCSRGraph):
+                graph.close()
+                graph.unlink()
 
 
 def test_callers_shared_graph_survives_the_pool():
