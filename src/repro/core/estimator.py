@@ -340,8 +340,14 @@ class _VectorizedAccumulator:
     once (:mod:`repro.walks.windows`): node multisets sort row-wise to
     count distinct nodes, valid windows classify through batched
     ``has_edges`` probes plus the dense
-    :func:`~repro.graphlets.signatures.classification_table`, and the
-    re-weighting is
+    :func:`~repro.graphlets.signatures.classification_table`.  Only the
+    pairs the window's states leave unproven are probed
+    (:func:`~repro.walks.windows.walk_edge_columns`): for d <= 2 the
+    k - 1 walk edges span the window, leaving C(k, 2) - (k - 1) probes;
+    for d >= 3 all C(k, 2).  Each accumulator serves one graph version
+    (:class:`~repro.streaming.continuous.ContinuousSession` builds one
+    per epoch), so every walk edge is an edge of the graph it probes.
+    The re-weighting is
 
     * **basic** — Theorem 2's ``1 / alpha_i`` times the middle-state
       degrees, multiplied in the serial loop's exact order
@@ -495,7 +501,9 @@ class _VectorizedAccumulator:
         valid, uniq = windows_mod.distinct_window_nodes(node_rows, k)
         if not np.any(valid):
             return
-        masks = windows_mod.induced_bitmasks(self.graph, uniq, k)
+        masks = windows_mod.induced_bitmasks(
+            self.graph, uniq, k, d, node_rows, valid
+        )
         types = self.classify[masks]
         if np.any(types < 0):  # pragma: no cover - windows are connected
             raise RuntimeError("sampled window classified as disconnected")

@@ -208,8 +208,21 @@ class CSRGraph:
             self._nset_cache[v] = cached
         return cached
 
+    def _node_range_error(self, node) -> GraphError:
+        return GraphError(
+            f"node id {int(node)} out of range for num_nodes={self.num_nodes}"
+        )
+
     def has_edge(self, u: int, v: int) -> bool:
-        """O(log deg) adjacency test via binary search on the sorted row."""
+        """O(log deg) adjacency test via binary search on the sorted row.
+
+        Raises :class:`GraphError` for an id outside ``[0, num_nodes)``.
+        """
+        n = self.num_nodes
+        if not 0 <= u < n:
+            raise self._node_range_error(u)
+        if not 0 <= v < n:
+            raise self._node_range_error(v)
         lo, hi = self.indptr[u], self.indptr[u + 1]
         i = lo + np.searchsorted(self.indices[lo:hi], v)
         return i < hi and self.indices[i] == v
@@ -221,10 +234,19 @@ class CSRGraph:
         monotone key sequence in CSR order — so a whole batch of probes is
         one ``searchsorted``.  The key array (built lazily, 8 bytes per
         directed edge) is the kernel behind batched window classification.
+        The encoding only holds for ids in ``[0, num_nodes)`` (``v = n + 1``
+        would read row ``u + 1``), so one bounds check per batch raises
+        :class:`GraphError` naming the first id outside that range.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
-        stride = self.num_nodes + 1
+        n = self.num_nodes
+        # Negative ids wrap to huge unsigned values: one max per array
+        # checks both bounds.
+        if us.size and max(us.view(np.uint64).max(), vs.view(np.uint64).max()) >= n:
+            bad = int(np.argmax((us < 0) | (us >= n) | (vs < 0) | (vs >= n)))
+            raise self._node_range_error(us[bad] if not 0 <= us[bad] < n else vs[bad])
+        stride = n + 1
         keys = self._edge_keys
         if keys is None:
             rows = np.repeat(

@@ -4,7 +4,9 @@ Per-chain Python accumulators, fed one state at a time from a batched
 engine: the straightforward reading of Algorithm 1 that the production
 :class:`~repro.core.estimator._VectorizedAccumulator` must reproduce
 bit for bit (same windows, same weights, same per-(chain, type) addition
-order).  Test code only; nothing in ``src/`` imports it.
+order).  :func:`full_probe_bitmasks` is the same kind of oracle for
+window classification: every label pair probed, nothing taken as proven.
+Test code only; nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,17 @@ from repro.core.estimator import (
 )
 from repro.graphlets.catalog import classify_bitmask
 from repro.relgraph.spaces import walk_space
+from repro.walks.windows import label_pairs
+
+
+def full_probe_bitmasks(graph, uniq: np.ndarray, k: int) -> np.ndarray:
+    """Labeled induced-subgraph bitmask of every sorted k-node row, with
+    every label pair probed: the oracle for the proven-pair shortcut of
+    :func:`repro.walks.windows.induced_bitmasks`."""
+    bits = np.zeros(uniq.shape[0], dtype=np.int64)
+    for bit, (i, j) in enumerate(label_pairs(k)):
+        bits |= graph.has_edges(uniq[:, i], uniq[:, j]).astype(np.int64) << bit
+    return bits
 
 
 class _ChainAccumulator:

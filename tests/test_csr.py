@@ -132,6 +132,40 @@ class TestStructuralParity:
         with pytest.raises(GraphError, match="full adjacency access"):
             as_backend(RestrictedGraph(karate), "csr")
 
+    def test_out_of_range_ids_raise(self):
+        """Regression: the ``u * (n + 1) + v`` key aliased ``v = n + 1``
+        onto row ``u + 1``, so probes outside ``[0, n)`` answered True."""
+        path = CSRGraph(np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]))
+        with pytest.raises(GraphError, match="node id 4 out of range"):
+            path.has_edges([0], [4])
+        with pytest.raises(GraphError, match="node id -1 out of range"):
+            path.has_edges([-1], [5])
+        with pytest.raises(GraphError, match="node id 5 out of range"):
+            path.has_edges([0, 1, 2], [1, 5, -1])
+        with pytest.raises(GraphError, match="node id -1 out of range"):
+            path.has_edge(-1, 5)
+        with pytest.raises(GraphError, match="node id 3 out of range"):
+            path.has_edge(3, 0)
+        with pytest.raises(GraphError, match="node id 3 out of range"):
+            path.has_edge(0, 3)
+        assert path.has_edges([0, 1, 0], [1, 2, 2]).tolist() == [True, True, False]
+        assert path.has_edges([], []).size == 0
+
+    def test_out_of_range_ids_raise_on_every_backend(self, tmp_path):
+        from repro.graphs import DeltaCSRGraph, MmapCSRGraph, SharedCSRGraph
+
+        path = CSRGraph(np.array([0, 1, 3, 4]), np.array([1, 0, 2, 1]))
+        delta = DeltaCSRGraph(path)
+        delta.apply(inserts=[(0, 2)])
+        path.save(tmp_path / "path")
+        with SharedCSRGraph.create(path) as shared:
+            for graph in (delta, MmapCSRGraph.load(tmp_path / "path"), shared):
+                with pytest.raises(GraphError, match="node id 4 out of range"):
+                    graph.has_edges([0], [4])
+                with pytest.raises(GraphError, match="node id 3 out of range"):
+                    graph.has_edge(3, 0)
+                assert graph.has_edges([0], [1]).tolist() == [True]
+
     def test_empty_and_isolated(self):
         empty = CSRGraph.from_graph(Graph(0))
         assert empty.num_nodes == 0 and empty.num_edges == 0

@@ -8,7 +8,9 @@ fixtures:
 
 * ``|C(s)| = alpha_i^k`` for random labeled connected patterns (the
   Definition 3 identity the weight table's padding relies on);
-* vectorized window bitmasks == the per-edge Python classification;
+* batched every-pair window bitmasks (the oracle that
+  ``tests/test_window_probes.py`` pins the production
+  ``induced_bitmasks`` to) == the per-edge Python classification;
 * compiled weight-table evaluation == :func:`sampling_weight` **bit for
   bit** (the contract behind the batched estimator's exact parity);
 * whole batched runs (vectorized vs per-chain Python accumulators) on
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import _batched_python, _batched_vectorized
+from reference import _batched_python, _batched_vectorized, full_probe_bitmasks
 
 from repro.core.alpha import alpha_table
 from repro.core.css import CSSWeightTable, css_templates, css_weight_table, sampling_weight
@@ -40,11 +42,7 @@ from repro.graphlets import (
 )
 from repro.graphs import CSRGraph, Graph
 from repro.walks import BatchedWalkEngine
-from repro.walks.windows import (
-    distinct_window_nodes,
-    induced_bitmasks,
-    state_degrees,
-)
+from repro.walks.windows import distinct_window_nodes, state_degrees
 
 
 @st.composite
@@ -99,7 +97,8 @@ class TestVectorizedWindows:
     @given(connected_graphs(), st.integers(3, 5), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_bitmasks_match_per_edge_classification(self, graph, k, seed):
-        """Batched searchsorted probes == the serial neighbor-set loop."""
+        """Batched searchsorted probes of every pair == the serial
+        neighbor-set loop."""
         csr = CSRGraph.from_graph(graph)
         rng = random.Random(seed)
         rows = [
@@ -110,7 +109,7 @@ class TestVectorizedWindows:
         if not rows:
             return
         uniq = np.asarray(rows, dtype=np.int64)
-        masks = induced_bitmasks(csr, uniq, k)
+        masks = full_probe_bitmasks(csr, uniq, k)
         for row, mask in zip(rows, masks.tolist()):
             assert mask == induced_bitmask(graph, row)
 
@@ -152,7 +151,7 @@ class TestWeightTable:
         if not rows:
             return
         uniq = np.asarray(rows, dtype=np.int64)
-        masks = induced_bitmasks(csr, uniq, k)
+        masks = full_probe_bitmasks(csr, uniq, k)
         table = css_weight_table(k, d)
         got = table.weights(
             masks, uniq, lambda ids: state_degrees(csr, ids, d, nominal=nb)
@@ -181,7 +180,7 @@ class TestWeightTable:
         assert table.max_templates == 0
         csr = CSRGraph.from_graph(karate)
         uniq = np.asarray([[0, 1, 2]], dtype=np.int64)
-        masks = induced_bitmasks(csr, uniq, 3)
+        masks = full_probe_bitmasks(csr, uniq, 3)
         table.ensure(masks)
         assert table.max_templates > 0
         before = table.max_templates
