@@ -12,7 +12,7 @@ Asserted claims on a BA(400, 3) base graph churned through
 ``BATCHES`` seeded insert/delete rounds: the warm refresh sequence is
 bit-identical when replayed from the same seed, and the mean
 refresh latency is >= 5x lower than cold re-estimation at the matched
-chain count and cumulative budget (measured ~7x; see ``extra_info``).
+chain count and cumulative budget (measured ~8x; see ``extra_info``).
 """
 
 from __future__ import annotations

@@ -31,15 +31,40 @@ neighbor lists (all d <= 2 methods); see ``tests/test_csr.py``.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .graph import Edge, Graph, GraphError
+from .graph import Edge, Graph, GraphError, _coerce_node_id
 
 #: Cache cap for memoized ``neighbor_set`` rows (hot hub nodes dominate
 #: random-walk classification probes; a bounded cache keeps memory flat).
 _NEIGHBOR_SET_CACHE_CAP = 1 << 16
+
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def _edge_array(edges: Iterable[Edge], label: str) -> np.ndarray:
+    """A batch of ``(u, v)`` pairs as an ``(m, 2)`` ``int64`` array.
+
+    Node ids must be integers, as for :class:`Graph`: the batch's dtype
+    rejects floats, strings and ``None``, and a scan of element types
+    catches bools, which NumPy folds silently into an int array.
+    """
+    seq = edges if isinstance(edges, np.ndarray) else list(edges)
+    arr = np.asarray(seq)
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise GraphError(f"{label} must be (u, v) pairs")
+    if arr.dtype.kind not in "iu" or (
+        arr is not seq and not _BOOL_TYPES.isdisjoint(map(type, chain.from_iterable(seq)))
+    ):
+        for u, v in seq:  # raises GraphError naming the first bad edge
+            _coerce_node_id(u, (u, v))
+            _coerce_node_id(v, (u, v))
+    return arr.astype(np.int64, copy=False)
 
 
 class CSRGraph:
@@ -119,12 +144,10 @@ class CSRGraph:
         deduplicated in NumPy, so construction is O(m log m) with small
         constants rather than millions of Python-level set inserts.
         """
-        pairs = np.asarray(list(edges), dtype=np.int64)
+        pairs = _edge_array(edges, "edges")
         if pairs.size == 0:
             n = int(num_nodes) if num_nodes is not None else 0
             return cls(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
-        if pairs.ndim != 2 or pairs.shape[1] != 2:
-            raise GraphError("edges must be (u, v) pairs")
         if num_nodes is None:
             num_nodes = int(pairs.max()) + 1
         n = int(num_nodes)
@@ -246,20 +269,24 @@ class CSRGraph:
         if us.size and max(us.view(np.uint64).max(), vs.view(np.uint64).max()) >= n:
             bad = int(np.argmax((us < 0) | (us >= n) | (vs < 0) | (vs >= n)))
             raise self._node_range_error(us[bad] if not 0 <= us[bad] < n else vs[bad])
-        stride = n + 1
-        keys = self._edge_keys
-        if keys is None:
-            rows = np.repeat(
-                np.arange(self.num_nodes, dtype=np.int64), self._degrees
-            )
-            keys = rows * stride + self.indices
-            self._edge_keys = keys
-        probes = us * stride + vs
+        keys = self._directed_keys()
+        probes = us * (n + 1) + vs
         pos = np.searchsorted(keys, probes)
         inside = pos < keys.size
         out = np.zeros(us.size, dtype=bool)
         out[inside] = keys[pos[inside]] == probes[inside]
         return out
+
+    def _directed_keys(self) -> np.ndarray:
+        """Sorted directed edge keys ``u * (n + 1) + v`` in CSR order
+        (built once, then cached)."""
+        keys = self._edge_keys
+        if keys is None:
+            n = self.num_nodes
+            rows = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
+            keys = rows * (n + 1) + self.indices
+            self._edge_keys = keys
+        return keys
 
     def max_degree(self) -> int:
         """Largest degree in the graph (0 for the empty graph)."""

@@ -19,16 +19,19 @@ Reads serve the merged view: ``has_edge``/``has_edges`` answer from the
 base and patch the (few) probes that hit the flip index via one
 ``searchsorted`` over the sorted delta keys; ``neighbors`` filters and
 extends only touched rows; degrees are maintained incrementally.  The
-``indptr``/``indices`` *properties* materialize a merged CSR snapshot
-lazily (cached until the next ``apply``), so every vectorized consumer —
+``indptr``/``indices`` *properties* splice the sorted delta keys into
+the base CSR, once per version: one ``searchsorted`` of the delta keys
+into the base's sorted directed keys places every flipped edge, deletes
+drop their base slots and inserts are ``np.insert``-ed in place — O(m)
+copies plus O(delta log m), no sort.  So every vectorized consumer —
 :mod:`repro.relgraph.vectorized`, :mod:`repro.walks.windows`, the
 batched engine — runs unchanged on a mutating graph.
 
-``compact()`` merges the log into a fresh immutable :class:`CSRGraph`
-(bit-identical to rebuilding from scratch over the live edge set — the
-same :meth:`CSRGraph.from_edges` code path) and rebases the overlay on
-it; ``version`` increments monotonically on every ``apply`` and every
-effective ``compact``, which is what
+``compact()`` turns that spliced view into a fresh immutable
+:class:`CSRGraph` (bit-identical to rebuilding from scratch over the
+live edge set) and rebases the overlay on it; ``version`` increments
+monotonically on every ``apply`` and every effective ``compact``, which
+is what
 :class:`~repro.streaming.ContinuousSession` and the service daemon key
 their refresh / republish logic on.
 """
@@ -39,8 +42,8 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
-from .graph import Edge, Graph, GraphError
-from .csr import CSRGraph
+from .graph import Edge, GraphError
+from .csr import CSRGraph, _edge_array
 
 #: Initial capacity of the append-only log arrays (doubled on overflow).
 _LOG_INITIAL_CAPACITY = 16
@@ -51,11 +54,9 @@ _EMPTY_BOOL = np.empty(0, dtype=bool)
 
 def _canonical_pairs(pairs: Iterable[Edge], n: int, label: str) -> np.ndarray:
     """Validate and canonicalize a batch of edge pairs to ``u < v`` rows."""
-    arr = np.asarray(list(pairs), dtype=np.int64)
+    arr = _edge_array(pairs, label)
     if arr.size == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphError(f"{label} must be (u, v) pairs")
+        return arr
     if np.any(arr < 0) or np.any(arr >= n):
         bad = arr[np.any((arr < 0) | (arr >= n), axis=1)][0]
         raise GraphError(
@@ -239,16 +240,17 @@ class DeltaCSRGraph(CSRGraph):
     def compact(self) -> CSRGraph:
         """Merge the log into a fresh immutable :class:`CSRGraph`.
 
-        The result is bit-identical (``indptr``/``indices``) to a
-        from-scratch :meth:`CSRGraph.from_edges` rebuild over the live
-        edge set.  The overlay rebases onto it — empty log, caches
+        The result wraps the spliced merged view, which is bit-identical
+        (``indptr``/``indices``) to a from-scratch
+        :meth:`CSRGraph.from_edges` rebuild over the live edge set.  The
+        overlay rebases onto it — empty log, caches
         cleared — and ``version`` increments.  Compacting a clean
         overlay (no operations logged since the last compaction) is a
         no-op that returns the current base unchanged.
         """
         if self._log_len == 0:
             return self.base
-        fresh = CSRGraph.from_edges(self._live_pairs(), num_nodes=self.base.num_nodes)
+        fresh = CSRGraph(*self._merged())
         self.base = fresh
         self._degrees = fresh.degrees_array.copy()
         self._num_edges = fresh.num_edges
@@ -266,64 +268,41 @@ class DeltaCSRGraph(CSRGraph):
         self.version += 1
         return fresh
 
-    def _flipped_canonical(self) -> np.ndarray:
-        """Flipped edges as sorted canonical ``u < v`` rows."""
-        pairs = [
-            (a, b)
-            for a, nbrs in self._flipped.items()
-            for b in nbrs
-            if a < b
-        ]
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int64)
-        arr = np.asarray(sorted(pairs), dtype=np.int64)
-        return arr
-
-    def _live_pairs(self) -> np.ndarray:
-        """Current live edge set as canonical ``u < v`` rows."""
-        base = self.base
-        n = base.num_nodes
-        src = np.repeat(np.arange(n, dtype=np.int64), base.degrees_array)
-        dst = base.indices
-        fwd = src < dst
-        src, dst = src[fwd], dst[fwd]
-        flipped = self._flipped_canonical()
-        if flipped.size == 0:
-            return np.stack([src, dst], axis=1)
-        alive = ~base.has_edges(flipped[:, 0], flipped[:, 1])
-        inserted = flipped[alive]
-        deleted = flipped[~alive]
-        if deleted.size:
-            stride = n + 1
-            dead_keys = deleted[:, 0] * stride + deleted[:, 1]  # sorted rows
-            keep = ~np.isin(src * stride + dst, dead_keys, assume_unique=False)
-            src, dst = src[keep], dst[keep]
-        return np.concatenate([np.stack([src, dst], axis=1), inserted], axis=0)
-
     # ------------------------------------------------------------------
     # Merged-view accessors
     # ------------------------------------------------------------------
     def _merged(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Merged ``(indptr, indices)``: the base with the delta keys
+        spliced in, built once per version (see the module docstring)."""
         mat = self._mat
         if mat is None:
+            base = self.base
             if not self._flipped:
-                mat = (self.base.indptr, self.base.indices)
+                mat = (base.indptr, base.indices)
             else:
-                snap = CSRGraph.from_edges(
-                    self._live_pairs(), num_nodes=self.base.num_nodes
+                dkeys, alive = self._dkeys, self._dalive
+                dead = ~alive
+                pos = np.searchsorted(base._directed_keys(), dkeys)
+                keep = np.ones(base.indices.size, dtype=bool)
+                keep[pos[dead]] = False
+                at = pos[alive] - np.cumsum(dead)[alive]  # less earlier deletes
+                indices = np.insert(
+                    base.indices[keep], at, dkeys[alive] % (base.num_nodes + 1)
                 )
-                mat = (snap.indptr, snap.indices)
+                indptr = np.zeros(base.num_nodes + 1, dtype=np.int64)
+                np.cumsum(self._degrees, out=indptr[1:])
+                mat = (indptr, indices)
             self._mat = mat
         return mat
 
     @property
     def indptr(self) -> np.ndarray:  # type: ignore[override]
-        """Merged-view CSR row pointers (lazily materialized per version)."""
+        """Merged-view CSR row pointers (spliced once per version)."""
         return self._merged()[0]
 
     @property
     def indices(self) -> np.ndarray:  # type: ignore[override]
-        """Merged-view CSR neighbor ids (lazily materialized per version)."""
+        """Merged-view CSR neighbor ids (spliced once per version)."""
         return self._merged()[1]
 
     @property
@@ -391,24 +370,6 @@ class DeltaCSRGraph(CSRGraph):
                 out = out.copy() if not out.flags.writeable else out
                 out[hit] = self._dalive[pos[hit]]
         return out
-
-    def edges(self):
-        """Iterate live edges as ``(u, v)`` with ``u < v``, sorted."""
-        if not self._flipped:
-            yield from self.base.edges()
-            return
-        pairs = self._live_pairs()
-        for u, v in pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]:
-            yield (int(u), int(v))
-
-    def to_graph(self) -> Graph:
-        """Materialize the merged view into the list backend."""
-        return Graph(self.num_nodes, [(int(u), int(v)) for u, v in self._live_pairs()])
-
-    def copy(self) -> CSRGraph:
-        """Immutable :class:`CSRGraph` snapshot of the current merged view."""
-        merged = self._merged()
-        return CSRGraph(merged[0].copy(), merged[1].copy())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -282,8 +282,8 @@ class ContinuousSession(Session):
         chains keep their states, which the update provably did not
         invalidate.  Deterministic given ``(seed, version, chain)``.
         """
-        ins = tuple((int(u), int(v)) for u, v in inserts)
-        dels = tuple((int(u), int(v)) for u, v in deletes)
+        ins, dels = list(inserts), list(deletes)
+        # apply() rejects non-integer ids, so the int64 cast below is exact.
         version = self.graph.apply(inserts=ins, deletes=dels)
         if self._carried is None or (not ins and not dels):
             return UpdateReport(

@@ -99,6 +99,25 @@ class TestStructuralParity:
         with pytest.raises(GraphError):
             CSRGraph.from_edges([(0, 5)], num_nodes=2)
 
+    def test_from_edges_rejects_non_integer_ids(self):
+        """Regression: the int64 cast truncated (0.5, 3.7) to (0, 3)."""
+        with pytest.raises(GraphError, match=r"got 0\.5 \(float\) in edge \(0\.5, 3\.7\)"):
+            CSRGraph.from_edges([(0.5, 3.7)], num_nodes=4)
+        with pytest.raises(GraphError, match=r"got True \(bool\) in edge \(True, 3\)"):
+            CSRGraph.from_edges([(True, 3)], num_nodes=4)
+        with pytest.raises(GraphError, match="node ids must be integers"):
+            CSRGraph.from_edges(np.array([[0.0, 3.0]]), num_nodes=4)
+        with pytest.raises(GraphError, match="node ids must be integers"):
+            CSRGraph.from_edges(np.array([[False, True]]), num_nodes=4)
+        # NumPy integer scalars and arrays of any integer width still pass.
+        expected = CSRGraph.from_edges([(0, 3), (1, 2)], num_nodes=4)
+        for edges in (
+            [(np.int32(0), np.uint8(3)), (np.int64(1), 2)],
+            np.array([[0, 3], [1, 2]], dtype=np.int32),
+            np.array([[0, 3], [1, 2]], dtype=np.uint16),
+        ):
+            assert CSRGraph.from_edges(edges, num_nodes=4) == expected
+
     def test_round_trip_and_derived(self):
         g = load_dataset("karate")
         csr = CSRGraph.from_graph(g)

@@ -19,6 +19,7 @@ from repro.graphs import (
     as_backend,
     barabasi_albert,
 )
+from repro.streaming import EdgeStreamSpec
 from repro.walks import batch_capable
 
 
@@ -48,9 +49,15 @@ def assert_reads_match(delta: DeltaCSRGraph, reference: CSRGraph) -> None:
     for u, v in pairs[:20]:
         assert delta.has_edge(int(u), int(v)) == reference.has_edge(int(u), int(v))
     assert list(delta.edges()) == list(reference.edges())
-    # The merged indptr/indices the vectorized kernels gather.
-    assert np.array_equal(delta.indptr, reference.indptr)
-    assert np.array_equal(delta.indices, reference.indices)
+    assert_merged_matches(delta, reference)
+
+
+def assert_merged_matches(delta: DeltaCSRGraph, reference: CSRGraph) -> None:
+    """The merged indptr/indices the vectorized kernels gather: equal
+    values, C-contiguous int64 like a from-scratch build."""
+    for got, want in ((delta.indptr, reference.indptr), (delta.indices, reference.indices)):
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
 
 
 @st.composite
@@ -118,6 +125,65 @@ class TestReadParity:
         assert np.array_equal(delta.compact().indices, reference.indices)
 
 
+class TestSplice:
+    """The merged view is spliced from the sorted delta keys; these pin
+    its parity at stream scale and the positions a stream rarely hits."""
+
+    def test_leg_and_undo_cycle_matches_rebuild(self):
+        spec = EdgeStreamSpec(
+            graph="ba:300:4:1", batches=25, inserts_per_batch=20,
+            deletes_per_batch=20, seed=2,
+        )
+        batches = spec.edge_batches()
+        cycle = [(b.inserts, b.deletes) for b in batches]
+        cycle += [(b.deletes, b.inserts) for b in reversed(batches)]
+        delta = DeltaCSRGraph(spec.base_graph())
+        n = delta.num_nodes
+        live = set(delta.edges())
+        for inserts, deletes in cycle:
+            delta.apply(inserts=inserts, deletes=deletes)
+            live = (live - set(deletes)) | set(inserts)
+            reference = rebuild(n, live)
+            assert_merged_matches(delta, reference)
+            assert np.array_equal(delta.degrees_array, reference.degrees_array)
+            assert list(delta.edges()) == list(reference.edges())
+        # The full undo cancels every flip: the view is the base again.
+        assert not delta._flipped and delta._dkeys.size == 0
+        assert delta.indices is delta.base.indices
+        assert delta.indptr is delta.base.indptr
+
+    @pytest.mark.parametrize(
+        "n, initial, inserts, deletes",
+        [
+            # A base with no edges receiving inserts.
+            (5, [], [(0, 4), (1, 2), (3, 4)], []),
+            # Row 0, row n - 1 and empty rows (1 and 4).
+            (6, [(0, 2), (2, 3), (3, 5)], [(0, 1), (4, 5), (0, 5)], []),
+            # Several inserts landing at one base position.
+            (6, [(0, 5), (4, 5)], [(0, 1), (0, 2), (0, 3)], []),
+            # Deletes that empty rows, beside inserts shifted past them.
+            (5, [(0, 1), (0, 2), (3, 4)], [(2, 3), (1, 4)], [(0, 1), (0, 2)]),
+            # Every edge deleted.
+            (4, [(0, 1), (2, 3)], [], [(0, 1), (2, 3)]),
+        ],
+    )
+    def test_edge_positions(self, n, initial, inserts, deletes):
+        delta = DeltaCSRGraph(rebuild(n, set(initial)))
+        delta.apply(inserts=inserts, deletes=deletes)
+        live = (set(initial) - set(deletes)) | set(inserts)
+        assert_reads_match(delta, rebuild(n, live))
+
+    def test_view_built_once_per_version(self):
+        delta = DeltaCSRGraph(Graph(5, [(0, 1), (1, 2), (2, 3)]))
+        assert delta.indices is delta.base.indices  # version 0 serves the base
+        delta.apply(inserts=[(0, 4)], deletes=[(1, 2)])
+        indptr, indices = delta.indptr, delta.indices
+        assert delta.indptr is indptr and delta.indices is indices
+        delta.apply(inserts=[(1, 2)])
+        assert delta.indptr is not indptr and delta.indices is not indices
+        assert_reads_match(delta, rebuild(5, {(0, 1), (1, 2), (2, 3), (0, 4)}))
+
+
 class TestValidationAndVersioning:
     @pytest.fixture()
     def delta(self):
@@ -144,6 +210,20 @@ class TestValidationAndVersioning:
             delta.apply(inserts=[(0, 5)])
         with pytest.raises(GraphError, match="self-loop"):
             delta.apply(inserts=[(2, 2)])
+
+    def test_non_integer_ids_rejected(self, delta):
+        """Regression: the int64 cast truncated (2.9, 4) to the edge (2, 4)."""
+        with pytest.raises(GraphError, match=r"got 2\.9 \(float\) in edge \(2\.9, 4\)"):
+            delta.apply(inserts=[(2.9, 4)])
+        with pytest.raises(GraphError, match=r"got True \(bool\) in edge \(True, 3\)"):
+            delta.apply(deletes=[(True, 3)])
+        with pytest.raises(GraphError, match="node ids must be integers"):
+            delta.apply(inserts=np.array([[0.0, 3.0]]))
+        assert delta.version == 0 and not delta.has_edge(2, 4)
+        # NumPy integer scalars and arrays still pass.
+        delta.apply(inserts=[(np.int32(0), np.uint8(3))])
+        delta.apply(inserts=np.array([[0, 4]], dtype=np.int16))
+        assert delta.has_edge(0, 3) and delta.has_edge(0, 4)
 
     def test_failed_batch_leaves_overlay_untouched(self, delta):
         before = (delta.version, delta.num_edges, list(delta.edges()))

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.graphs import DeltaCSRGraph, Graph, barabasi_albert
+from repro.graphs import DeltaCSRGraph, Graph, GraphError, barabasi_albert
 from repro.streaming import ContinuousSession, EdgeStreamSpec, StreamError
 
 SMOKE = dict(
@@ -136,6 +136,20 @@ class TestContinuousSession:
         edge = next(iter(g.edges()))
         report = session.apply_updates(deletes=[edge])
         assert report.version == 1 and report.touched == ()
+
+    def test_non_integer_ids_rejected(self):
+        """Regression: ``int(u)`` truncated (2.9, 3) to the edge (2, 3)."""
+        session = ContinuousSession(
+            Graph(4, [(0, 1), (1, 2)]), "SRW1", k=3, chains=2, refresh_budget=10
+        )
+        session.refresh()
+        for bad in ((2.9, 3), (True, 3)):
+            with pytest.raises(GraphError, match=r"node ids must be integers.*in edge"):
+                session.apply_updates(inserts=[bad])
+        assert session.graph.version == 0 and not session.graph.has_edge(2, 3)
+        report = session.apply_updates(inserts=np.array([[2, 3]], dtype=np.int32))
+        assert report.version == 1 and report.inserts == 1
+        assert session.graph.has_edge(2, 3)
 
     def test_adopts_existing_overlay(self):
         delta = DeltaCSRGraph(barabasi_albert(80, 3, seed=3))
