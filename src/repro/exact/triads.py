@@ -10,8 +10,9 @@ undirected edge toward its smaller-degree endpoint, so the total probe
 work is ``sum(min(d_u, d_v))`` instead of ``sum(d^2)`` — a decade less
 on hub-heavy graphs — and batches the membership probes through one
 ``searchsorted`` per chunk.  The same kernel feeds two consumers: the
-exact-truth functions here and the fused G(3) walk kernel's triangle
-table (:mod:`repro.relgraph.fused`), one census for both.
+exact-truth functions here and the graph-owned triangle table the fused
+G(3) walk kernel reads (:mod:`repro.graphs.tables`), one census for
+both.
 
 :func:`triad_census` additionally fans the canonical-edge range over a
 process pool in work-balanced blocks (``jobs=N``), with deterministic
@@ -35,8 +36,8 @@ from ..graphs.graph import Graph
 from ..graphs.shared import published
 
 #: Probe budget per vectorized intersection chunk; bounds the scratch
-#: arrays (candidate gather + composite keys) to a few hundred MB.
-TRI_CHUNK = 4_000_000
+#: arrays (candidate gather, composite keys, positions) to ~20 MB.
+TRI_CHUNK = 500_000
 
 #: Canonical-edge blocks handed out per worker: several small blocks
 #: beat one big one because probe work is skewed toward hub edges.
@@ -114,8 +115,8 @@ def edge_triangle_counts(
 
     ``degs``/``rows``/``keys`` accept precomputed tables (``keys`` must
     be the sorted composite keys ``rows * (n + 1) + indices`` *without*
-    any sentinel padding) so callers that already hold them — the fused
-    walk kernel — skip the rebuild.
+    any sentinel padding) so callers that already hold them — a graph's
+    lookup tables — skip the rebuild.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)

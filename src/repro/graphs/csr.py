@@ -37,6 +37,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence
 import numpy as np
 
 from .graph import Edge, Graph, GraphError, _coerce_node_id
+from .tables import EdgeTables
 
 #: Cache cap for memoized ``neighbor_set`` rows (hot hub nodes dominate
 #: random-walk classification probes; a bounded cache keeps memory flat).
@@ -91,7 +92,8 @@ class CSRGraph:
         "_degrees",
         "_num_edges",
         "_nset_cache",
-        "_edge_keys",
+        "_tables",
+        "__weakref__",
     )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -106,7 +108,7 @@ class CSRGraph:
             raise GraphError("indptr must be non-decreasing")
         self._num_edges = self.indices.size // 2
         self._nset_cache: dict = {}
-        self._edge_keys: Optional[np.ndarray] = None
+        self._tables: Optional[EdgeTables] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -255,10 +257,12 @@ class CSRGraph:
 
         Encodes every directed edge as ``u * (n + 1) + v`` — a globally
         monotone key sequence in CSR order — so a whole batch of probes is
-        one ``searchsorted``.  The key array (built lazily, 8 bytes per
-        directed edge) is the kernel behind batched window classification.
-        The encoding only holds for ids in ``[0, num_nodes)`` (``v = n + 1``
-        would read row ``u + 1``), so one bounds check per batch raises
+        one ``searchsorted`` over the graph's key table (built lazily, 8
+        bytes per directed edge; see :mod:`repro.graphs.tables`).  When the
+        fused G(3) kernel has already built the graph's adjacency bitmap,
+        each probe is one gather and a bit test instead.  The encoding
+        only holds for ids in ``[0, num_nodes)`` (``v = n + 1`` would read
+        row ``u + 1``), so one bounds check per batch raises
         :class:`GraphError` naming the first id outside that range.
         """
         us = np.asarray(us, dtype=np.int64)
@@ -269,24 +273,19 @@ class CSRGraph:
         if us.size and max(us.view(np.uint64).max(), vs.view(np.uint64).max()) >= n:
             bad = int(np.argmax((us < 0) | (us >= n) | (vs < 0) | (vs >= n)))
             raise self._node_range_error(us[bad] if not 0 <= us[bad] < n else vs[bad])
-        keys = self._directed_keys()
-        probes = us * (n + 1) + vs
-        pos = np.searchsorted(keys, probes)
-        inside = pos < keys.size
-        out = np.zeros(us.size, dtype=bool)
-        out[inside] = keys[pos[inside]] == probes[inside]
-        return out
+        return self._edge_tables().has_edges(us, vs)
+
+    def _edge_tables(self) -> EdgeTables:
+        """This graph's derived lookup tables (built once, then cached)."""
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = EdgeTables(self.indptr, self.indices, self._degrees)
+        return tables
 
     def _directed_keys(self) -> np.ndarray:
-        """Sorted directed edge keys ``u * (n + 1) + v`` in CSR order
-        (built once, then cached)."""
-        keys = self._edge_keys
-        if keys is None:
-            n = self.num_nodes
-            rows = np.repeat(np.arange(n, dtype=np.int64), self._degrees)
-            keys = rows * (n + 1) + self.indices
-            self._edge_keys = keys
-        return keys
+        """Sorted directed edge keys ``u * (n + 1) + v`` in CSR order: a
+        view of the table's keys without their sentinel."""
+        return self._edge_tables().keys[:-1]
 
     def max_degree(self) -> int:
         """Largest degree in the graph (0 for the empty graph)."""
@@ -351,6 +350,11 @@ class CSRGraph:
 
     def __hash__(self) -> int:
         return hash((self.num_nodes, self.num_edges))
+
+    def __reduce__(self):
+        # The defining arrays only: degrees, the neighbor-set cache and
+        # the lookup tables are rebuilt on demand after unpickling.
+        return (type(self), (self.indptr, self.indices))
 
     def copy(self) -> "CSRGraph":
         """Deep copy (new array storage)."""

@@ -118,7 +118,7 @@ class DeltaCSRGraph(CSRGraph):
         self._degrees = base.degrees_array.copy()
         self._num_edges = base.num_edges
         self._nset_cache: dict = {}
-        self._edge_keys = None
+        self._tables = None
         # Append-only operation log (int32 endpoints + tombstone bitmap).
         self._log_u = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
         self._log_v = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
@@ -181,7 +181,7 @@ class DeltaCSRGraph(CSRGraph):
             self._apply_one(int(u), int(v), False)
         self._rebuild_delta_keys()
         self._mat = None
-        self._edge_keys = None
+        self._tables = None
         self.version += 1
         return self.version
 
@@ -255,7 +255,7 @@ class DeltaCSRGraph(CSRGraph):
         self._degrees = fresh.degrees_array.copy()
         self._num_edges = fresh.num_edges
         self._nset_cache = {}
-        self._edge_keys = None
+        self._tables = None
         self._log_u = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
         self._log_v = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
         self._log_del = np.zeros(_LOG_INITIAL_CAPACITY, dtype=bool)
@@ -355,8 +355,13 @@ class DeltaCSRGraph(CSRGraph):
 
         One extra ``searchsorted`` over the (tiny) sorted delta-key array
         patches exactly the probes that hit a flipped edge — O(delta)
-        extra work per batch, independent of graph size.
+        extra work per batch, independent of graph size.  When the fused
+        G(3) kernel has built this version's adjacency bitmap, the
+        bitmap answers instead.
         """
+        tables = self._tables
+        if tables is not None and tables.bits is not None:
+            return super().has_edges(us, vs)
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         out = self.base.has_edges(us, vs)
@@ -371,9 +376,25 @@ class DeltaCSRGraph(CSRGraph):
                 out[hit] = self._dalive[pos[hit]]
         return out
 
+    def __reduce__(self):
+        # Base, log and version define the overlay; the flip index, the
+        # degrees and the merged view are replayed from the log.
+        return (_restore, (self.base, *self.log, self.version))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DeltaCSRGraph(num_nodes={self.num_nodes}, "
             f"num_edges={self.num_edges}, version={self.version}, "
             f"pending={self._log_len})"
         )
+
+
+def _restore(base, log_u, log_v, log_del, version) -> DeltaCSRGraph:
+    """Unpickle a :class:`DeltaCSRGraph`: replay its log onto its base."""
+    graph = DeltaCSRGraph(base)
+    for u, v, is_delete in zip(log_u.tolist(), log_v.tolist(), log_del.tolist()):
+        graph._apply_one(u, v, is_delete)
+    graph._rebuild_delta_keys()
+    graph._mat = None
+    graph.version = version
+    return graph

@@ -31,10 +31,11 @@ processes re-opening a directory the parent just validated).
 
 RAM footprint caveats
 ---------------------
-The graph *structure* stays on disk, but two derived caches materialize
-in RAM on first use, both 8 bytes per directed edge: the global
-``has_edges`` probe-key table (built lazily by batched window
-classification) and the fused kernel's triangle table.  Both are
+The graph *structure* stays on disk, but its derived lookup tables
+(:mod:`repro.graphs.tables`) materialize in RAM on first use: the
+``has_edges`` probe-key table (8 bytes per directed edge, built lazily
+by batched window classification) and, once a fused G(3) walk runs,
+the triangle table plus a memory-gated adjacency bitmap.  They are
 documented working sets of the vectorized fast paths, not leaks.
 """
 
@@ -224,7 +225,7 @@ class MmapCSRGraph(CSRGraph):
         self._degrees = degrees
         self._num_edges = indices.size // 2
         self._nset_cache = {}
-        self._edge_keys = None
+        self._tables = None
         self.directory = directory
 
     @classmethod

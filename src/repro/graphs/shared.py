@@ -151,7 +151,7 @@ class SharedCSRGraph(CSRGraph):
         self._degrees = degrees
         self._num_edges = nnz // 2
         self._nset_cache = {}
-        self._edge_keys = None
+        self._tables = None
         self._shm = shm
         self._handle = handle
         self._owner = owner
@@ -228,7 +228,7 @@ class SharedCSRGraph(CSRGraph):
         self.indptr = empty
         self.indices = empty
         self._degrees = empty
-        self._edge_keys = None
+        self._tables = None
         self._nset_cache = {}
         self._shm.close()
 

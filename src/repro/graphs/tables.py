@@ -1,0 +1,140 @@
+"""Derived lookup tables of one CSR graph version.
+
+A :class:`~repro.graphs.csr.CSRGraph` keeps one :class:`EdgeTables` in
+its ``_tables`` slot, built lazily and dropped when the adjacency
+changes (:class:`~repro.graphs.delta.DeltaCSRGraph` clears the slot on
+every ``apply`` and ``compact``).  No pickle carries it.
+
+* **Probe keys** — the sorted directed edge keys ``u * (n + 1) + v`` in
+  CSR order plus an ``int64`` max sentinel, so a ``searchsorted``
+  position is always a valid index.  The first ``has_edges`` builds them.
+* **G(3) tables** (:meth:`EdgeTables.build_g3`) — per-directed-edge
+  triangle counts, the adjacency bitmap and int32 candidate ids.  Only
+  the fused G(3) walk kernel asks for them, once per graph version.
+  ``has_edges`` reads the bitmap once it exists but never builds it:
+  at 10⁴ nodes it is already 12.5 MB.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+#: NumPy triangle-table builds beyond this many adjacency probes
+#: (``sum(min(deg u, deg v))`` over undirected edges) are skipped: the
+#: walk engine keeps the generic unfused frontier path rather than
+#: stalling start-up.  The jit build streams two-pointer merges and
+#: ignores the cap.
+MAX_TRI_PROBES = 50_000_000
+
+#: Largest adjacency bitmap worth carrying: 2**23 uint32 words = 32 MiB,
+#: i.e. graphs up to ~16k nodes get O(1) membership probes.
+MAX_BITMAP_WORDS = 1 << 23
+
+_SENTINEL = np.iinfo(np.int64).max
+
+
+class EdgeTables:
+    """Lookup tables over one version of a graph's CSR arrays.
+
+    Holds the arrays it was built from (``indptr``, ``indices``,
+    ``degs``) but never the graph itself, so a graph and its tables
+    form no reference cycle and are freed together.
+    """
+
+    __slots__ = (
+        "indptr",
+        "indices",
+        "degs",
+        "stride",
+        "keys",
+        "g3",
+        "tri",
+        "bits",
+        "words",
+        "cand",
+    )
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, degs: np.ndarray) -> None:
+        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
+        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
+        self.degs = np.asarray(degs, dtype=np.int64)
+        self.stride = np.int64(self.indptr.size)
+        rows = self._rows()
+        keys = np.empty(self.indices.size + 1, dtype=np.int64)
+        np.multiply(rows, self.stride, out=keys[:-1])
+        keys[:-1] += self.indices
+        keys[-1] = _SENTINEL
+        self.keys = keys
+        #: ``None`` until :meth:`build_g3` runs, then whether it built.
+        self.g3: Optional[bool] = None
+        self.tri: Optional[np.ndarray] = None
+        self.bits: Optional[np.ndarray] = None
+        self.words = 0
+        self.cand: Optional[np.ndarray] = None
+
+    @property
+    def num_nodes(self) -> int:
+        return self.indptr.size - 1
+
+    def _rows(self) -> np.ndarray:
+        """Source row of every directed edge slot."""
+        return np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degs)
+
+    def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Adjacency of each ``(us[i], vs[i])``; ids must be in range.
+
+        One gather and a bit test per pair when the bitmap exists, else
+        one ``searchsorted`` over the padded keys.
+        """
+        if self.bits is not None:
+            word = self.bits[us * self.words + (vs >> 5)]
+            return ((word >> (vs & 31).astype(np.uint32)) & np.uint32(1)) != 0
+        probes = us * self.stride + vs
+        return self.keys[np.searchsorted(self.keys, probes)] == probes
+
+    def build_g3(self, jit=None) -> bool:
+        """Build the fused G(3) kernel's tables once; returns whether
+        they exist.  ``jit`` is :mod:`repro.relgraph.jitkernels` on the
+        ``csr-jit`` backend with numba present, else ``None``."""
+        if self.g3 is not None:
+            return self.g3
+        self.g3 = False
+        indptr, indices, degs = self.indptr, self.indices, self.degs
+        n = self.num_nodes
+        if indices.size == 0:
+            return False
+        rows = self._rows()
+        if jit is not None:
+            tri = jit.tri_counts(indptr, indices)
+        else:
+            probes = int(np.minimum(degs[rows], degs[indices]).sum()) // 2
+            if probes > MAX_TRI_PROBES:
+                return False  # unfused fallback beats a minutes-long build
+            # One census, two consumers: the exact-triads module owns the
+            # blocked intersection kernel.
+            from ..exact.triads import edge_triangle_counts
+
+            tri = edge_triangle_counts(
+                indptr, indices, degs=degs, rows=rows, keys=self.keys[:-1]
+            )
+        # The sentinel slot pairs with the keys' one: a probe that lands
+        # on it reads a zero count.
+        self.tri = np.concatenate([tri, [0]])
+        # Slim dtype on the candidate-gather hot path: node ids fit int32
+        # on every real graph.
+        self.cand = indices.astype(np.int32) if n < 2**31 else indices
+        # Adjacency bitmap (memory-gated): one row-major uint32 word block
+        # per node, so a probe is a single gather and a bit test.
+        words = (n + 31) >> 5
+        if n * words <= MAX_BITMAP_WORDS:
+            sel = np.uint32(1) << (indices & 31).astype(np.uint32)
+            word = rows * words + (indices >> 5)
+            bits = np.zeros(n * words, dtype=np.uint32)
+            starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
+            bits[word[starts]] = np.bitwise_or.reduceat(sel, starts)
+            self.bits = bits
+            self.words = words
+        self.g3 = True
+        return True

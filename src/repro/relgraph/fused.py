@@ -16,8 +16,9 @@ needs to exist:
   ``count = |N(x) ∩ N(y)| - [o ~ x and o ~ y]``.
 
 ``|N(x) ∩ N(y)|`` for *adjacent* pairs is the per-edge triangle count — a
-table built once per graph version and indexed by the position of the
-directed edge in the CSR layout.  The same ``searchsorted`` that finds
+table the graph builds once per version and keeps
+(:mod:`repro.graphs.tables`), indexed by the position of the directed
+edge in the CSR layout.  The same ``searchsorted`` that finds
 that position also answers the adjacency probe (position hits an equal
 key iff the edge exists), so one batched binary search per transition
 yields the induced-edge mask *and* every adjacent-pair cap.  Non-adjacent
@@ -40,24 +41,12 @@ instead of the NumPy sort pipeline, with identical outputs.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .spaces import WalkSpaceError
-
-#: NumPy triangle-table builds beyond this many adjacency probes
-#: (``sum(deg^2)``) are skipped: the engine keeps the generic unfused
-#: frontier path rather than stalling start-up.  The jit build streams
-#: two-pointer merges and ignores the cap.
-MAX_TRI_PROBES = 50_000_000
-
-# Largest adjacency bitmap worth carrying: 2**23 uint32 words = 32 MiB,
-# i.e. graphs up to ~16k nodes get O(1) membership probes.
-MAX_BITMAP_WORDS = 1 << 23
-
-#: Probes per chunk while building the triangle table (bounds scratch).
-_TRI_CHUNK = 4_000_000
 
 # Remainder-pair layout per swap-out position j of a sorted (s0, s1, s2):
 # j drops states[:, j]; the pair is (states[:, _XI[j]], states[:, _YI[j]])
@@ -67,14 +56,25 @@ _YI = np.array([2, 2, 1])
 _ADJ = np.array([2, 1, 0])
 
 
+def _lane_shift(t) -> int:
+    """Node-id bits of the lane-composite keys: a power-of-2 node stride
+    makes the lane/value split a shift+mask instead of a division."""
+    return max(int(t.num_nodes - 1).bit_length(), 1)
+
+
 class FusedD3Kernel:
     """Closed-form G(3) transition kernel over one CSR substrate.
 
-    Owned by the :class:`~repro.walks.batched.BatchedWalkEngine` (the
-    CSR classes use ``__slots__``, so caches cannot live on the graph);
-    the per-edge triangle table rebuilds lazily whenever the graph's
-    ``version`` changes, which keeps
-    :class:`~repro.graphs.delta.DeltaCSRGraph` overlays correct.
+    Owned by the :class:`~repro.walks.batched.BatchedWalkEngine`.  The
+    per-graph tables it reads — padded directed keys, triangle table,
+    adjacency bitmap, int32 candidate ids — live on the graph
+    (:class:`~repro.graphs.tables.EdgeTables`), so every engine on one
+    graph version shares one build, and a
+    :class:`~repro.graphs.delta.DeltaCSRGraph` drops them on every
+    version bump.  The kernel keeps only per-lane scratch and a *weak*
+    reference to the graph: graph and kernel never form a cycle, so a
+    dropped graph frees its tables at once, without waiting for the
+    cyclic collector.
 
     ``jit`` is the :mod:`repro.relgraph.jitkernels` module when the
     graph rides the ``csr-jit`` backend and numba is importable, else
@@ -82,105 +82,21 @@ class FusedD3Kernel:
     """
 
     def __init__(self, csr, jit=None) -> None:
-        self.csr = csr
+        self._graph = weakref.ref(csr)
         self.jit = jit
-        self._version: Optional[int] = None
-        self._usable = False
-        self._indptr: Optional[np.ndarray] = None
-        self._indices: Optional[np.ndarray] = None
-        self._cand_dtype = np.int64
-        self._degs: Optional[np.ndarray] = None
-        self._keys: Optional[np.ndarray] = None
-        self._tri: Optional[np.ndarray] = None
-        self._stride = np.int64(0)
-        self._shift = 0
-        self._mask = 0
         self._iota_buf: Optional[np.ndarray] = None
         self._lane_cache: dict = {}
-        self._bits: Optional[np.ndarray] = None
-        self._bitword: Optional[np.ndarray] = None
-        self._bitsel: Optional[np.ndarray] = None
-        self._bitw = 0
 
-    # ------------------------------------------------------------------
-    # Lazily (re)built per-graph-version tables
-    # ------------------------------------------------------------------
     def ready(self) -> bool:
-        """Whether the kernel can serve the graph's current version."""
-        version = getattr(self.csr, "version", 0)
-        if version != self._version:
-            self._build(version)
-        return self._usable
+        """Whether the kernel can serve the graph's current version; the
+        first call per version builds the graph's G(3) tables."""
+        return self._tables() is not None
 
-    def _build(self, version: int) -> None:
-        csr = self.csr
-        indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
-        indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
-        degs = np.diff(indptr)
-        n = indptr.size - 1
-        self._version = version
-        self._usable = False
-        if indices.size == 0:
-            return
-        self._indptr = indptr
-        self._indices = indices
-        self._degs = degs
-        self._stride = np.int64(n + 1)
-        # Lane-composite keys use a power-of-2 node stride so lane/value
-        # split is a shift+mask instead of an integer division.
-        self._shift = max(int(n - 1).bit_length(), 1)
-        self._mask = (1 << self._shift) - 1
-        rows = np.repeat(np.arange(n, dtype=np.int64), degs)
-        self._keys = rows * self._stride + indices
-        # Slim dtype on the candidate-gather hot path: node ids fit int32
-        # on every real graph; the composite sort keys stay int64.
-        if n < 2**31:
-            self._cand_indices = indices.astype(np.int32)
-            self._cand_dtype = np.int32
-        else:  # pragma: no cover - needs a >2B-node graph
-            self._cand_indices = indices
-            self._cand_dtype = np.int64
-        # Adjacency bitmap (memory-gated): O(1) membership replaces the
-        # binary search on the intersection hot path.  One row-major
-        # uint32 word block per node; per-edge word index and bit mask
-        # are precomputed so a probe is a single gather + AND.
-        self._bits = None
-        words = (n + 31) >> 5
-        if n * words <= MAX_BITMAP_WORDS:
-            sel = np.uint32(1) << (indices & 31).astype(np.uint32)
-            word = rows * words + (indices >> 5)
-            bits = np.zeros(n * words, dtype=np.uint32)
-            starts = np.flatnonzero(np.r_[True, word[1:] != word[:-1]])
-            bits[word[starts]] = np.bitwise_or.reduceat(sel, starts)
-            self._bits = bits
-            self._bitw = words
-            self._bitword = indices >> 5
-            self._bitsel = sel
-        if self.jit is not None:
-            self._tri = self.jit.tri_counts(indptr, indices)
-        else:
-            probes = int(np.minimum(degs[rows], degs[indices]).sum()) // 2
-            if probes > MAX_TRI_PROBES:
-                return  # unfused fallback beats a minutes-long build
-            # One census, two consumers: the exact-triads module owns the
-            # blocked intersection kernel; reuse it (and our tables) here.
-            from ..exact.triads import edge_triangle_counts
-
-            self._tri = edge_triangle_counts(
-                indptr,
-                indices,
-                degs=degs,
-                rows=rows,
-                keys=self._keys,
-                chunk=_TRI_CHUNK,
-            )
-        # Pad the probe tables with a +inf sentinel slot: searchsorted
-        # can then never return an out-of-range position, dropping the
-        # per-transition clamp passes on every probe site.
-        self._keys = np.concatenate([self._keys, [np.iinfo(np.int64).max]])
-        self._tri = np.concatenate([self._tri, [0]])
-        self._lane_cache = {}
-        self._usable = True
+    def _tables(self):
+        """The graph's current tables with their G(3) part, or ``None``
+        when the graph cannot carry them."""
+        tables = self._graph()._edge_tables()
+        return tables if tables.build_g3(self.jit) else None
 
     # ------------------------------------------------------------------
     # Per-segment candidate machinery (NumPy path)
@@ -196,6 +112,7 @@ class FusedD3Kernel:
 
     def _segment_candidates(
         self,
+        t,
         x: np.ndarray,
         y: np.ndarray,
         excl: np.ndarray,
@@ -221,24 +138,24 @@ class FusedD3Kernel:
         tail slice that is simply cut off.
         """
         m = x.size
-        shift = self._shift
+        shift = _lane_shift(t)
         nodes = np.empty(2 * m, dtype=np.int64)
         nodes[0::2] = x
         nodes[1::2] = y
-        sizes = self._degs[nodes]
+        sizes = t.degs[nodes]
         csum = np.cumsum(sizes)
         total = int(csum[-1])
-        adj = csum - sizes - self._indptr[nodes]
+        adj = csum - sizes - t.indptr[nodes]
         offs = self._iota(total) - np.repeat(adj, sizes)
-        vals = self._cand_indices[offs]
-        slim = self._cand_dtype is np.int32 and (m << (shift + 1)) < 2**31
+        vals = t.cand[offs]
+        slim = t.cand.dtype == np.int32 and (m << (shift + 1)) < 2**31
         kdt = np.int32 if slim else np.int64
-        pre = self._lane_cache.get((m, slim))
+        pre = self._lane_cache.get((m, slim, shift))
         if pre is None:
             lane2 = np.arange(m, dtype=kdt) << 1
             heads = np.arange(m + 1, dtype=kdt) << (shift + 1)
             sent = kdt(np.iinfo(kdt).max)
-            self._lane_cache[(m, slim)] = pre = (lane2, heads, sent)
+            self._lane_cache[(m, slim, shift)] = pre = (lane2, heads, sent)
         lane2, heads, sent = pre
         lane_sizes = sizes.reshape(m, 2).sum(axis=1)
         lane_flag = lane2 | inter.astype(kdt)
@@ -248,9 +165,9 @@ class FusedD3Kernel:
         # most once per CSR row, so six tiny binary searches per lane
         # (3 excluded values x 2 rows) locate every excluded slot — no
         # full-width compare passes over the gathered candidates.
-        probes = (nodes[:, None] * self._stride + np.repeat(excl, 2, axis=0)).ravel()
-        pos = np.searchsorted(self._keys, probes)
-        hit = self._keys[pos] == probes
+        probes = (nodes[:, None] * t.stride + np.repeat(excl, 2, axis=0)).ravel()
+        pos = np.searchsorted(t.keys, probes)
+        hit = t.keys[pos] == probes
         ndrop = int(np.count_nonzero(hit))
         if ndrop:
             key[(pos + np.repeat(adj, 3))[hit]] = sent
@@ -275,71 +192,68 @@ class FusedD3Kernel:
         offsets = bounds[:-1]
         return kept, counts, offsets
 
-    def _isect_count(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _isect_count(self, t, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """``|N(x) ∩ N(y)|`` per lane for *non-adjacent* pairs: probe the
-        smaller row's neighbors against the directed-edge key table (a
-        batched binary search) instead of materializing both rows."""
+        smaller row's neighbors against the graph's adjacency tables (the
+        bitmap, else a batched binary search) instead of materializing
+        both rows."""
         m = x.size
-        swap = self._degs[y] < self._degs[x]
+        swap = t.degs[y] < t.degs[x]
         a = np.where(swap, y, x)
         b = np.where(swap, x, y)
-        sizes = self._degs[a]
+        sizes = t.degs[a]
         csum = np.cumsum(sizes)
         total = int(csum[-1])
         offs = self._iota(total) + np.repeat(
-            self._indptr[a] - (csum - sizes), sizes
+            t.indptr[a] - (csum - sizes), sizes
         )
-        if self._bits is not None:
-            word = self._bits[np.repeat(b, sizes) * self._bitw + self._bitword[offs]]
-            hits = (word & self._bitsel[offs]) != 0
-        else:
-            probe = np.repeat(b, sizes) * self._stride + self._indices[offs]
-            pos = np.searchsorted(self._keys, probe)
-            hits = self._keys[pos] == probe
+        hits = t.has_edges(np.repeat(b, sizes), t.indices[offs])
         lane_of = np.repeat(self._iota(m), sizes)
         return np.bincount(lane_of[hits], minlength=m)
 
-    def _segment_count(self, x, y, excl, inter) -> np.ndarray:
+    def _segment_count(self, t, x, y, excl, inter) -> np.ndarray:
         """Valid-candidate count of one segment per lane."""
         if x.size == 0:
             return np.zeros(0, dtype=np.int64)
         if self.jit is not None:
-            bound = np.full(x.size, self.csr.num_nodes, dtype=np.int64)
+            bound = np.full(x.size, t.num_nodes, dtype=np.int64)
             return self.jit.segment_rank(
-                self._indptr, self._indices, x, y,
+                t.indptr, t.indices, x, y,
                 excl[:, 0], excl[:, 1], excl[:, 2], bound, inter,
             )
-        return self._segment_candidates(x, y, excl, inter)[1]
+        return self._segment_candidates(t, x, y, excl, inter)[1]
 
-    def _segment_rank(self, x, y, excl, bound, inter) -> np.ndarray:
+    def _segment_rank(self, t, x, y, excl, bound, inter) -> np.ndarray:
         """Per lane: how many valid candidates of the segment precede
         ``bound`` in the canonical (ascending id) order."""
         if self.jit is not None:
             return self.jit.segment_rank(
-                self._indptr, self._indices, x, y,
+                t.indptr, t.indices, x, y,
                 excl[:, 0], excl[:, 1], excl[:, 2], bound, inter,
             )
-        kept, _, _ = self._segment_candidates(x, y, excl, inter)
-        lanes = kept >> (self._shift + 1)
-        values = kept & kept.dtype.type(self._mask)
+        kept, _, _ = self._segment_candidates(t, x, y, excl, inter)
+        shift = _lane_shift(t)
+        lanes = kept >> (shift + 1)
+        values = kept & kept.dtype.type((1 << shift) - 1)
         below = values < bound[lanes]
         return np.bincount(lanes[below], minlength=x.size)
 
-    def _segment_select(self, x, y, excl, within, inter) -> np.ndarray:
+    def _segment_select(self, t, x, y, excl, within, inter) -> np.ndarray:
         """The ``within``-th valid candidate of the segment, per lane."""
         if self.jit is not None:
             return self.jit.segment_select(
-                self._indptr, self._indices, x, y,
+                t.indptr, t.indices, x, y,
                 excl[:, 0], excl[:, 1], excl[:, 2], within, inter,
             )
-        kept, _, offsets = self._segment_candidates(x, y, excl, inter)
+        kept, _, offsets = self._segment_candidates(t, x, y, excl, inter)
         # Only the chosen element per lane is unpacked from its key.
-        return (kept[offsets + within] & kept.dtype.type(self._mask)).astype(np.int64)
+        mask = kept.dtype.type((1 << _lane_shift(t)) - 1)
+        return (kept[offsets + within] & mask).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Transition kernel
     # ------------------------------------------------------------------
-    def _counts(self, states: np.ndarray):
+    def _counts(self, t, states: np.ndarray):
         """Closed-form per-swap-position candidate counts.
 
         Returns ``(counts (n, 3), edge mask (n, 3) as (e01, e02, e12))``.
@@ -347,11 +261,11 @@ class FusedD3Kernel:
         both the three induced-adjacency probes and the adjacent-pair
         triangle caps.
         """
-        keys, tri, stride = self._keys, self._tri, self._stride
+        keys, tri, stride = t.keys, t.tri, t.stride
         pair_keys = states[:, [0, 0, 1]] * stride + states[:, [1, 2, 2]]
         pos = np.searchsorted(keys, pair_keys)
         e = keys[pos] == pair_keys  # (n, 3): e01, e02, e12
-        dg = self._degs[states]
+        dg = t.degs[states]
         # Swap-out j leaves pair (x, y) = columns (_XI[j], _YI[j]); its
         # adjacency and triangle cap sit at mask/probe column _ADJ[j].
         adj = e[:, _ADJ]
@@ -366,19 +280,19 @@ class FusedD3Kernel:
             y = states[lanes, _YI[js]]
             if self.jit is not None:
                 counts[lanes, js] = self._segment_count(
-                    x, y, states[lanes], np.ones(lanes.size, dtype=bool)
+                    t, x, y, states[lanes], np.ones(lanes.size, dtype=bool)
                 )
             else:
                 # x, y, and the dropped node are the only state nodes the
                 # intersection could contain, and only the dropped node
                 # actually can (x !~ y keeps them out of each other's
                 # rows) — it is in iff it neighbors both.
-                counts[lanes, js] = self._isect_count(x, y) - (
+                counts[lanes, js] = self._isect_count(t, x, y) - (
                     (ox & oy)[lanes, js]
                 )
         return counts, e
 
-    def _advance(self, states, e, counts, r, out):
+    def _advance(self, t, states, e, counts, r, out):
         """Resolve global neighbor ranks ``r`` into next states."""
         n = states.shape[0]
         cum = counts.cumsum(axis=1)
@@ -388,7 +302,7 @@ class FusedD3Kernel:
         x = states[rows, _XI[out_j]]
         y = states[rows, _YI[out_j]]
         inter = ~e[rows, _ADJ[out_j]]
-        chosen = self._segment_select(x, y, states, within, inter)
+        chosen = self._segment_select(t, x, y, states, within, inter)
         nxt = out if out is not None else np.empty_like(states)
         np.copyto(nxt, states)
         nxt[rows, out_j] = chosen
@@ -401,7 +315,8 @@ class FusedD3Kernel:
         """One uniform G(3) neighbor per lane from pre-drawn uniforms
         ``u`` — bit-identical to the generic
         :meth:`VectorSubgraphSpace.propose` for the same draws."""
-        counts, e = self._counts(states)
+        t = self._tables()
+        counts, e = self._counts(t, states)
         deg = counts.sum(axis=1)
         if np.any(deg == 0):
             bad = states[np.flatnonzero(deg == 0)[0]]
@@ -410,7 +325,7 @@ class FusedD3Kernel:
             )
         r = (u * deg).astype(np.int64)
         np.minimum(r, deg - 1, out=r)
-        return self._advance(states, e, counts, r, out)
+        return self._advance(t, states, e, counts, r, out)
 
     def propose_nb(
         self,
@@ -425,7 +340,8 @@ class FusedD3Kernel:
         reverse move's global rank comes from the closed-form prefix
         counts plus a rank query on its own segment, and degree-1 lanes
         keep the forced backtrack (``r`` stays 0)."""
-        counts, e = self._counts(states)
+        t = self._tables()
+        counts, e = self._counts(t, states)
         deg = counts.sum(axis=1)
         n = states.shape[0]
         rows = np.arange(n)
@@ -438,8 +354,8 @@ class FusedD3Kernel:
         inter_b = ~e[rows, _ADJ[out_jb]]
         cum = counts.cumsum(axis=1)
         prefix = cum[rows, out_jb] - counts[rows, out_jb]
-        back_rank = prefix + self._segment_rank(xb, yb, states, back, inter_b)
+        back_rank = prefix + self._segment_rank(t, xb, yb, states, back, inter_b)
         r = (u * (deg - 1)).astype(np.int64)
         np.minimum(r, np.maximum(deg - 2, 0), out=r)
         r += (r >= back_rank) & (deg > 1)
-        return self._advance(states, e, counts, r, out)
+        return self._advance(t, states, e, counts, r, out)
