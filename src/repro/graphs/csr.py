@@ -93,7 +93,6 @@ class CSRGraph:
         "_num_edges",
         "_nset_cache",
         "_tables",
-        "__weakref__",
     )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:

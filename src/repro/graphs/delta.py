@@ -355,13 +355,8 @@ class DeltaCSRGraph(CSRGraph):
 
         One extra ``searchsorted`` over the (tiny) sorted delta-key array
         patches exactly the probes that hit a flipped edge — O(delta)
-        extra work per batch, independent of graph size.  When the fused
-        G(3) kernel has built this version's adjacency bitmap, the
-        bitmap answers instead.
+        extra work per batch, independent of graph size.
         """
-        tables = self._tables
-        if tables is not None and tables.bits is not None:
-            return super().has_edges(us, vs)
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
         out = self.base.has_edges(us, vs)

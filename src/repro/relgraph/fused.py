@@ -41,7 +41,6 @@ instead of the NumPy sort pipeline, with identical outputs.
 
 from __future__ import annotations
 
-import weakref
 from typing import Optional, Tuple
 
 import numpy as np
@@ -56,12 +55,6 @@ _YI = np.array([2, 2, 1])
 _ADJ = np.array([2, 1, 0])
 
 
-def _lane_shift(t) -> int:
-    """Node-id bits of the lane-composite keys: a power-of-2 node stride
-    makes the lane/value split a shift+mask instead of a division."""
-    return max(int(t.num_nodes - 1).bit_length(), 1)
-
-
 class FusedD3Kernel:
     """Closed-form G(3) transition kernel over one CSR substrate.
 
@@ -71,10 +64,11 @@ class FusedD3Kernel:
     (:class:`~repro.graphs.tables.EdgeTables`), so every engine on one
     graph version shares one build, and a
     :class:`~repro.graphs.delta.DeltaCSRGraph` drops them on every
-    version bump.  The kernel keeps only per-lane scratch and a *weak*
-    reference to the graph: graph and kernel never form a cycle, so a
-    dropped graph frees its tables at once, without waiting for the
-    cyclic collector.
+    version bump.  The kernel keeps only per-lane scratch and holds no
+    reference to the graph: the engine passes its graph to every
+    :meth:`ready` and :meth:`propose` call, so graph and kernel never
+    form a cycle and a dropped graph frees its tables at once, without
+    waiting for the cyclic collector.
 
     ``jit`` is the :mod:`repro.relgraph.jitkernels` module when the
     graph rides the ``csr-jit`` backend and numba is importable, else
@@ -82,20 +76,24 @@ class FusedD3Kernel:
     """
 
     def __init__(self, csr, jit=None) -> None:
-        self._graph = weakref.ref(csr)
         self.jit = jit
+        # Node-id bits of the lane-composite keys: a power-of-2 node
+        # stride makes the lane/value split a shift+mask instead of a
+        # division.  A graph's node count is fixed for life (overlay
+        # versions and compaction keep it), so this is a constant.
+        self._shift = max(int(csr.num_nodes - 1).bit_length(), 1)
         self._iota_buf: Optional[np.ndarray] = None
         self._lane_cache: dict = {}
 
-    def ready(self) -> bool:
-        """Whether the kernel can serve the graph's current version; the
+    def ready(self, csr) -> bool:
+        """Whether the kernel can serve ``csr``'s current version; the
         first call per version builds the graph's G(3) tables."""
-        return self._tables() is not None
+        return self._tables(csr) is not None
 
-    def _tables(self):
+    def _tables(self, csr):
         """The graph's current tables with their G(3) part, or ``None``
         when the graph cannot carry them."""
-        tables = self._graph()._edge_tables()
+        tables = csr._edge_tables()
         return tables if tables.build_g3(self.jit) else None
 
     # ------------------------------------------------------------------
@@ -138,7 +136,7 @@ class FusedD3Kernel:
         tail slice that is simply cut off.
         """
         m = x.size
-        shift = _lane_shift(t)
+        shift = self._shift
         nodes = np.empty(2 * m, dtype=np.int64)
         nodes[0::2] = x
         nodes[1::2] = y
@@ -150,12 +148,12 @@ class FusedD3Kernel:
         vals = t.cand[offs]
         slim = t.cand.dtype == np.int32 and (m << (shift + 1)) < 2**31
         kdt = np.int32 if slim else np.int64
-        pre = self._lane_cache.get((m, slim, shift))
+        pre = self._lane_cache.get((m, slim))
         if pre is None:
             lane2 = np.arange(m, dtype=kdt) << 1
             heads = np.arange(m + 1, dtype=kdt) << (shift + 1)
             sent = kdt(np.iinfo(kdt).max)
-            self._lane_cache[(m, slim, shift)] = pre = (lane2, heads, sent)
+            self._lane_cache[(m, slim)] = pre = (lane2, heads, sent)
         lane2, heads, sent = pre
         lane_sizes = sizes.reshape(m, 2).sum(axis=1)
         lane_flag = lane2 | inter.astype(kdt)
@@ -232,7 +230,7 @@ class FusedD3Kernel:
                 excl[:, 0], excl[:, 1], excl[:, 2], bound, inter,
             )
         kept, _, _ = self._segment_candidates(t, x, y, excl, inter)
-        shift = _lane_shift(t)
+        shift = self._shift
         lanes = kept >> (shift + 1)
         values = kept & kept.dtype.type((1 << shift) - 1)
         below = values < bound[lanes]
@@ -247,7 +245,7 @@ class FusedD3Kernel:
             )
         kept, _, offsets = self._segment_candidates(t, x, y, excl, inter)
         # Only the chosen element per lane is unpacked from its key.
-        mask = kept.dtype.type((1 << _lane_shift(t)) - 1)
+        mask = kept.dtype.type((1 << self._shift) - 1)
         return (kept[offsets + within] & mask).astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -310,12 +308,16 @@ class FusedD3Kernel:
         return nxt
 
     def propose(
-        self, states: np.ndarray, u: np.ndarray, out: Optional[np.ndarray] = None
+        self,
+        csr,
+        states: np.ndarray,
+        u: np.ndarray,
+        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """One uniform G(3) neighbor per lane from pre-drawn uniforms
-        ``u`` — bit-identical to the generic
+        """One uniform G(3) neighbor per lane of ``csr`` from pre-drawn
+        uniforms ``u`` — bit-identical to the generic
         :meth:`VectorSubgraphSpace.propose` for the same draws."""
-        t = self._tables()
+        t = self._tables(csr)
         counts, e = self._counts(t, states)
         deg = counts.sum(axis=1)
         if np.any(deg == 0):
@@ -329,6 +331,7 @@ class FusedD3Kernel:
 
     def propose_nb(
         self,
+        csr,
         states: np.ndarray,
         prev: np.ndarray,
         u: np.ndarray,
@@ -340,7 +343,7 @@ class FusedD3Kernel:
         reverse move's global rank comes from the closed-form prefix
         counts plus a rank query on its own segment, and degree-1 lanes
         keep the forced backtrack (``r`` stays 0)."""
-        t = self._tables()
+        t = self._tables(csr)
         counts, e = self._counts(t, states)
         deg = counts.sum(axis=1)
         n = states.shape[0]

@@ -227,12 +227,12 @@ class BatchedWalkEngine:
         """Advance every chain by one transition; returns the new states."""
         cur = self._cur
         kern = self._fused
-        if kern is not None and kern.ready():
+        if kern is not None and kern.ready(self.csr):
             u = self.rng.random(self.chains)
             if self.nb and self._prev is not None:
-                nxt = kern.propose_nb(cur, self._prev, u)
+                nxt = kern.propose_nb(self.csr, cur, self._prev, u)
             else:
-                nxt = kern.propose(cur, u)
+                nxt = kern.propose(self.csr, cur, u)
         elif self.nb and self._prev is not None:
             nxt = self.space.propose_nb(self.csr, cur, self._prev, self.rng)
         else:
@@ -268,7 +268,7 @@ class BatchedWalkEngine:
                 out[t] = self.step()
             return out
         kern = self._fused
-        use_fused = kern is not None and kern.ready()
+        use_fused = kern is not None and kern.ready(self.csr)
         U = self.rng.random((steps, self.chains))
         cur = self._cur
         prev = self._prev
@@ -278,9 +278,9 @@ class BatchedWalkEngine:
                 row = out[t]
                 if use_fused:
                     if self.nb and prev is not None:
-                        nxt = kern.propose_nb(cur, prev, U[t], out=row)
+                        nxt = kern.propose_nb(self.csr, cur, prev, U[t], out=row)
                     else:
-                        nxt = kern.propose(cur, U[t], out=row)
+                        nxt = kern.propose(self.csr, cur, U[t], out=row)
                 elif self.nb and prev is not None:
                     nxt = self.space.propose_nb(
                         self.csr, cur, prev, self.rng, u=U[t]

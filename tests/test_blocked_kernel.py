@@ -108,11 +108,11 @@ class TestBlockShapes:
         original = kernel.propose
         calls = {"n": 0}
 
-        def flaky(states, u, out=None):
+        def flaky(graph, states, u, out=None):
             if calls["n"] == 2:
                 raise WalkSpaceError("injected mid-block failure")
             calls["n"] += 1
-            return original(states, u, out=out)
+            return original(graph, states, u, out=out)
 
         monkeypatch.setattr(kernel, "propose", flaky)
         with pytest.raises(WalkSpaceError, match="injected"):

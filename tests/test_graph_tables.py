@@ -106,8 +106,7 @@ class TestOneBuildPerGraph:
             assert got is not before
             reference = CSRGraph(*delta._merged())
             assert_tables_match(got, g3_tables(reference))
-            # The bitmap answers the overlay's probes now, and agrees
-            # with a from-scratch graph.
+            # The overlay's probes agree with a from-scratch graph's.
             assert np.array_equal(delta.has_edges(us, vs), reference.has_edges(us, vs))
             before = got
 
