@@ -43,6 +43,7 @@ METHODS = [
     ("SRW3", 4, 1_201),
     ("SRW3CSS", 5, 301),
     ("SRW4", 5, 1_201),
+    ("SRW4NB", 5, 1_201),
 ]
 CHAINS = (1, 3)
 BACKENDS = ("list", "csr")
