@@ -23,8 +23,8 @@ import numpy as np
 
 #: NumPy triangle-table builds beyond this many adjacency probes
 #: (``sum(min(deg u, deg v))`` over undirected edges) are skipped: the
-#: walk engine keeps the generic unfused frontier path rather than
-#: stalling start-up.  The jit build streams two-pointer merges and
+#: walk engine steps G(3) through the generic swap frontier (one sort of
+#: the state rows per transition) rather than stalling start-up.  The jit build streams two-pointer merges and
 #: ignores the cap.
 MAX_TRI_PROBES = 50_000_000
 

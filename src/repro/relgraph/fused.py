@@ -1,8 +1,8 @@
 """Fused blocked step kernel for G(3): closed-form swap counts.
 
 The generic :meth:`~repro.relgraph.vectorized.VectorSubgraphSpace.frontier`
-materializes every chain's full swap-candidate frontier — a ragged gather
-of ``3 (d - 1) B`` CSR rows plus a stable argsort — on *every* transition,
+materializes every chain's full swap-candidate frontier — a gather of
+the ``d B`` state rows plus one sort of them — on *every* transition,
 even though sampling only ever reads one segment of it.  For d = 3 the
 per-segment candidate counts have a closed form, so the frontier never
 needs to exist:

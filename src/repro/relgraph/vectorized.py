@@ -10,12 +10,14 @@ through.  Three spaces cover every G(d):
   CSR ``indptr``/``indices`` arrays — unchanged from the original batched
   kernels, including their exact RNG consumption;
 * :class:`VectorSubgraphSpace` (d >= 3) vectorizes §5's swap-one-node
-  neighbor structure for a whole block of states at once: swap-candidate
-  frontiers come from one ragged gather of CSR rows, induced-connectivity
-  masks from batched ``searchsorted`` edge probes plus a precomputed
-  component table over labeled d-node patterns, and uniform neighbor
-  draws from two-stage sampling (swap-out position by prefix-sum over
-  per-position candidate counts, then the swap-in node by rank).
+  neighbor structure for a whole block of states at once.  One sorted
+  pass over the ``d`` CSR rows of each state finds, for every neighbor
+  ``w``, the set of state positions it touches; the runs of the state's
+  own nodes give its induced pattern, so no edge probe is needed; and a
+  per-d table over (pattern, touched set) gives the swap-out positions
+  ``w`` may fill.  Uniform neighbor draws are two-stage (swap-out
+  position by prefix-sum over per-position candidate counts, then the
+  swap-in node by rank).
 
 Sampling semantics for d >= 3 are *canonical*: a state's G(d) neighbors
 are ordered by swap-out position (ascending position in the sorted state
@@ -53,67 +55,43 @@ def _pair_order(d: int) -> Tuple[Tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _validity_table(d: int) -> np.ndarray:
-    """Swap-candidate validity, precomputed per labeled pattern.
+def _swap_table(d: int) -> np.ndarray:
+    """Valid swap-out positions per labeled pattern and touched set.
 
     A swap-in candidate keeps the state connected iff it touches *every*
-    connected component of the remainder.  Which remainder positions a
-    candidate neighbors is a ``d - 1``-bit bitmap, and the component
-    structure depends only on the labeled pattern of the state and the
-    swap-out position — so validity is a pure table lookup: entry
-    ``[(mask * d + out) << (d - 1) | bitmap]`` says whether a candidate
-    adjacent to exactly the remainder positions in ``bitmap`` (bit ``p``
-    = the ``p``-th remaining node in state order, skipping ``out``)
-    yields a connected state.  Flat layout so the hot path is one 1-D
-    fancy-index gather; at most ``2^10 * 5 * 2^4`` entries for d = 5.
+    connected component of the remainder, and the components depend only
+    on the state's labeled pattern and the swap-out position.  Entry
+    ``[mask << d | touched]`` is therefore a ``d``-bit set whose bit
+    ``j`` says that a node outside the state, adjacent to exactly the
+    state positions in ``touched``, is a valid swap-in when position
+    ``j`` leaves a state with pattern ``mask``.  ``touched == 0`` maps to
+    the empty set, which is how state nodes are kept out of the
+    candidates.  At most ``2^10 * 2^5`` entries (d = 5).
     """
     pairs = _pair_order(d)
-    n_masks = 1 << len(pairs)
-    n_bitmaps = 1 << (d - 1)
-    table = np.zeros(n_masks * d * n_bitmaps, dtype=bool)
-    for mask in range(n_masks):
-        adj = [[False] * d for _ in range(d)]
+    touched = np.arange(1 << d)
+    table = np.zeros((1 << len(pairs), 1 << d), dtype=np.uint8)
+    for mask in range(table.shape[0]):
+        adj = [0] * d  # position bits adjacent to each position
         for bit, (i, j) in enumerate(pairs):
             if mask >> bit & 1:
-                adj[i][j] = adj[j][i] = True
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
         for out in range(d):
-            remainder = [p for p in range(d) if p != out]
-            comp = {p: -1 for p in remainder}
-            members: list = []  # position-bit mask of each component
-            for p in remainder:
-                if comp[p] >= 0:
-                    continue
-                stack = [p]
-                comp[p] = len(members)
-                component_bits = 0
-                while stack:
-                    x = stack.pop()
-                    component_bits |= 1 << remainder.index(x)
-                    for q in remainder:
-                        if comp[q] < 0 and adj[x][q]:
-                            comp[q] = comp[p]
-                            stack.append(q)
-                members.append(component_bits)
-            base = (mask * d + out) << (d - 1)
-            for bitmap in range(1, n_bitmaps):
-                table[base | bitmap] = all(bitmap & m for m in members)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _validity_bits(d: int) -> np.ndarray:
-    """:func:`_validity_table` packed 32 entries per ``uint32`` word.
-
-    The hot-path lookup becomes ``packed[idx >> 5] >> (idx & 31) & 1``;
-    the packed table is 1/8 the bytes of the bool table (d = 5 drops
-    from 80 KB to 10 KB), keeping it cache-resident while the frontier
-    gather streams candidates past it.
-    """
-    table = _validity_table(d)
-    packed = np.zeros((table.size + 31) >> 5, dtype=np.uint32)
-    idx = np.flatnonzero(table)
-    np.bitwise_or.at(packed, idx >> 5, np.uint32(1) << (idx & 31).astype(np.uint32))
-    return packed
+            rest = ((1 << d) - 1) & ~(1 << out)
+            valid = np.ones(touched.size, dtype=bool)
+            left = rest
+            while left:
+                comp, grown = 0, left & -left  # flood from the lowest position
+                while grown != comp:
+                    comp = grown
+                    for p in range(d):
+                        if comp >> p & 1:
+                            grown |= adj[p] & rest
+                valid &= (touched & comp) != 0
+                left &= ~comp
+            table[mask] |= valid.astype(np.uint8) << out
+    return table.reshape(-1)
 
 
 def _uniform_neighbor(csr, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -261,96 +239,100 @@ class VectorSubgraphSpace(VectorSpace):
             )
         self.d = d
         self._pairs = _pair_order(d)
+        self._swap = _swap_table(d)
+        # _bit[j] is position j's bit in a d-bit set; _members[s, j] says
+        # whether set s holds position j.
+        self._bit = np.uint8(1) << np.arange(d, dtype=np.uint8)
+        self._members = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1
 
     # ------------------------------------------------------------------
     # Frontier kernel
     # ------------------------------------------------------------------
-    def _masks(self, csr, states: np.ndarray) -> np.ndarray:
-        """Labeled induced-subgraph bitmask of every sorted state row,
-        via batched ``searchsorted`` edge probes (``csr.has_edges``)."""
-        bits = np.zeros(states.shape[0], dtype=np.int64)
-        for bit, (i, j) in enumerate(self._pairs):
-            bits |= csr.has_edges(states[:, i], states[:, j]).astype(np.int64) << bit
-        return bits
-
     def frontier(
-        self, csr, states: np.ndarray, want_candidates: bool = True
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+        self, csr, states: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Valid swap candidates of a block of sorted state rows.
 
-        Returns ``(counts, cand_w, cand_seg)``: ``counts[i, j]`` is the
-        number of valid swap-in nodes when row ``i`` drops its ``j``-th
-        node, and (when ``want_candidates``) ``cand_w`` lists every valid
-        swap-in node ordered by segment ``cand_seg = i * d + j`` then by
-        node id — the canonical neighbor order sampling indexes into.
+        Returns ``(counts, cand_row, cand_w, cand_outs)``: ``counts[i, j]``
+        is the number of valid swap-in nodes when row ``i`` drops its
+        ``j``-th node.  ``cand_w`` lists every distinct neighbor of row
+        ``cand_row``'s nodes, sorted by ``(cand_row, cand_w)``, and bit
+        ``j`` of ``cand_outs`` says that it may replace position ``j``
+        (state nodes and invalid neighbors have no bit set).  Filtering
+        on bit ``j`` yields segment ``(i, j)`` in the canonical order.
         ``counts.sum(axis=1)`` is exactly ``len(SubgraphSpace.neighbors)``
         per row: distinct ``(j, w)`` pairs each yield a distinct state.
+
+        One sorted pass does the work.  Every neighbor ``w`` of state
+        position ``p`` in row ``i`` becomes the key ``(i, w, p)``; after
+        the sort each run of one ``(i, w)`` ORs its positions into the
+        set ``A(w)`` of positions ``w`` touches.  The runs of the state's
+        own nodes spell its induced pattern, and :func:`_swap_table`
+        maps ``(pattern, A(w))`` to the swap-outs ``w`` may fill.
         """
         n, d = states.shape
-        masks = self._masks(csr, states)
-        validity = _validity_bits(d)
-        empty = np.empty(0, dtype=np.int64)
-
-        # Remainder node ids per (row, out-position, remainder-position).
-        rem = np.empty((n, d, d - 1), dtype=np.int64)
-        for out in range(d):
-            rem[:, out, :] = states[:, [p for p in range(d) if p != out]]
-        cand, src_sizes = _ragged_gather(csr, rem.reshape(-1))
-        if cand.size == 0:
-            counts = np.zeros((n, d), dtype=np.int64)
-            return counts, (empty if want_candidates else None), (
-                empty if want_candidates else None
-            )
-        seg_sizes = src_sizes.reshape(n * d, d - 1).sum(axis=1)
-        seg_of = np.repeat(np.arange(n * d), seg_sizes)
-        pos_bit = np.repeat(
-            np.tile(np.int64(1) << np.arange(d - 1), n * d), src_sizes
+        w, sizes = _ragged_gather(csr, states.reshape(-1))
+        if w.size == 0:
+            empty = np.empty(0, dtype=np.int64)
+            return np.zeros((n, d), dtype=np.int64), empty, empty, empty.astype(np.uint8)
+        # Key fields (row, node id, position); the id width follows the
+        # node count, as in FusedD3Kernel.
+        shift = max(int(csr.num_nodes - 1).bit_length(), 1)
+        pbits = (d - 1).bit_length()
+        rows = np.arange(n, dtype=np.int64)
+        source = ((rows[:, None] << (shift + pbits)) | np.arange(d)).reshape(-1)
+        key = np.repeat(source, sizes) | (w.astype(np.int64) << pbits)
+        key.sort()
+        run = key >> pbits
+        first = np.empty(run.size, dtype=bool)
+        first[0] = True
+        np.not_equal(run[1:], run[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        touched = np.bitwise_or.reduceat(
+            self._bit[key & ((1 << pbits) - 1)], starts
         )
+        run = run[starts]
 
-        # Dedup candidates within each (row, out) segment — a node
-        # adjacent to several remainder nodes is one candidate — OR-ing
-        # the position bits of the remainder nodes it touches.  A radix
-        # argsort over the (segment, candidate) composite key groups the
-        # duplicates.
-        key = seg_of * np.int64(csr.num_nodes) + cand
-        order = np.argsort(key, kind="stable")
-        key_s = key[order]
-        run_start = np.empty(key_s.size, dtype=bool)
-        run_start[0] = True
-        np.not_equal(key_s[1:], key_s[:-1], out=run_start[1:])
-        starts_idx = np.flatnonzero(run_start)
-        or_bits = np.bitwise_or.reduceat(pos_bit[order], starts_idx)
-        take = order[starts_idx]
-        w_run = cand[take]
-        seg_run = seg_of[take]
-        row_run = seg_run // d
-        # Valid = the touched-positions bitmap covers every remainder
-        # component (one flat table gather) and the candidate is not
-        # already in the state.
-        seg_pattern = (masks[:, None] * d + np.arange(d)).reshape(-1)
-        idx = (seg_pattern[seg_run] << (d - 1)) | or_bits
-        valid = ((validity[idx >> 5] >> (idx & 31)) & 1).astype(bool)
-        for j in range(d):
-            valid &= w_run != states[row_run, j]
-        counts = np.bincount(seg_run[valid], minlength=n * d).reshape(n, d)
-        if want_candidates:
-            return counts, w_run[valid], seg_run[valid]
-        return counts, None, None
+        # The state's own runs: their touched sets are the induced
+        # adjacency, and clearing them drops state nodes as candidates.
+        own = ((rows[:, None] << shift) | states).reshape(-1)
+        at = np.minimum(np.searchsorted(run, own), run.size - 1)
+        hit = run[at] == own
+        adj = np.where(hit, touched[at], 0).reshape(n, d)
+        touched[at[hit]] = 0
+        mask = np.zeros(n, dtype=np.int64)
+        for bit, (i, j) in enumerate(self._pairs):
+            mask |= ((adj[:, i] >> j) & 1).astype(np.int64) << bit
+
+        run_row = run >> shift
+        outs = self._swap[(mask[run_row] << d) | touched]
+        # Per-row histogram of swap-out sets, then one membership product.
+        counts = (
+            np.bincount((run_row << d) | outs, minlength=n << d).reshape(n, 1 << d)
+            @ self._members
+        )
+        return counts, run_row, run & ((1 << shift) - 1), outs
+
+    def _pick(self, cand_row, cand_outs, pos: np.ndarray) -> np.ndarray:
+        """Candidates that may replace their row's position ``pos[row]``."""
+        return (cand_outs & self._bit[pos][cand_row]) != 0
 
     def _select(
-        self, states: np.ndarray, counts: np.ndarray, cand_w: np.ndarray, r: np.ndarray
+        self, states: np.ndarray, counts: np.ndarray, cand, r: np.ndarray
     ) -> np.ndarray:
         """The ``r``-th canonical neighbor of each row (two-stage: prefix
         sums over per-position counts pick the swap-out, rank within the
         position picks the swap-in)."""
-        n, d = states.shape
+        n = states.shape[0]
+        cand_row, cand_w, cand_outs = cand
         cum = counts.cumsum(axis=1)
         out_j = (r[:, None] >= cum).sum(axis=1)
         rows = np.arange(n)
-        within = r - (cum[rows, out_j] - counts[rows, out_j])
-        flat_counts = counts.reshape(-1)
-        seg_offsets = np.cumsum(flat_counts) - flat_counts
-        chosen = cand_w[seg_offsets[rows * d + out_j] + within]
+        seg = counts[rows, out_j]
+        within = r - (cum[rows, out_j] - seg)
+        chosen = cand_w[self._pick(cand_row, cand_outs, out_j)][
+            np.cumsum(seg) - seg + within
+        ]
         nxt = states.copy()
         nxt[rows, out_j] = chosen
         nxt.sort(axis=1)
@@ -391,7 +373,7 @@ class VectorSubgraphSpace(VectorSpace):
         whole ``(T, B)`` matrix up front — a C-order block equals T
         successive ``rng.random(B)`` calls, keeping the draw order
         bit-identical to per-step stepping."""
-        counts, cand_w, _ = self.frontier(csr, states)
+        counts, *cand = self.frontier(csr, states)
         deg = counts.sum(axis=1)
         if np.any(deg == 0):
             bad = states[np.flatnonzero(deg == 0)[0]]
@@ -402,7 +384,7 @@ class VectorSubgraphSpace(VectorSpace):
             u = rng.random(states.shape[0])
         r = (u * deg).astype(np.int64)
         np.minimum(r, deg - 1, out=r)
-        return self._select(states, counts, cand_w, r)
+        return self._select(states, counts, cand, r)
 
     def propose_nb(self, csr, states, prev, rng, u: Optional[np.ndarray] = None):
         """Exact NB draw: rank the reverse move (swap the newest node back
@@ -410,21 +392,21 @@ class VectorSubgraphSpace(VectorSpace):
         sample uniformly from the remaining ``deg - 1`` by skipping that
         rank.  One variate per lane per step, no rejection loop; degree-1
         states take the forced backtrack."""
-        n, d = states.shape
-        counts, cand_w, cand_seg = self.frontier(csr, states)
+        n = states.shape[0]
+        counts, *cand = self.frontier(csr, states)
+        cand_row, cand_w, cand_outs = cand
         deg = counts.sum(axis=1)
         rows = np.arange(n)
         # prev -> states swapped one node; the reverse move drops the node
         # not in prev and restores the node of prev missing from states.
         out_j = (~(states[:, :, None] == prev[:, None, :]).any(axis=2)).argmax(axis=1)
         back = prev[rows, (~(prev[:, :, None] == states[:, None, :]).any(axis=2)).argmax(axis=1)]
-        flat_counts = counts.reshape(-1)
-        seg_offsets = np.cumsum(flat_counts) - flat_counts
-        stride = np.int64(csr.num_nodes)
-        key_valid = cand_seg * stride + cand_w
+        # Its rank: every candidate of the earlier swap-outs, then the
+        # candidates of its own swap-out with a smaller id.
+        below = self._pick(cand_row, cand_outs, out_j) & (cand_w < back[cand_row])
         back_rank = (
-            np.searchsorted(key_valid, (rows * d + out_j) * stride + back)
-            - seg_offsets[rows * d]
+            counts.cumsum(axis=1)[rows, out_j] - counts[rows, out_j]
+            + np.bincount(cand_row[below], minlength=n)
         )
         if u is None:
             u = rng.random(n)
@@ -433,7 +415,7 @@ class VectorSubgraphSpace(VectorSpace):
         r += (r >= back_rank) & (deg > 1)
         # Degree-1 lanes: r stays 0, selecting the lone (reverse) neighbor
         # — exactly the forced-backtrack rule.
-        return self._select(states, counts, cand_w, r)
+        return self._select(states, counts, cand, r)
 
     def degrees(self, csr, states):
         """Exact G(d) degrees of an ``(..., d)`` block of sorted states.
@@ -450,7 +432,7 @@ class VectorSubgraphSpace(VectorSpace):
         out = np.empty(uniq.shape[0], dtype=np.int64)
         for start in range(0, uniq.shape[0], _DEGREE_CHUNK):
             block = uniq[start : start + _DEGREE_CHUNK]
-            counts, _, _ = self.frontier(csr, block, want_candidates=False)
+            counts = self.frontier(csr, block)[0]
             out[start : start + block.shape[0]] = counts.sum(axis=1)
         return out[inverse.reshape(-1)].reshape(lead)
 

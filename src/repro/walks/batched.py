@@ -17,8 +17,8 @@ endpoint with probability proportional to its degree, draw a uniform
 neighbor of it, reject proposals equal to the state itself), re-proposing
 only the rejected lanes.  For d >= 3 — the G(3)/G(4) regime the paper's
 Table 6 singles out as an order of magnitude slower — the space
-enumerates every chain's swap-candidate frontier in one batched
-sort/``searchsorted`` pass and samples by rank, so SRW3/SRW4/PSRW sweeps
+enumerates every chain's swap-candidate frontier in one sorted pass over
+the state nodes' CSR rows and samples by rank, so SRW3/SRW4/PSRW sweeps
 ride the same lockstep engine.  Non-backtracking variants (§4.2) exclude
 the previous state (rejection lanes for d <= 2, an exact rank-exclusion
 draw for d >= 3) with the forced-backtrack rule on degree-1 states,

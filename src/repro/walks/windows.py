@@ -22,7 +22,8 @@ once:
   only the remaining pairs are probed: 1 probe per window at k = 3, 3 at
   k = 4, 6 at k = 5, instead of 3, 6 and 10;
 * :func:`state_degrees` — G(d) degrees of whole state arrays (closed
-  forms for d <= 2, the deduplicated swap-frontier kernel for d >= 3),
+  forms for d <= 2, the swap-frontier counts of deduplicated rows for
+  d >= 3),
   with the NB-SRW nominal-degree variant.
 
 Everything here is estimator-agnostic: the functions know about graphs,
@@ -194,18 +195,27 @@ def state_degrees(
     For d <= 2 this uses the closed forms the paper recommends walking
     with — ``deg(v)`` for d = 1, ``deg(u) + deg(v) - 2`` for d = 2 —
     gathered from the backend's ``degrees_array``.  For d >= 3 the block
-    goes through the swap-frontier kernel of
-    :class:`~repro.relgraph.vectorized.VectorSubgraphSpace` (rows are
-    deduplicated, so the heavily repeated middle states of overlapping
-    windows are each counted once); the result equals
+    goes through :meth:`VectorSubgraphSpace.frontier
+    <repro.relgraph.vectorized.VectorSubgraphSpace.frontier>`, which sorts
+    each state's ``d`` CSR rows once and counts the swap candidates per
+    position (rows are deduplicated, so the heavily repeated middle states
+    of overlapping windows are each counted once); the result equals
     ``len(SubgraphSpace.neighbors(graph, state))`` exactly, which is what
     keeps vectorized CSS weights bit-identical to the serial path.
     ``nominal=True`` applies the NB-SRW nominal degree
     ``d' = max(d - 1, 1)`` (§4.2) elementwise, matching
     :func:`repro.core.expanded_chain.nominal_degree`.
+
+    Raises ``ValueError`` when the last axis of ``states`` is not ``d``:
+    a mis-shaped block would otherwise read only its first columns.
     """
     if d < 1:
         raise ValueError(f"state degrees need d >= 1, got d={d}")
+    if states.shape[-1:] != (d,):
+        raise ValueError(
+            f"states of shape {states.shape} are not G({d}) states: "
+            f"expected shape (..., {d})"
+        )
     if d == 1:
         out = graph.degrees_array[states[..., 0]]
     elif d == 2:

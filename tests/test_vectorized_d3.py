@@ -140,27 +140,29 @@ class TestFrontierProperties:
     @given(random_graphs())
     def test_frontier_matches_subgraph_space(self, g):
         """Counts, candidate sets and degrees of the vectorized frontier
-        equal SubgraphSpace.neighbors() on every G(3)/G(4) state."""
+        equal SubgraphSpace.neighbors() on every G(3)/G(4)/G(5) state
+        (d = 5 checks against the serial BFS ``_neighbors_generic``)."""
         csr = CSRGraph.from_graph(g)
-        for d in (3, 4):
+        for d in (3, 4, 5):
             states = enumerate_states(g, d)
             if not states:
                 continue
             space = SubgraphSpace(d)
             vec = VectorSubgraphSpace(d)
             arr = np.asarray(states, dtype=np.int64)
-            counts, cand_w, cand_seg = vec.frontier(csr, arr)
+            counts, cand_row, cand_w, cand_outs = vec.frontier(csr, arr)
             degrees = vec.degrees(csr, arr)
-            flat_counts = counts.reshape(-1)
-            offsets = np.cumsum(flat_counts) - flat_counts
+            order = cand_row * g.num_nodes + cand_w
+            assert np.all(order[1:] > order[:-1])  # sorted by (row, id)
             for i, state in enumerate(states):
                 serial = space.neighbors(g, state)
                 assert len(serial) == int(counts[i].sum()) == int(degrees[i])
                 rebuilt = []
                 for j in range(d):
-                    seg = i * d + j
+                    seg = (cand_row == i) & ((cand_outs >> j) & 1 == 1)
+                    assert int(seg.sum()) == int(counts[i, j])
                     remainder = [u for u in state if u != state[j]]
-                    for w in cand_w[offsets[seg] : offsets[seg] + counts[i, j]]:
+                    for w in cand_w[seg]:
                         rebuilt.append(tuple(sorted(remainder + [int(w)])))
                 assert rebuilt == canonical_neighbors(g, state)
                 assert set(rebuilt) == set(serial)
@@ -183,6 +185,20 @@ class TestFrontierProperties:
             expected = space.degree(g, state)
             assert int(plain[i, 0]) == expected
             assert int(nominal[i, 0]) == max(expected - 1, 1)
+
+
+class TestStateDegreeShapes:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_mis_shaped_states_raise(self, d):
+        """Rows whose width is not d must fail loudly: d <= 2 used to read
+        the first columns and answer, d = 3 failed with a reshape error."""
+        csr = CSRGraph.from_graph(barabasi_albert(40, 3, seed=3))
+        width = 3 if d == 4 else 4
+        states = np.tile(np.arange(width, dtype=np.int64), (5, 1))
+        with pytest.raises(ValueError, match=rf"\(5, {width}\).*\(\.\.\., {d}\)"):
+            state_degrees(csr, states, d)
+        good = np.arange(d, dtype=np.int64)[None, :]
+        assert state_degrees(csr, good, d).shape == (1,)
 
 
 class _ConstantUniform:
@@ -264,12 +280,13 @@ class TestIndexDrawSafety:
 
 
 class TestWalkParity:
-    @pytest.mark.parametrize("d,nb", [(3, False), (3, True), (4, False), (4, True)])
-    def test_fixed_seed_matches_reference(self, d, nb):
+    @staticmethod
+    def _assert_matches_reference(d, nb, fused):
         g = barabasi_albert(80, 3, seed=2)
         csr = CSRGraph.from_graph(g)
         engine = BatchedWalkEngine(
-            csr, d, 8, np.random.default_rng(7), seed_node=1, non_backtracking=nb
+            csr, d, 8, np.random.default_rng(7), seed_node=1,
+            non_backtracking=nb, fused=fused,
         )
         reference = ReferenceEngine(
             csr, d, 8, np.random.default_rng(7), seed_node=1, nb=nb
@@ -277,6 +294,16 @@ class TestWalkParity:
         assert np.array_equal(engine.states(), reference.states())
         for _ in range(40):
             assert np.array_equal(engine.step(), reference.step())
+
+    @pytest.mark.parametrize("d,nb", [(3, False), (3, True), (4, False), (4, True)])
+    def test_fixed_seed_matches_reference(self, d, nb):
+        self._assert_matches_reference(d, nb, fused=True)
+
+    @pytest.mark.parametrize("d,nb", [(3, False), (3, True), (5, False), (5, True)])
+    def test_generic_path_matches_reference(self, d, nb):
+        """The swap-frontier kernel itself: d = 3 with the fused kernel
+        switched off, and d = 5, which no fused kernel serves."""
+        self._assert_matches_reference(d, nb, fused=False)
 
     def test_degree1_states_force_backtrack(self):
         # On the path 0-1-2-3, G(3) has exactly two states, each other's
