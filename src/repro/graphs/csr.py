@@ -256,8 +256,9 @@ class CSRGraph:
 
         Encodes every directed edge as ``u * (n + 1) + v`` — a globally
         monotone key sequence in CSR order — so a whole batch of probes is
-        one ``searchsorted`` over the graph's key table (built lazily, 8
-        bytes per directed edge; see :mod:`repro.graphs.tables`).  When the
+        one search of the graph's key table in ascending probe order
+        (built lazily, 8 bytes per directed edge; see
+        :mod:`repro.graphs.tables`).  When the
         fused G(3) kernel has already built the graph's adjacency bitmap,
         each probe is one gather and a bit test instead.  The encoding
         only holds for ids in ``[0, num_nodes)`` (``v = n + 1`` would read

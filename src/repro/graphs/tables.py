@@ -8,6 +8,10 @@ every ``apply`` and ``compact``).  No pickle carries it.
 * **Probe keys** — the sorted directed edge keys ``u * (n + 1) + v`` in
   CSR order plus an ``int64`` max sentinel, so a ``searchsorted``
   position is always a valid index.  The first ``has_edges`` builds them.
+  :meth:`EdgeTables.search` answers a batch of probes in ascending key
+  order (one argsort, one ``searchsorted``, one scatter back): sorted
+  probes walk the 8-byte-per-edge table front to back, so neighbouring
+  probes share cache lines instead of each missing on its own.
 * **G(3) tables** (:meth:`EdgeTables.build_g3`) — per-directed-edge
   triangle counts, the adjacency bitmap and int32 candidate ids.  Only
   the fused G(3) walk kernel asks for them, once per graph version.
@@ -31,6 +35,13 @@ MAX_TRI_PROBES = 50_000_000
 #: Largest adjacency bitmap worth carrying: 2**23 uint32 words = 32 MiB,
 #: i.e. graphs up to ~16k nodes get O(1) membership probes.
 MAX_BITMAP_WORDS = 1 << 23
+
+#: Probe batches smaller than this are searched as they come.  Best-of-50
+#: timings against a 2M-key table (10⁴-node Barabási–Albert graph, m = 10)
+#: put the crossover between 320 probes (unordered 12 µs, ordered 16 µs)
+#: and 384 (21 µs against 18 µs); at 42.7k probes ordered takes 2.5 ms
+#: against 7.0 ms.
+ORDERED_MIN_PROBES = 384
 
 _SENTINEL = np.iinfo(np.int64).max
 
@@ -82,17 +93,32 @@ class EdgeTables:
         """Source row of every directed edge slot."""
         return np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degs)
 
+    def search(self, probes: np.ndarray) -> np.ndarray:
+        """Left ``searchsorted`` position of every probe key in the padded
+        keys, in the shape of ``probes``.
+
+        Batches of at least :data:`ORDERED_MIN_PROBES` are searched in
+        ascending probe order and scattered back.
+        """
+        if probes.size < ORDERED_MIN_PROBES:
+            return np.searchsorted(self.keys, probes)
+        flat = probes.reshape(-1)
+        order = np.argsort(flat)
+        pos = np.empty(flat.size, dtype=np.intp)
+        pos[order] = np.searchsorted(self.keys, flat[order])
+        return pos.reshape(probes.shape)
+
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Adjacency of each ``(us[i], vs[i])``; ids must be in range.
 
         One gather and a bit test per pair when the bitmap exists, else
-        one ``searchsorted`` over the padded keys.
+        one :meth:`search` over the padded keys.
         """
         if self.bits is not None:
             word = self.bits[us * self.words + (vs >> 5)]
             return ((word >> (vs & 31).astype(np.uint32)) & np.uint32(1)) != 0
         probes = us * self.stride + vs
-        return self.keys[np.searchsorted(self.keys, probes)] == probes
+        return self.keys[self.search(probes)] == probes
 
     def build_g3(self, jit=None) -> bool:
         """Build the fused G(3) kernel's tables once; returns whether

@@ -18,9 +18,10 @@ needs to exist:
 ``|N(x) ∩ N(y)|`` for *adjacent* pairs is the per-edge triangle count — a
 table the graph builds once per version and keeps
 (:mod:`repro.graphs.tables`), indexed by the position of the directed
-edge in the CSR layout.  The same ``searchsorted`` that finds
-that position also answers the adjacency probe (position hits an equal
-key iff the edge exists), so one batched binary search per transition
+edge in the CSR layout.  The same key-table search
+(:meth:`~repro.graphs.tables.EdgeTables.search`, in probe order) that
+finds that position also answers the adjacency probe (position hits an
+equal key iff the edge exists), so one batched search per transition
 yields the induced-edge mask *and* every adjacent-pair cap.  Non-adjacent
 pairs (the dropped node was a path middle) are rare per state — exactly
 the pairs the mask marks — and only those lanes pay a two-row gather.
@@ -160,11 +161,12 @@ class FusedD3Kernel:
         key = np.repeat(lane_flag << shift, lane_sizes)
         key |= vals.astype(kdt, copy=False)
         # State-node exclusion by direct probe: a state value occurs at
-        # most once per CSR row, so six tiny binary searches per lane
-        # (3 excluded values x 2 rows) locate every excluded slot — no
-        # full-width compare passes over the gathered candidates.
+        # most once per CSR row, so six key-table probes per lane
+        # (3 excluded values x 2 rows), searched as one batch, locate
+        # every excluded slot — no full-width compare passes over the
+        # gathered candidates.
         probes = (nodes[:, None] * t.stride + np.repeat(excl, 2, axis=0)).ravel()
-        pos = np.searchsorted(t.keys, probes)
+        pos = t.search(probes)
         hit = t.keys[pos] == probes
         ndrop = int(np.count_nonzero(hit))
         if ndrop:
@@ -255,13 +257,12 @@ class FusedD3Kernel:
         """Closed-form per-swap-position candidate counts.
 
         Returns ``(counts (n, 3), edge mask (n, 3) as (e01, e02, e12))``.
-        One ``searchsorted`` against the directed-edge key table answers
-        both the three induced-adjacency probes and the adjacent-pair
-        triangle caps.
+        One search of the directed-edge key table answers both the three
+        induced-adjacency probes and the adjacent-pair triangle caps.
         """
         keys, tri, stride = t.keys, t.tri, t.stride
         pair_keys = states[:, [0, 0, 1]] * stride + states[:, [1, 2, 2]]
-        pos = np.searchsorted(keys, pair_keys)
+        pos = t.search(pair_keys)
         e = keys[pos] == pair_keys  # (n, 3): e01, e02, e12
         dg = t.degs[states]
         # Swap-out j leaves pair (x, y) = columns (_XI[j], _YI[j]); its

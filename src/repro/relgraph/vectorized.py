@@ -7,8 +7,10 @@ through.  Three spaces cover every G(d):
 
 * :class:`VectorNodeSpace` (d = 1) and :class:`VectorEdgeSpace` (d = 2)
   lift the paper's O(1) neighbor draws to fancy-indexing gathers over the
-  CSR ``indptr``/``indices`` arrays — unchanged from the original batched
-  kernels, including their exact RNG consumption;
+  CSR ``indptr``/``indices`` arrays.  They read the graph arrays once per
+  call, and NB proposals redraw, round by round, only the lanes whose
+  draw was the previous state — the exact RNG consumption of the
+  original batched kernels (``tests/reference.py`` keeps their loops);
 * :class:`VectorSubgraphSpace` (d >= 3) vectorizes §5's swap-one-node
   neighbor structure for a whole block of states at once.  One sorted
   pass over the ``d`` CSR rows of each state finds, for every neighbor
@@ -94,18 +96,12 @@ def _swap_table(d: int) -> np.ndarray:
     return table.reshape(-1)
 
 
-def _uniform_neighbor(csr, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One uniform neighbor per entry of ``nodes`` (all non-isolated)."""
-    degs = csr.degrees_array[nodes]
-    offsets = (rng.random(nodes.size) * degs).astype(np.int64)
+def _offsets(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``floor(U * deg)`` per lane, one uniform each."""
+    offsets = (rng.random(deg.size) * deg).astype(np.int64)
     # Guard against the (measure-zero) U == 1.0 edge of float rounding.
-    np.minimum(offsets, degs - 1, out=offsets)
-    if np.any(offsets < 0):
-        # Only a zero-degree row clips below 0; without this guard the
-        # gather would silently read a neighboring CSR row.
-        bad = int(nodes[np.flatnonzero(degs == 0)[0]])
-        raise WalkSpaceError(f"node {bad} is isolated: no neighbor to draw")
-    return csr.indices[csr.indptr[nodes] + offsets]
+    np.minimum(offsets, deg - 1, out=offsets)
+    return offsets
 
 
 def _ragged_gather(csr, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -138,36 +134,55 @@ class VectorSpace:
         """One uniformly random G(d) neighbor per state."""
         raise NotImplementedError
 
-    def degrees(self, csr, states: np.ndarray) -> np.ndarray:
-        """G(d) degree of every state in a native-layout block."""
-        raise NotImplementedError
-
-    # -- non-backtracking kernel (shared rejection scheme) ---------------
-    def _same(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a == b if a.ndim == 1 else (a == b).all(axis=1)
-
     def propose_nb(
         self, csr, states: np.ndarray, prev: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """One NB-SRW proposal per state (§4.2): uniform among neighbors
         other than ``prev``, with the forced-backtrack rule on degree-1
-        states.  The default implementation rejects-and-redraws (exactly
-        the historical d <= 2 kernel, RNG draw for draw);
-        :class:`VectorSubgraphSpace` overrides it with an exact
-        rank-exclusion draw."""
-        nxt = self.propose(csr, states, rng)
-        free = self.degrees(csr, states) > 1  # lanes with an alternative
-        retry = free & self._same(nxt, prev)
-        while np.any(retry):
-            lanes = np.nonzero(retry)[0]
-            nxt[lanes] = self.propose(csr, states[lanes], rng)
-            retry[lanes] = self._same(nxt[lanes], prev[lanes])
-        forced = ~free
-        nxt[forced] = prev[forced]
+        states."""
+        raise NotImplementedError
+
+    def degrees(self, csr, states: np.ndarray) -> np.ndarray:
+        """G(d) degree of every state in a native-layout block."""
+        raise NotImplementedError
+
+
+class _RejectionSpace(VectorSpace):
+    """d <= 2: uniform neighbor draws over CSR rows, NB by rejection.
+
+    Subclasses supply ``_lanes(csr, states)``, which reads the graph
+    arrays once per call and returns a per-lane draw context plus the
+    lane degrees, and ``_draw(ctx, lanes, rng)``, one proposal for each
+    lane of ``lanes`` (every lane when ``None``).
+    """
+
+    @staticmethod
+    def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a == b if a.ndim == 1 else (a == b).all(axis=1)
+
+    def propose(self, csr, states, rng):
+        return self._draw(self._lanes(csr, states)[0], None, rng)
+
+    def propose_nb(self, csr, states, prev, rng):
+        """Reject-and-redraw: lanes whose proposal equals ``prev`` redraw,
+        in ascending lane order, until none is left; only the
+        still-rejected lanes draw each round.  Degree-1 lanes take the
+        forced backtrack."""
+        ctx, deg = self._lanes(csr, states)
+        nxt = self._draw(ctx, None, rng)
+        free = deg > 1  # lanes with an alternative
+        lanes = np.flatnonzero(self._same(nxt, prev) & free)
+        while lanes.size:
+            redraw = self._draw(ctx, lanes, rng)
+            nxt[lanes] = redraw
+            lanes = lanes[self._same(redraw, prev[lanes])]
+        if not free.all():
+            forced = ~free
+            nxt[forced] = prev[forced]
         return nxt
 
 
-class VectorNodeSpace(VectorSpace):
+class VectorNodeSpace(_RejectionSpace):
     """G(1) = G itself; state blocks are 1-D node arrays."""
 
     d = 1
@@ -175,14 +190,26 @@ class VectorNodeSpace(VectorSpace):
     def initial(self, csr, rng, starts):
         return np.asarray(starts, dtype=np.int64).copy()
 
-    def propose(self, csr, states, rng):
-        return _uniform_neighbor(csr, states, rng)
+    def _lanes(self, csr, states):
+        deg = csr.degrees_array[states]
+        if not deg.all():
+            # A zero-degree row would clip its offset to -1 and gather
+            # the previous row's last neighbor.
+            bad = int(states[np.flatnonzero(deg == 0)[0]])
+            raise WalkSpaceError(f"node {bad} is isolated: no neighbor to draw")
+        return (deg, csr.indptr[states], csr.indices), deg
+
+    def _draw(self, ctx, lanes, rng):
+        deg, first, indices = ctx
+        if lanes is not None:
+            deg, first = deg[lanes], first[lanes]
+        return indices[first + _offsets(deg, rng)]
 
     def degrees(self, csr, states):
         return csr.degrees_array[states]
 
 
-class VectorEdgeSpace(VectorSpace):
+class VectorEdgeSpace(_RejectionSpace):
     """G(2): state blocks are ``(n, 2)`` sorted edge rows; proposals use
     the paper's §5 two-stage endpoint trick with rejection lanes."""
 
@@ -190,7 +217,7 @@ class VectorEdgeSpace(VectorSpace):
 
     def initial(self, csr, rng, starts):
         starts = np.asarray(starts, dtype=np.int64)
-        v = _uniform_neighbor(csr, starts, rng)
+        v = vector_space(1).propose(csr, starts, rng)
         states = np.stack([np.minimum(starts, v), np.maximum(starts, v)], axis=1)
         if np.any(self.degrees(csr, states) <= 0):
             # An isolated edge has no G(2) neighbors; mirror the serial
@@ -198,26 +225,42 @@ class VectorEdgeSpace(VectorSpace):
             raise ValueError("a chain started on an isolated edge of G(2)")
         return states
 
-    def propose(self, csr, states, rng):
+    def _lanes(self, csr, states):
         degs = csr.degrees_array
-        n = states.shape[0]
-        out = np.empty_like(states)
-        pending = np.arange(n)
+        u, v = states[:, 0], states[:, 1]
+        du, dv = degs[u], degs[v]
+        deg = du + dv - 2
+        if not (deg > 0).all():
+            # Both endpoints have degree 1: every proposal is the state
+            # itself, so the rejection loop below would never end.
+            bad = states[np.flatnonzero(deg <= 0)[0]]
+            raise WalkSpaceError(
+                f"edge state {tuple(int(x) for x in bad)} has no G(2) "
+                "neighbors (isolated edge)"
+            )
+        return (u, v, du, dv, csr.indptr, csr.indices), deg
+
+    def _draw(self, ctx, lanes, rng):
+        u, v, du, dv, indptr, indices = ctx
+        if lanes is not None:
+            u, v, du, dv = u[lanes], v[lanes], du[lanes], dv[lanes]
+        out = np.empty((u.size, 2), dtype=np.int64)
+        pending = np.arange(u.size)
         while pending.size:
-            u = states[pending, 0]
-            v = states[pending, 1]
-            du = degs[u]
-            dv = degs[v]
+            # Pick an endpoint proportional to its degree, then a uniform
+            # neighbor of it; reject a proposal equal to the state itself.
             pick_u = rng.random(pending.size) * (du + dv) < du
             anchor = np.where(pick_u, u, v)
             other = np.where(pick_u, v, u)
-            w = _uniform_neighbor(csr, anchor, rng)
+            w = indices[indptr[anchor] + _offsets(np.where(pick_u, du, dv), rng)]
             ok = w != other
             done = pending[ok]
             a, b = anchor[ok], w[ok]
             out[done, 0] = np.minimum(a, b)
             out[done, 1] = np.maximum(a, b)
-            pending = pending[~ok]
+            miss = ~ok
+            pending = pending[miss]
+            u, v, du, dv = u[miss], v[miss], du[miss], dv[miss]
         return out
 
     def degrees(self, csr, states):

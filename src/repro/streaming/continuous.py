@@ -306,10 +306,12 @@ class ContinuousSession(Session):
 
         Anchors on the old state's own nodes first (preferring locality:
         the repaired chain stays in the neighborhood it was exploring),
-        then on the lowest-id non-isolated node.  The draw's RNG derives
-        from ``(seed, version, chain)`` via string seeding (sha512 —
-        process-stable), so repair is a pure function of the update
-        history.
+        then on the lowest-id non-isolated node.  An anchor whose grown
+        state has no G(d) neighbor (an isolated edge, a component of
+        exactly d nodes) is skipped: the walk could not leave it.  The
+        draw's RNG derives from ``(seed, version, chain)`` via string
+        seeding (sha512 — process-stable), so repair is a pure function
+        of the update history.
         """
         rng = random.Random(f"reproject:{self._seed}:{version}:{b}")
         old = self._carried[b]
@@ -325,10 +327,12 @@ class ContinuousSession(Session):
             if degrees[anchor] <= 0:
                 continue
             try:
-                state = self._space.initial_state(self.graph, rng, anchor)
-                break
+                grown = self._space.initial_state(self.graph, rng, anchor)
             except WalkSpaceError:
                 continue
+            if self._space.degree(self.graph, grown) > 0:
+                state = grown
+                break
         if state is None:
             raise StreamError(
                 f"cannot re-project chain {b} at version {version}: no valid "

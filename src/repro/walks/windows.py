@@ -12,12 +12,15 @@ once:
 
 * :func:`sliding_windows` — a zero-copy ``(t, B, d, l)`` view over a
   state stream, one sliding window per (time, chain) pair;
-* :func:`distinct_window_nodes` — row-wise sort + run-length dedup that
-  keeps only windows covering exactly k distinct nodes;
+* :func:`distinct_window_nodes` — keeps only windows covering exactly k
+  distinct nodes.  When a window row has exactly k entries (every d = 1
+  window) its columns go through a compare-exchange sorting network and
+  a row is valid iff adjacent sorted columns differ; longer rows get a
+  row-wise sort + run-length dedup;
 * :func:`induced_bitmasks` — the labeled induced-subgraph bitmask of
   every surviving window via the CSR backend's batched ``has_edges``
-  (one ``searchsorted`` over the global edge-key array per label pair —
-  no Python per-edge loops).  For d <= 2 the window's own states prove
+  (one probe-ordered search of the global edge-key array per label pair
+  — no Python per-edge loops).  For d <= 2 the window's own states prove
   k - 1 of its C(k, 2) pairs adjacent (:func:`walk_edge_columns`), so
   only the remaining pairs are probed: 1 probe per window at k = 3, 3 at
   k = 4, 6 at k = 5, instead of 3, 6 and 10;
@@ -90,13 +93,40 @@ def distinct_window_nodes(
     ``uniq`` is the ``(valid.sum(), k)`` array of their sorted distinct
     nodes — the exact node lists the serial loop derives from its window
     multiset dict.
+
+    Rows of exactly k entries are sorted column-wise by
+    :func:`_sorting_network` on a private copy (``node_rows`` may be a
+    read-only view), and ``uniq`` is the sorted rows themselves; wider
+    rows keep the row-wise sort, which measured faster than a network
+    there.
     """
+    if node_rows.shape[1] == k:
+        # Column-major copy: each compare-exchange streams two contiguous
+        # columns; the rows handed back are C-ordered again.
+        srt = np.array(node_rows, order="F")
+        cols = [srt[:, j] for j in range(k)]
+        low = np.empty(srt.shape[0], dtype=srt.dtype)
+        for i, j in _sorting_network(k):
+            np.minimum(cols[i], cols[j], out=low)
+            np.maximum(cols[i], cols[j], out=cols[j])
+            cols[i][...] = low
+        valid = np.ones(srt.shape[0], dtype=bool)
+        for j in range(k - 1):
+            valid &= cols[j] != cols[j + 1]
+        return valid, np.ascontiguousarray(srt) if valid.all() else srt[valid]
     srt = np.sort(node_rows, axis=1)
     fresh = np.ones(srt.shape, dtype=bool)
     fresh[:, 1:] = srt[:, 1:] != srt[:, :-1]
     valid = fresh.sum(axis=1) == k
     uniq = srt[valid][fresh[valid]].reshape(-1, k)
     return valid, uniq
+
+
+@lru_cache(maxsize=None)
+def _sorting_network(k: int) -> Tuple[Tuple[int, int], ...]:
+    """Compare-exchange pairs ``(i, j)``, ``i < j``, that sort k columns:
+    odd-even transposition, k rounds of disjoint neighbour pairs."""
+    return tuple((i, i + 1) for r in range(k) for i in range(r % 2, k - 1, 2))
 
 
 @lru_cache(maxsize=None)

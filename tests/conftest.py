@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -35,6 +37,28 @@ settings.register_profile(
 )
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+@pytest.fixture
+def deadline():
+    """``deadline(seconds)`` context manager: a block still running after
+    ``seconds`` raises ``TimeoutError`` (SIGALRM), so a hang fails its
+    test instead of stalling the suite."""
+
+    @contextmanager
+    def limit(seconds: int):
+        def expire(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit
 
 
 @pytest.fixture(scope="session")

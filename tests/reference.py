@@ -6,6 +6,9 @@ engine: the straightforward reading of Algorithm 1 that the production
 bit for bit (same windows, same weights, same per-(chain, type) addition
 order).  :func:`full_probe_bitmasks` is the same kind of oracle for
 window classification: every label pair probed, nothing taken as proven.
+:func:`row_sort_dedup` is the row-wise sort dedup of window node rows,
+and :func:`rejection_propose` / :func:`rejection_propose_nb` are the
+original d <= 2 proposal loops, redrawing lane subsets round by round.
 Test code only; nothing in ``src/`` imports it.
 """
 
@@ -34,6 +37,84 @@ def full_probe_bitmasks(graph, uniq: np.ndarray, k: int) -> np.ndarray:
     for bit, (i, j) in enumerate(label_pairs(k)):
         bits |= graph.has_edges(uniq[:, i], uniq[:, j]).astype(np.int64) << bit
     return bits
+
+
+def row_sort_dedup(node_rows: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(valid, uniq)`` of window node rows by a row-wise sort and
+    run-length dedup: the oracle for
+    :func:`repro.walks.windows.distinct_window_nodes`."""
+    srt = np.sort(node_rows, axis=1)
+    fresh = np.ones(srt.shape, dtype=bool)
+    fresh[:, 1:] = srt[:, 1:] != srt[:, :-1]
+    valid = fresh.sum(axis=1) == k
+    uniq = srt[valid][fresh[valid]].reshape(-1, k)
+    return valid, uniq
+
+
+def _uniform_neighbor(csr, nodes: np.ndarray, rng) -> np.ndarray:
+    """One uniform neighbor per entry of ``nodes`` (all non-isolated)."""
+    degs = csr.degrees_array[nodes]
+    offsets = (rng.random(nodes.size) * degs).astype(np.int64)
+    np.minimum(offsets, degs - 1, out=offsets)
+    return csr.indices[csr.indptr[nodes] + offsets]
+
+
+def rejection_propose(csr, d: int, states: np.ndarray, rng) -> np.ndarray:
+    """One uniform G(d) neighbor per state, d <= 2.  For d = 2 the §5
+    endpoint trick re-proposes the lanes whose draw was the state
+    itself, round by round."""
+    if d == 1:
+        return _uniform_neighbor(csr, states, rng)
+    degs = csr.degrees_array
+    out = np.empty_like(states)
+    pending = np.arange(states.shape[0])
+    while pending.size:
+        u = states[pending, 0]
+        v = states[pending, 1]
+        du = degs[u]
+        dv = degs[v]
+        pick_u = rng.random(pending.size) * (du + dv) < du
+        anchor = np.where(pick_u, u, v)
+        other = np.where(pick_u, v, u)
+        w = _uniform_neighbor(csr, anchor, rng)
+        ok = w != other
+        done = pending[ok]
+        a, b = anchor[ok], w[ok]
+        out[done, 0] = np.minimum(a, b)
+        out[done, 1] = np.maximum(a, b)
+        pending = pending[~ok]
+    return out
+
+
+def rejection_propose_nb(
+    csr, d: int, states: np.ndarray, prev: np.ndarray, rng, stats: Dict[str, int]
+) -> np.ndarray:
+    """One NB-SRW proposal per state, d <= 2: draw every lane, then
+    redraw the lanes that proposed ``prev`` until none does; degree-1
+    lanes take the forced backtrack.  ``stats`` accumulates the redraw
+    rounds (``"rounds"``, most in one call ``"max_rounds"``) and the
+    forced lanes (``"forced"``)."""
+
+    def same(a, b):
+        return a == b if a.ndim == 1 else (a == b).all(axis=1)
+
+    degs = csr.degrees_array
+    degree = degs[states] if d == 1 else degs[states[:, 0]] + degs[states[:, 1]] - 2
+    nxt = rejection_propose(csr, d, states, rng)
+    free = degree > 1  # lanes with an alternative
+    retry = free & same(nxt, prev)
+    rounds = 0
+    while np.any(retry):
+        rounds += 1
+        lanes = np.nonzero(retry)[0]
+        nxt[lanes] = rejection_propose(csr, d, states[lanes], rng)
+        retry[lanes] = same(nxt[lanes], prev[lanes])
+    forced = ~free
+    nxt[forced] = prev[forced]
+    stats["rounds"] = stats.get("rounds", 0) + rounds
+    stats["max_rounds"] = max(stats.get("max_rounds", 0), rounds)
+    stats["forced"] = stats.get("forced", 0) + int(forced.sum())
+    return nxt
 
 
 class _ChainAccumulator:

@@ -20,6 +20,7 @@ from repro.graphs import (
     DeltaCSRGraph,
     GraphError,
     JitCSRGraph,
+    MmapCSRGraph,
     barabasi_albert,
 )
 from repro.graphs import tables
@@ -154,6 +155,101 @@ class TestBitmapProbes:
         )
         assert graph._tables is not None  # window probes built the keys
         assert graph._tables.bits is None and graph._tables.g3 is None
+
+
+def plain_search(keys: np.ndarray, us, vs, n: int) -> np.ndarray:
+    """Adjacency by one unordered ``searchsorted`` over sorted keys."""
+    probes = np.asarray(us, dtype=np.int64) * (n + 1) + np.asarray(vs, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, probes), max(keys.size - 1, 0))
+    return keys[pos] == probes if keys.size else np.zeros(probes.size, dtype=bool)
+
+
+def probe_batches(graph, seed=0):
+    """Probe batches of every shape the ordered search must survive."""
+    n = graph.num_nodes
+    us, vs = random_pairs(n, 5_000, seed)
+    rows = np.repeat(np.arange(n), graph.degrees_array)
+    pick = np.random.default_rng(seed).integers(0, rows.size, 2_000)
+    few = np.random.default_rng(seed + 1).integers(0, 6, 3_000)
+    edge_u, edge_v = rows[pick[:6]], graph.indices[pick[:6]]
+    cut = tables.ORDERED_MIN_PROBES
+    return {
+        "random": (us, vs),
+        # Real edges mixed in, so both answers occur often.
+        "mixed": (np.r_[us, rows[pick]], np.r_[vs, graph.indices[pick]]),
+        # 3000 probes of six distinct pairs, four of them edges.
+        "duplicates": (
+            np.r_[edge_u[:4], us[:2]][few], np.r_[edge_v[:4], vs[:2]][few]
+        ),
+        "empty": (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)),
+        "single": (rows[pick[:1]], graph.indices[pick[:1]]),
+        "below-cutoff": (us[: cut - 1], vs[: cut - 1]),
+        "at-cutoff": (us[:cut], vs[:cut]),
+    }
+
+
+def live_overlay() -> DeltaCSRGraph:
+    """A BA overlay with uncompacted inserts and deletes."""
+    base = ba_csr()
+    overlay = DeltaCSRGraph(base)
+    edges = np.array(list(base.edges()))
+    rng = np.random.default_rng(3)
+    dels = [tuple(e) for e in edges[rng.choice(len(edges), 30, replace=False)]]
+    ins = []
+    while len(ins) < 30:
+        u, v = sorted(int(x) for x in rng.choice(base.num_nodes, 2, replace=False))
+        if not base.has_edge(u, v) and (u, v) not in ins:
+            ins.append((u, v))
+    overlay.apply(inserts=ins, deletes=dels)
+    return overlay
+
+
+class TestOrderedSearch:
+    """``has_edges`` searches the key table in probe order; its answers
+    must be those of one plain ``searchsorted`` on every backend."""
+
+    @pytest.fixture(scope="class")
+    def backends(self, tmp_path_factory):
+        csr = ba_csr()
+        directory = tmp_path_factory.mktemp("ordered") / "layout"
+        csr.save(directory)
+        return {
+            "csr": csr,
+            "delta": live_overlay(),
+            "mmap": MmapCSRGraph.load(directory),
+        }
+
+    @pytest.mark.parametrize("backend", ["csr", "delta", "mmap"])
+    @pytest.mark.parametrize(
+        "batch",
+        ["random", "mixed", "duplicates", "empty", "single", "below-cutoff", "at-cutoff"],
+    )
+    def test_has_edges_matches_plain_searchsorted(self, backends, backend, batch):
+        graph = backends[backend]
+        # The merged view's own keys: the overlay answers with its flips.
+        keys = CSRGraph(graph.indptr, graph.indices)._directed_keys()
+        us, vs = probe_batches(graph)[batch]
+        got = graph.has_edges(us, vs)
+        assert got.dtype == bool and got.shape == us.shape
+        assert np.array_equal(got, plain_search(keys, us, vs, graph.num_nodes))
+        assert graph._edge_tables().bits is None  # the key search answered
+
+    def test_search_returns_leftmost_positions_in_probe_shape(self):
+        held = ba_csr()._edge_tables()
+        rng = np.random.default_rng(4)
+        for shape in [(0,), (1,), (tables.ORDERED_MIN_PROBES - 1,), (700, 3)]:
+            probes = rng.choice(held.keys[:-1], size=shape)
+            probes[..., ::2] += 1  # half miss, landing between keys
+            assert np.array_equal(held.search(probes), np.searchsorted(held.keys, probes))
+
+    @pytest.mark.parametrize("backend", ["csr", "delta", "mmap"])
+    @pytest.mark.parametrize("u, v", [(-1, 0), (0, 300), (2**40, 0)])
+    def test_large_batches_keep_the_bounds_check(self, backends, backend, u, v):
+        graph = backends[backend]
+        us, vs = random_pairs(graph.num_nodes, 2 * tables.ORDERED_MIN_PROBES)
+        us[-1], vs[-1] = u, v
+        with pytest.raises(GraphError, match="out of range"):
+            graph.has_edges(us, vs)
 
 
 class TestNoCycle:

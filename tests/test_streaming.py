@@ -175,3 +175,31 @@ class TestContinuousSession:
         session.refresh()
         with pytest.raises(StreamError, match="re-project chain 0"):
             session.apply_updates(deletes=[(0, 1)])
+
+    def test_reproject_skips_anchors_on_an_isolated_edge(self, deadline):
+        # Deleting 2-3 leaves 3-4 an isolated edge.  Chain 1 stood on it
+        # and its own nodes only grow (3, 4) again, a G(2) state with no
+        # neighbour; the repair must move on to the next anchor.
+        graph = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+        session = ContinuousSession(
+            graph, "SRW2", k=3, chains=4, refresh_budget=64, seed=1
+        )
+        session.refresh()
+        assert session._carried[1].tolist() == [3, 4]
+        with deadline(30):
+            report = session.apply_updates(deletes=[(2, 3)])
+            assert 1 in report.touched
+            assert [3, 4] not in session._carried.tolist()
+            estimate = session.refresh()
+        assert estimate.meta["reprojected_chains"] == len(report.touched)
+
+    def test_reproject_raises_when_every_anchor_is_stuck(self, deadline):
+        # After deleting 1-2 both components are isolated edges: no
+        # anchor grows a G(2) state the walk could leave.
+        session = ContinuousSession(
+            Graph(4, [(0, 1), (1, 2), (2, 3)]), "SRW2", k=3, chains=2,
+            refresh_budget=8, seed=0,
+        )
+        session.refresh()
+        with deadline(30), pytest.raises(StreamError, match="re-project chain"):
+            session.apply_updates(deletes=[(1, 2)])

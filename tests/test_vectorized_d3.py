@@ -33,7 +33,7 @@ from repro.graphs import CSRGraph, Graph
 from repro.graphs.generators import barabasi_albert, complete_graph, path_graph
 from repro.relgraph import enumerate_states
 from repro.relgraph.spaces import SubgraphSpace, WalkSpaceError
-from repro.relgraph.vectorized import VectorSubgraphSpace, _uniform_neighbor
+from repro.relgraph.vectorized import VectorNodeSpace, VectorSubgraphSpace
 from repro.walks import BatchedWalkEngine, state_degrees
 
 
@@ -225,10 +225,10 @@ class TestIndexDrawSafety:
     def test_uniform_neighbor_clips_the_top_of_the_unit_interval(self):
         csr = CSRGraph.from_graph(barabasi_albert(50, 3, seed=4))
         nodes = np.arange(50, dtype=np.int64)
-        last = _uniform_neighbor(csr, nodes, _ConstantUniform(1.0))
+        last = VectorNodeSpace().propose(csr, nodes, _ConstantUniform(1.0))
         expected = csr.indices[csr.indptr[nodes] + csr.degrees_array[nodes] - 1]
         assert np.array_equal(last, expected)
-        first = _uniform_neighbor(csr, nodes, _ConstantUniform(0.0))
+        first = VectorNodeSpace().propose(csr, nodes, _ConstantUniform(0.0))
         assert np.array_equal(first, csr.indices[csr.indptr[nodes]])
 
     def test_uniform_neighbor_raises_on_isolated_nodes(self):
@@ -237,7 +237,7 @@ class TestIndexDrawSafety:
         csr = CSRGraph.from_graph(Graph(5, [(0, 1), (1, 2), (2, 3)]))
         rng = np.random.default_rng(0)
         with pytest.raises(WalkSpaceError, match="node 4 is isolated"):
-            _uniform_neighbor(csr, np.array([0, 4, 2]), rng)
+            VectorNodeSpace().propose(csr, np.array([0, 4, 2]), rng)
 
     def test_propose_clips_rank_at_degree(self):
         # U == 1.0 on every lane must select the *last* canonical
