@@ -38,10 +38,12 @@ METHODS = [
     ("SRW1", 3, 1_201),
     ("SRW1NB", 4, 1_201),
     ("SRW1CSSNB", 3, 1_201),
+    ("SRW1CSS", 5, 1_201),
     ("SRW2", 4, 1_201),
     ("SRW2CSS", 4, 1_201),
     ("SRW2NB", 4, 1_201),
     ("SRW2CSSNB", 4, 1_201),
+    ("SRW2CSSNB", 5, 1_201),
     ("SRW3", 4, 1_201),
     ("SRW3CSS", 5, 301),
     ("SRW4", 5, 1_201),
