@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, FrozenSet, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Sequence, Tuple
 
 import numpy as np
 
@@ -97,24 +97,31 @@ def sampling_weight(
     return total
 
 
-#: Windows per chunk when evaluating weights; bounds the gathered
-#: (windows, templates, l-2, d) scratch tensor (k = 5, d = 2 has up to
-#: 480 templates per pattern) to a few tens of MB.
-_WEIGHT_CHUNK = 2048
+#: Gathered middle-state node ids (windows x templates x (l - 2) x d)
+#: per evaluation chunk: bounds the scratch arrays and sets how often
+#: ``degree_fn`` runs.  A window group of one template count splits into
+#: chunks of ``_GATHER_CHUNK // (templates * (l - 2) * d)`` windows (at
+#: least one).
+_GATHER_CHUNK = 1 << 16
 
 
 class CSSWeightTable:
     """Compiled CSS weights for whole blocks of windows at once.
 
-    The table turns :func:`css_templates` into NumPy index arrays: for a
-    labeled k-node pattern (bitmask over the window's sorted node list),
-    row ``mask`` of the padded ``(patterns, templates, l - 2, d)``
-    position tensor lists every corresponding sequence's middle states as
-    label positions.  Evaluating ``p~(X)`` for a block of windows is then
-    a gather of middle-state node ids, a vectorized degree lookup, and a
-    product/sum over the template axis — no Python work per window.
+    The table turns :func:`css_templates` into NumPy index arrays, one
+    per template count: a labeled k-node pattern (bitmask over the
+    window's sorted node list) with ``t`` templates owns one column of
+    the ``t``-template table, a contiguous ``(t * (l - 2) * d, patterns)``
+    array listing every corresponding sequence's middle states as label
+    positions.  Evaluating ``p~(X)`` for a block of windows groups the
+    windows by template count; each group is a column gather, one flat
+    take of middle-state node ids from ``nodes``, a vectorized degree
+    lookup, and a product/sum over its own ``t`` templates — no padded
+    template slots and no Python work per window.  Positions run down
+    the table so that the per-window offset into ``nodes`` adds along
+    the contiguous window axis.
 
-    Rows compile lazily, the first time a pattern is seen (connected
+    Patterns compile lazily, the first time one is seen (connected
     k-node patterns number at most 728 for k = 5, so the table saturates
     as quickly as the template cache it compiles from).  The table is
     agnostic to how ``degree_fn`` computes state degrees, so it serves
@@ -127,9 +134,9 @@ class CSSWeightTable:
     :meth:`weights` reproduces :func:`sampling_weight` *bit for bit*, not
     just to rounding: per template the middle degrees divide in sequence
     (``1/d_1 / d_2 …``, the serial loop's order, not a ``prod`` of
-    reciprocals) and templates sum in cache order, with padded template
-    slots contributing an exact ``+ 0.0``.  The batched estimator's
-    equality guarantees against the serial path rest on this.
+    reciprocals) and templates sum in cache order, starting from
+    template 0's weight.  The batched estimator's equality guarantees
+    against the serial path rest on this.
     """
 
     def __init__(self, k: int, d: int) -> None:
@@ -145,34 +152,34 @@ class CSSWeightTable:
         self.d = d
         self.n_middle = l - 2
         n_patterns = 1 << (k * (k - 1) // 2)
-        # -1 marks an uncompiled row; disconnected patterns never appear
-        # (windows are walk-generated) so rows stay untouched for them.
+        # -1 marks an uncompiled pattern; disconnected ones never appear
+        # (windows are walk-generated), so they are never compiled.
         self._counts = np.full(n_patterns, -1, dtype=np.int64)
-        self._middles = np.zeros((n_patterns, 0, self.n_middle, d), dtype=np.int64)
+        # Template count -> position table; each compiled pattern's
+        # column in its count's table.
+        self._positions: Dict[int, np.ndarray] = {}
+        self._columns = np.zeros(n_patterns, dtype=np.int64)
 
     @property
     def max_templates(self) -> int:
-        """Template-axis capacity of the compiled tensor so far."""
-        return self._middles.shape[1]
+        """Largest template count compiled so far."""
+        return max(self._positions, default=0)
 
     def _compile(self, mask: int) -> None:
         templates = css_templates(mask, self.k, self.d)
         count = len(templates)
-        if count > self._middles.shape[1]:
-            grown = np.zeros(
-                (self._counts.size, count, self.n_middle, self.d), dtype=np.int64
-            )
-            grown[:, : self._middles.shape[1]] = self._middles
-            self._middles = grown
-        if count:
-            self._middles[mask, :count] = np.asarray(templates, dtype=np.int64)
+        column = np.asarray(templates, dtype=np.int64).reshape(-1, 1)
+        table = self._positions.get(count)
+        self._columns[mask] = 0 if table is None else table.shape[1]
+        self._positions[count] = (
+            column if table is None else np.concatenate([table, column], axis=1)
+        )
         self._counts[mask] = count
 
     def ensure(self, masks: np.ndarray) -> None:
         """Compile every pattern appearing in ``masks`` (idempotent)."""
-        distinct = np.unique(masks)
-        for mask in distinct[self._counts[distinct] < 0]:
-            self._compile(int(mask))
+        for mask in np.unique(masks[self._counts[masks] < 0]).tolist():
+            self._compile(mask)
 
     def weights(
         self,
@@ -195,31 +202,30 @@ class CSSWeightTable:
             :func:`repro.walks.windows.state_degrees`.
         """
         self.ensure(masks)
-        out = np.empty(masks.shape[0], dtype=np.float64)
-        for start in range(0, masks.shape[0], _WEIGHT_CHUNK):
-            sel = slice(start, start + _WEIGHT_CHUNK)
-            out[sel] = self._weights_chunk(masks[sel], nodes[sel], degree_fn)
-        return out
-
-    def _weights_chunk(self, masks, nodes, degree_fn) -> np.ndarray:
         counts = self._counts[masks]
-        t_max = int(counts.max(initial=0))
-        total = np.zeros(masks.shape[0], dtype=np.float64)
-        if t_max == 0:
-            return total
-        mids = self._middles[masks, :t_max]  # (W, T, l-2, d) label positions
-        ids = nodes[np.arange(masks.shape[0])[:, None, None, None], mids]
-        live = np.arange(t_max)[None, :] < counts[:, None]  # (W, T)
-        # Padded slots gather position 0 repeatedly; force their degrees
-        # to 1 so no divide-by-zero noise leaks in before masking.
-        degrees = np.where(live[:, :, None], degree_fn(ids), 1)
-        weight = 1.0 / degrees[..., 0]
-        for j in range(1, self.n_middle):
-            weight = weight / degrees[..., j]
-        weight = np.where(live, weight, 0.0)
-        for t in range(t_max):  # serial summation order: bit-exact totals
-            total += weight[:, t]
-        return total
+        columns = self._columns[masks]
+        out = np.zeros(masks.shape[0], dtype=np.float64)
+        flat_nodes = nodes.reshape(-1)
+        present = np.flatnonzero(np.bincount(counts))
+        for count in present[present > 0].tolist():  # count 0 keeps weight 0
+            group = np.flatnonzero(counts == count)
+            table = self._positions[count]
+            step = max(1, _GATHER_CHUNK // table.shape[0])
+            for start in range(0, group.size, step):
+                rows = group[start : start + step]
+                # (count * (l-2) * d, n) flat indices into ``nodes``.
+                pos = table.take(columns.take(rows), axis=1)
+                pos += rows * self.k
+                ids = flat_nodes.take(pos).reshape(count, self.n_middle, self.d, rows.size)
+                degrees = degree_fn(ids.transpose(0, 1, 3, 2))  # (count, l-2, n)
+                weight = 1.0 / degrees[:, 0]
+                for j in range(1, self.n_middle):
+                    weight = weight / degrees[:, j]
+                total = weight[0].copy()
+                for t in range(1, count):  # serial summation order: bit-exact
+                    total += weight[t]
+                out[rows] = total
+        return out
 
 
 @lru_cache(maxsize=None)

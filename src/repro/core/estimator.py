@@ -528,7 +528,8 @@ class _VectorizedAccumulator:
                 for j in range(middles.shape[1]):
                     weights = weights * middles[:, j]
         chain_ids = np.tile(np.arange(self.chains)[cols], t)[valid]
-        np.add.at(self.chain_sums, (chain_ids, types), weights)
+        # Flat cell ids on a view of the cells: same per-cell order.
+        np.add.at(self.chain_sums.reshape(-1), chain_ids * self.num_types + types, weights)
         self.sample_counts += np.bincount(types, minlength=self.num_types)
         self.valid_samples += int(valid.sum())
 

@@ -61,7 +61,19 @@ def _prepare(graph, config: EstimationConfig):
     Returns ``(session, resolved_config, converted_graph, report)`` —
     ``report`` is the :class:`SelectionReport` when ``method="auto"``
     resolved here, else None.
+
+    Raises ``ValueError`` when the graph has fewer than ``config.k``
+    nodes: it holds no k-node graphlet, so a walk would spend its whole
+    budget and return all-zero concentrations.  Graphs that do not
+    expose ``num_nodes`` (a :class:`~repro.graphs.access.RestrictedGraph`
+    crawl) are not checked.
     """
+    num_nodes = getattr(graph, "num_nodes", None)
+    if num_nodes is not None and config.k is not None and num_nodes < config.k:
+        raise ValueError(
+            f"graph has num_nodes={num_nodes} < k={config.k}: "
+            f"it holds no {config.k}-node graphlet"
+        )
     report = None
     if normalize(config.method) == "auto":
         report = select(graph, config)

@@ -9,6 +9,9 @@ window classification: every label pair probed, nothing taken as proven.
 :func:`row_sort_dedup` is the row-wise sort dedup of window node rows,
 and :func:`rejection_propose` / :func:`rejection_propose_nb` are the
 original d <= 2 proposal loops, redrawing lane subsets round by round.
+:func:`padded_css_weights` is the CSS weight evaluation over templates
+padded to each chunk's largest count, the oracle for
+:meth:`repro.core.css.CSSWeightTable.weights`.
 Test code only; nothing in ``src/`` imports it.
 """
 
@@ -18,7 +21,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.css import sampling_weight
+from repro.core.css import css_templates, sampling_weight
 from repro.core.estimator import (
     MethodSpec,
     _effective_degree_fn,
@@ -37,6 +40,51 @@ def full_probe_bitmasks(graph, uniq: np.ndarray, k: int) -> np.ndarray:
     for bit, (i, j) in enumerate(label_pairs(k)):
         bits |= graph.has_edges(uniq[:, i], uniq[:, j]).astype(np.int64) << bit
     return bits
+
+
+def padded_css_weights(
+    masks: np.ndarray,
+    nodes: np.ndarray,
+    degree_fn: Callable[[np.ndarray], np.ndarray],
+    k: int,
+    d: int,
+    chunk: int = 2048,
+) -> np.ndarray:
+    """``p~(X)`` of a block of windows through a padded
+    ``(patterns, templates, l - 2, d)`` position tensor, ``chunk``
+    windows at a time: every window of a chunk evaluates as many
+    template slots as the chunk's largest count, and the padded slots
+    add an exact ``0.0``."""
+    n_middle = k - d - 1
+    n_patterns = 1 << (k * (k - 1) // 2)
+    counts = np.zeros(n_patterns, dtype=np.int64)
+    compiled = {int(m): css_templates(int(m), k, d) for m in np.unique(masks)}
+    width = max((len(t) for t in compiled.values()), default=0)
+    middles = np.zeros((n_patterns, width, n_middle, d), dtype=np.int64)
+    for mask, templates in compiled.items():
+        counts[mask] = len(templates)
+        if templates:
+            middles[mask, : len(templates)] = np.asarray(templates, dtype=np.int64)
+    out = np.empty(masks.shape[0], dtype=np.float64)
+    for start in range(0, masks.shape[0], chunk):
+        sel = slice(start, start + chunk)
+        block_masks, block_nodes = masks[sel], nodes[sel]
+        block_counts = counts[block_masks]
+        t_max = int(block_counts.max(initial=0))
+        total = np.zeros(block_masks.shape[0], dtype=np.float64)
+        if t_max:
+            mids = middles[block_masks, :t_max]
+            ids = block_nodes[np.arange(block_masks.shape[0])[:, None, None, None], mids]
+            live = np.arange(t_max)[None, :] < block_counts[:, None]
+            degrees = np.where(live[:, :, None], degree_fn(ids), 1)
+            weight = 1.0 / degrees[..., 0]
+            for j in range(1, n_middle):
+                weight = weight / degrees[..., j]
+            weight = np.where(live, weight, 0.0)
+            for t in range(t_max):
+                total += weight[:, t]
+        out[sel] = total
+    return out
 
 
 def row_sort_dedup(node_rows: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -7,12 +7,14 @@ reference on *arbitrary* random graphs (hypothesis), not curated
 fixtures:
 
 * ``|C(s)| = alpha_i^k`` for random labeled connected patterns (the
-  Definition 3 identity the weight table's padding relies on);
+  Definition 3 identity behind the weight table's template counts);
 * batched every-pair window bitmasks (the oracle that
   ``tests/test_window_probes.py`` pins the production
   ``induced_bitmasks`` to) == the per-edge Python classification;
 * compiled weight-table evaluation == :func:`sampling_weight` **bit for
-  bit** (the contract behind the batched estimator's exact parity);
+  bit** (the contract behind the batched estimator's exact parity), and
+  on walk-drawn blocks == the padded evaluation of
+  :func:`reference.padded_css_weights`;
 * whole batched runs (vectorized vs per-chain Python accumulators) on
   random graphs, bit-identical sums.
 
@@ -28,8 +30,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import _batched_python, _batched_vectorized, full_probe_bitmasks
+from reference import (
+    _batched_python,
+    _batched_vectorized,
+    full_probe_bitmasks,
+    padded_css_weights,
+)
 
+import repro
+from repro.core import css
 from repro.core.alpha import alpha_table
 from repro.core.css import CSSWeightTable, css_templates, css_weight_table, sampling_weight
 from repro.core.estimator import MethodSpec
@@ -41,6 +50,7 @@ from repro.graphlets import (
     is_connected_mask,
 )
 from repro.graphs import CSRGraph, Graph
+from repro.relgraph.spaces import SubgraphSpace
 from repro.walks import BatchedWalkEngine
 from repro.walks.windows import distinct_window_nodes, state_degrees
 
@@ -131,7 +141,7 @@ class TestWeightTable:
     @pytest.mark.parametrize("nb", [False, True])
     @given(
         graph=connected_graphs(min_nodes=6),
-        kd=st.sampled_from([(3, 1), (4, 1), (4, 2), (5, 2)]),
+        kd=st.sampled_from([(3, 1), (4, 1), (4, 2), (5, 1), (5, 2)]),
         seed=st.integers(0, 10_000),
     )
     @settings(max_examples=30, deadline=None)
@@ -186,6 +196,113 @@ class TestWeightTable:
         before = table.max_templates
         table.ensure(masks)  # idempotent
         assert table.max_templates == before
+
+
+#: (method, k, step budget) per (k, d): each walk on karate yields a
+#: block of more than three ``_GATHER_CHUNK`` caps of gathered ids.
+BLOCK_METHODS = [
+    ("SRW1CSSNB", 3, 64_000),
+    ("SRW1CSS", 4, 40_000),
+    ("SRW2CSS", 4, 12_000),
+    ("SRW1CSS", 5, 20_000),
+    ("SRW2CSSNB", 5, 3_000),
+    ("SRW3CSS", 5, 2_000),
+]
+
+
+def _walk_block(graph, method, k, budget):
+    """Every window a chains=64 CSR walk weighs, concatenated into one
+    block and shuffled so that template counts interleave."""
+    blocks = []
+    original = CSSWeightTable.weights
+
+    def record(self, masks, nodes, degree_fn):
+        blocks.append((masks.copy(), nodes.copy()))
+        return original(self, masks, nodes, degree_fn)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CSSWeightTable, "weights", record)
+        repro.estimate(graph, method, k=k, target=budget, chains=64, seed=3, backend="csr")
+    masks = np.concatenate([b[0] for b in blocks])
+    nodes = np.concatenate([b[1] for b in blocks])
+    order = np.random.default_rng(11).permutation(masks.shape[0])
+    return masks[order], nodes[order]
+
+
+@pytest.fixture(scope="module", params=BLOCK_METHODS, ids=lambda m: f"{m[0]}-k{m[1]}")
+def walk_block(request, karate):
+    method, k, budget = request.param
+    spec = MethodSpec.parse(method, k)
+    csr = CSRGraph.from_graph(karate)
+    masks, nodes = _walk_block(csr, method, k, budget)
+    counts = np.array([len(css_templates(m, k, spec.d)) for m in masks.tolist()])
+
+    def degree_fn(ids):
+        return state_degrees(csr, ids, spec.d, nominal=spec.nb)
+
+    return spec, masks, nodes, counts, degree_fn
+
+
+def _serial_degree(graph, spec):
+    """G(d) state degree from the list graph (SubgraphSpace for d = 3)."""
+    space = SubgraphSpace(spec.d) if spec.d >= 3 else None
+
+    def degree_of_state(state):
+        if spec.d == 1:
+            degree = graph.degree(state[0])
+        elif spec.d == 2:
+            degree = graph.degree(state[0]) + graph.degree(state[1]) - 2
+        else:
+            degree = len(space.neighbors(graph, tuple(state)))
+        return max(degree - 1, 1) if spec.nb else degree
+
+    return degree_of_state
+
+
+class TestGroupedWeights:
+    """Template-count grouping == the padded evaluation, bit for bit, on
+    walk-drawn blocks for every (k, d) the estimators run."""
+
+    def test_block_spans_several_chunks_and_counts(self, walk_block):
+        spec, _, _, counts, _ = walk_block
+        assert np.unique(counts).size > 1
+        gathered = counts.sum() * (spec.l - 2) * spec.d
+        assert gathered > 3 * css._GATHER_CHUNK
+        # Shuffled: neighbouring windows change template count often.
+        assert np.count_nonzero(np.diff(counts)) > 100
+
+    def test_equals_padded_evaluation(self, walk_block):
+        spec, masks, nodes, _, degree_fn = walk_block
+        got = CSSWeightTable(spec.k, spec.d).weights(masks, nodes, degree_fn)
+        want = padded_css_weights(masks, nodes, degree_fn, spec.k, spec.d)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_sampled_rows_equal_sampling_weight(self, walk_block, karate):
+        spec, masks, nodes, _, degree_fn = walk_block
+        got = CSSWeightTable(spec.k, spec.d).weights(masks, nodes, degree_fn)
+        degree_of_state = _serial_degree(karate, spec)
+        rows = np.random.default_rng(5).choice(masks.shape[0], 40, replace=False)
+        for row in rows.tolist():
+            want = sampling_weight(
+                int(masks[row]), nodes[row].tolist(), spec.k, spec.d, degree_of_state
+            )
+            assert got[row] == want
+
+    def test_single_count_block(self, walk_block):
+        """A block whose windows all share one template count."""
+        spec, masks, nodes, counts, degree_fn = walk_block
+        same = counts == np.bincount(counts).argmax()
+        got = CSSWeightTable(spec.k, spec.d).weights(masks[same], nodes[same], degree_fn)
+        want = padded_css_weights(masks[same], nodes[same], degree_fn, spec.k, spec.d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty_block(self, walk_block):
+        spec, _, _, _, degree_fn = walk_block
+        got = CSSWeightTable(spec.k, spec.d).weights(
+            np.zeros(0, dtype=np.int64), np.zeros((0, spec.k), dtype=np.int64), degree_fn
+        )
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestBatchedRunParity:

@@ -121,6 +121,39 @@ class TestRegistry:
             repro.estimate(karate, "path_sampling", k=3, budget=100)
 
 
+class TestTooFewNodes:
+    """A graph with fewer than k nodes holds no k-node graphlet: the
+    estimate raises instead of spending its budget on all-zero output."""
+
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    @pytest.mark.parametrize("chains", [1, 3])
+    def test_walk_raises(self, backend, chains):
+        path = repro.Graph.from_edges([(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"num_nodes=3 < k=4"):
+            repro.estimate(
+                path, "srw2css", k=4, target=200, seed=1, backend=backend,
+                chains=chains,
+            )
+
+    @pytest.mark.parametrize("backend", [None, "csr"])
+    def test_auto_raises_before_selection(self, backend):
+        path = repro.Graph.from_edges([(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=r"num_nodes=3 < k=4"):
+            repro.estimate(path, "auto", k=4, target=200, seed=1, backend=backend)
+
+    def test_exactly_k_nodes_still_runs(self):
+        path = repro.Graph.from_edges([(0, 1), (1, 2), (2, 3)])
+        result = repro.estimate(path, "srw2css", k=4, target=50, seed=1)
+        assert result.samples > 0
+
+    def test_restricted_graph_is_not_checked(self):
+        """A crawl exposes no ``num_nodes``, so the guard leaves it alone."""
+        api = RestrictedGraph(repro.Graph.from_edges([(0, 1), (1, 2)]), seed_node=0)
+        assert not hasattr(api, "num_nodes")
+        result = repro.estimate(api, "srw1", k=3, target=50, seed=1)
+        assert result.samples > 0
+
+
 class TestBitIdentityWithOldEntryPoints:
     """Acceptance: fixed-seed results are bit-identical to the old
     per-method entry points for SRW{1,2} and GUISE."""
