@@ -32,7 +32,7 @@ neighbor lists (all d <= 2 methods); see ``tests/test_csr.py``.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +66,17 @@ def _edge_array(edges: Iterable[Edge], label: str) -> np.ndarray:
             _coerce_node_id(u, (u, v))
             _coerce_node_id(v, (u, v))
     return arr.astype(np.int64, copy=False)
+
+
+def _probe_ids(us, vs) -> Tuple[np.ndarray, np.ndarray]:
+    """``has_edges`` ids as ``int64`` arrays of one shape, checked before
+    any cast: floats would truncate, bools read as 0/1, shapes broadcast."""
+    us, vs = np.asarray(us), np.asarray(vs)
+    if us.shape != vs.shape:
+        raise GraphError(f"probe id arrays differ in shape: {us.shape} and {vs.shape}")
+    if us.size and not {us.dtype.kind, vs.dtype.kind} <= {"i", "u"}:
+        raise GraphError(f"node ids must be integers, got {us.dtype} and {vs.dtype} probes")
+    return us.astype(np.int64, copy=False), vs.astype(np.int64, copy=False)
 
 
 class CSRGraph:
@@ -255,25 +266,22 @@ class CSRGraph:
         """Vectorized adjacency tests: ``out[i] = has_edge(us[i], vs[i])``.
 
         Encodes every directed edge as ``u * (n + 1) + v`` — a globally
-        monotone key sequence in CSR order — so a whole batch of probes is
-        one search of the graph's key table in ascending probe order
-        (built lazily, 8 bytes per directed edge; see
-        :mod:`repro.graphs.tables`).  When the
-        fused G(3) kernel has already built the graph's adjacency bitmap,
-        each probe is one gather and a bit test instead.  The encoding
-        only holds for ids in ``[0, num_nodes)`` (``v = n + 1`` would read
-        row ``u + 1``), so one bounds check per batch raises
-        :class:`GraphError` naming the first id outside that range.
+        monotone key sequence in CSR order — and answers from the graph's
+        lazily built tables (:mod:`repro.graphs.tables`): the fused G(3)
+        kernel's adjacency bitmap if built, else a probe-filter bit test
+        and an ordered key search for the probes that pass it.  Non-integer
+        ids, unequal shapes and ids outside ``[0, num_nodes)`` (``v = n + 1``
+        would read row ``u + 1``) raise :class:`GraphError`.
         """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
+        us, vs = _probe_ids(us, vs)
+        shape, us, vs = us.shape, us.reshape(-1), vs.reshape(-1)
         n = self.num_nodes
         # Negative ids wrap to huge unsigned values: one max per array
         # checks both bounds.
         if us.size and max(us.view(np.uint64).max(), vs.view(np.uint64).max()) >= n:
             bad = int(np.argmax((us < 0) | (us >= n) | (vs < 0) | (vs >= n)))
             raise self._node_range_error(us[bad] if not 0 <= us[bad] < n else vs[bad])
-        return self._edge_tables().has_edges(us, vs)
+        return self._edge_tables().has_edges(us, vs).reshape(shape)
 
     def _edge_tables(self) -> EdgeTables:
         """This graph's derived lookup tables (built once, then cached)."""

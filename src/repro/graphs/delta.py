@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 import numpy as np
 
 from .graph import Edge, GraphError
-from .csr import CSRGraph, _edge_array
+from .csr import CSRGraph, _edge_array, _probe_ids
 
 #: Initial capacity of the append-only log arrays (doubled on overflow).
 _LOG_INITIAL_CAPACITY = 16
@@ -357,18 +357,16 @@ class DeltaCSRGraph(CSRGraph):
         patches exactly the probes that hit a flipped edge — O(delta)
         extra work per batch, independent of graph size.
         """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        out = self.base.has_edges(us, vs)
+        us, vs = _probe_ids(us, vs)
+        out = self.base.has_edges(us, vs)  # fresh and contiguous: patched in place
         dkeys = self._dkeys
         if dkeys.size:
-            probes = us * (self.base.num_nodes + 1) + vs
+            probes = (us * (self.base.num_nodes + 1) + vs).reshape(-1)
             pos = np.searchsorted(dkeys, probes)
             pos[pos == dkeys.size] = 0  # safe gather; mask handles validity
             hit = dkeys[pos] == probes
             if np.any(hit):
-                out = out.copy() if not out.flags.writeable else out
-                out[hit] = self._dalive[pos[hit]]
+                out.reshape(-1)[hit] = self._dalive[pos[hit]]
         return out
 
     def __reduce__(self):

@@ -34,7 +34,8 @@ RAM footprint caveats
 The graph *structure* stays on disk, but its derived lookup tables
 (:mod:`repro.graphs.tables`) materialize in RAM on first use: the
 ``has_edges`` probe-key table (8 bytes per directed edge, built lazily
-by batched window classification) and, once a fused G(3) walk runs,
+by batched window classification) and its probe filter (2.5–5 bytes
+per directed edge) and, once a fused G(3) walk runs,
 the triangle table plus a memory-gated adjacency bitmap.  They are
 documented working sets of the vectorized fast paths, not leaks.
 """

@@ -8,10 +8,14 @@ every ``apply`` and ``compact``).  No pickle carries it.
 * **Probe keys** — the sorted directed edge keys ``u * (n + 1) + v`` in
   CSR order plus an ``int64`` max sentinel, so a ``searchsorted``
   position is always a valid index.  The first ``has_edges`` builds them.
-  :meth:`EdgeTables.search` answers a batch of probes in ascending key
-  order (one argsort, one ``searchsorted``, one scatter back): sorted
-  probes walk the 8-byte-per-edge table front to back, so neighbouring
-  probes share cache lines instead of each missing on its own.
+  :meth:`EdgeTables.search` answers the probes that pass the filter in
+  ascending key order (one argsort, one ``searchsorted``, one scatter
+  back): sorted probes walk the 8-byte-per-edge table front to back, so
+  neighbouring probes share cache lines instead of each missing alone.
+* **Probe filter** — each key sets one hashed bit in a table of about
+  :data:`FILTER_BITS_PER_KEY` bits per key, built in chunks by the first
+  ``has_edges`` the bitmap does not answer.  A clear bit settles a probe
+  as a non-edge; the filter fits in cache where the keys do not.
 * **G(3) tables** (:meth:`EdgeTables.build_g3`) — per-directed-edge
   triangle counts, the adjacency bitmap and int32 candidate ids.  Only
   the fused G(3) walk kernel asks for them, once per graph version.
@@ -43,7 +47,23 @@ MAX_BITMAP_WORDS = 1 << 23
 #: against 7.0 ms.
 ORDERED_MIN_PROBES = 384
 
+#: Probe-filter bits per key, rounded up to a power of two.  On a walk-k3
+#: batch (43.6k probes, 2% edges, 200k keys; 2-vCPU Xeon) the bare key
+#: search takes 2.36 ms; 2**21 bits pass 10.4% in 0.54 ms, 2**22 (512 KB)
+#: 6.2% in 0.51 ms, 2**23 4.0% in 0.40 ms, 2**22 with two hashes 2.8% in 0.55.
+FILTER_BITS_PER_KEY = 20
+
+_FILTER_CHUNK = 1 << 15  # keys hashed per build step: small temporaries
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)  # odd; 2**64 / golden ratio
+
 _SENTINEL = np.iinfo(np.int64).max
+
+
+def _filter_slots(keys: np.ndarray, filt: np.ndarray):
+    """Word and bit mask of each key's bit: the top bits of ``key * _HASH_MUL``."""
+    slot = keys.view(np.uint64) * _HASH_MUL >> np.uint64(60 - filt.size.bit_length())
+    slot = slot.view(np.int64)
+    return slot >> 5, np.uint32(1) << (slot & 31).astype(np.uint32)
 
 
 class EdgeTables:
@@ -60,6 +80,7 @@ class EdgeTables:
         "degs",
         "stride",
         "keys",
+        "filter",
         "g3",
         "tri",
         "bits",
@@ -78,6 +99,8 @@ class EdgeTables:
         keys[:-1] += self.indices
         keys[-1] = _SENTINEL
         self.keys = keys
+        #: uint32 probe-filter words; ``None`` until a keyed ``has_edges``.
+        self.filter: Optional[np.ndarray] = None
         #: ``None`` until :meth:`build_g3` runs, then whether it built.
         self.g3: Optional[bool] = None
         self.tri: Optional[np.ndarray] = None
@@ -109,16 +132,29 @@ class EdgeTables:
         return pos.reshape(probes.shape)
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Adjacency of each ``(us[i], vs[i])``; ids must be in range.
-
-        One gather and a bit test per pair when the bitmap exists, else
-        one :meth:`search` over the padded keys.
-        """
+        """Adjacency of each ``(us[i], vs[i])`` (1-D ids, in range): a bit
+        test in the bitmap when it exists, else in the probe filter and a
+        :meth:`search` of the padded keys for the probes that pass it."""
         if self.bits is not None:
             word = self.bits[us * self.words + (vs >> 5)]
             return ((word >> (vs & 31).astype(np.uint32)) & np.uint32(1)) != 0
         probes = us * self.stride + vs
-        return self.keys[self.search(probes)] == probes
+        filt = self.filter if self.filter is not None else self._build_filter()
+        word, bit = _filter_slots(probes, filt)
+        passed = np.flatnonzero(filt[word] & bit)
+        probes = probes[passed]
+        out = np.zeros(us.size, dtype=bool)
+        out[passed] = self.keys[self.search(probes)] == probes
+        return out
+
+    def _build_filter(self) -> np.ndarray:
+        keys = self.keys[:-1]
+        bits = max(int(FILTER_BITS_PER_KEY * keys.size - 1).bit_length(), 5)
+        filt = np.zeros(1 << (bits - 5), dtype=np.uint32)
+        for lo in range(0, keys.size, _FILTER_CHUNK):
+            np.bitwise_or.at(filt, *_filter_slots(keys[lo : lo + _FILTER_CHUNK], filt))
+        self.filter = filt  # only once complete: a partial one would miss edges
+        return filt
 
     def build_g3(self, jit=None) -> bool:
         """Build the fused G(3) kernel's tables once; returns whether

@@ -1,7 +1,8 @@
 """Graph-owned lookup tables (repro.graphs.tables): one build per graph
-version shared by every engine, bitmap-backed ``has_edges``, no
-reference cycle between graph and kernel, and pickles that carry only
-a graph's defining state."""
+version shared by every engine, bitmap-backed ``has_edges``, the exact
+and lazily built probe filter, no reference cycle between graph and
+kernel, pickles that carry only a graph's defining state, and
+``has_edges`` rejecting ids it would truncate or broadcast."""
 
 from __future__ import annotations
 
@@ -12,12 +13,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.exact import triads
 from repro.graphs import (
     CSRGraph,
     DeltaCSRGraph,
+    Graph,
     GraphError,
     JitCSRGraph,
     MmapCSRGraph,
@@ -204,20 +208,22 @@ def live_overlay() -> DeltaCSRGraph:
     return overlay
 
 
+@pytest.fixture(scope="module")
+def backends(tmp_path_factory):
+    """One BA graph as csr and mmap, and a BA overlay with live flips."""
+    csr = ba_csr()
+    directory = tmp_path_factory.mktemp("backends") / "layout"
+    csr.save(directory)
+    return {
+        "csr": csr,
+        "delta": live_overlay(),
+        "mmap": MmapCSRGraph.load(directory),
+    }
+
+
 class TestOrderedSearch:
     """``has_edges`` searches the key table in probe order; its answers
     must be those of one plain ``searchsorted`` on every backend."""
-
-    @pytest.fixture(scope="class")
-    def backends(self, tmp_path_factory):
-        csr = ba_csr()
-        directory = tmp_path_factory.mktemp("ordered") / "layout"
-        csr.save(directory)
-        return {
-            "csr": csr,
-            "delta": live_overlay(),
-            "mmap": MmapCSRGraph.load(directory),
-        }
 
     @pytest.mark.parametrize("backend", ["csr", "delta", "mmap"])
     @pytest.mark.parametrize(
@@ -330,3 +336,262 @@ class TestPickle:
         delta = DeltaCSRGraph(ba_csr())
         back = pickle.loads(pickle.dumps(delta))
         assert back.version == 0 and back.delta_edges == 0 and back == delta
+
+
+# ----------------------------------------------------------------------
+# The probe filter
+# ----------------------------------------------------------------------
+@st.composite
+def edge_sets(draw):
+    """A node count and a random simple edge set over it (maybe empty)."""
+    n = draw(st.integers(1, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=120)) if pairs else []
+    return n, picked
+
+
+def set_graph(n, edges):
+    """The CSR graph of ``edges`` and its directed edge set."""
+    graph = CSRGraph.from_graph(Graph(n, edges))
+    return graph, set(edges) | {(v, u) for u, v in edges}
+
+
+def corner_probes(n, edges, rng, size=600):
+    """Random probes plus ids 0 and n − 1, ``u == v`` and every edge in
+    both orientations."""
+    us, vs = random_pairs(n, size, seed=int(rng.integers(2**31)))
+    ends = [0, n - 1]
+    extra = [(a, b) for a in ends for b in ends] + [(u, u) for u in range(n)]
+    extra += [(u, v) for u, v in edges] + [(v, u) for u, v in edges]
+    return np.r_[us, [a for a, _ in extra]], np.r_[vs, [b for _, b in extra]]
+
+
+def assert_matches_set(graph, truth, us, vs):
+    got = graph.has_edges(us, vs)
+    want = [(int(u), int(v)) in truth for u, v in zip(us, vs)]
+    assert got.dtype == bool and got.shape == us.shape
+    assert got.tolist() == want
+
+
+def absent_pair(graph):
+    """The first non-edge ``(0, v)`` of ``graph``."""
+    v = next(v for v in range(1, graph.num_nodes) if not graph.has_edge(0, v))
+    return 0, v
+
+
+def one_word_filter(held):
+    """A real filter built at one uint32 word: every key collides."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tables, "FILTER_BITS_PER_KEY", 0)
+        return held._build_filter()
+
+
+class TestProbeFilterExactness:
+    """The filter only ever skips the key search for non-edges: every
+    answer equals set membership, and the key search alone decides the
+    probes that pass."""
+
+    @given(edge_sets(), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_filtered_has_edges_equals_a_set_of_edges(self, drawn, seed):
+        n, edges = drawn
+        graph, truth = set_graph(n, edges)
+        us, vs = corner_probes(n, edges, np.random.default_rng(seed))
+        assert_matches_set(graph, truth, us, vs)
+        assert graph._tables.filter is not None
+        for u, v in zip(us[:20].tolist(), vs[:20].tolist()):
+            got = graph.has_edges(np.int64(u), np.int64(v))
+            assert got.shape == () and bool(got) == ((u, v) in truth)
+
+    @pytest.mark.parametrize(
+        "edges, words", [([], 1), ([(0, 4)], 2)], ids=["edgeless", "one-edge"]
+    )
+    def test_tiny_graphs(self, edges, words):
+        graph, truth = set_graph(5, edges)
+        us, vs = np.meshgrid(np.arange(5), np.arange(5))
+        assert_matches_set(graph, truth, us.ravel(), vs.ravel())
+        # 2**5 bits at least; 40 bits for the one edge's two keys -> 2**6.
+        assert graph._tables.filter.size == words
+
+    @pytest.mark.parametrize("forced", ["all-ones", "one-word"])
+    @pytest.mark.parametrize(
+        "size", [1, tables.ORDERED_MIN_PROBES - 1, tables.ORDERED_MIN_PROBES, 5_000]
+    )
+    def test_key_search_alone_decides_passing_probes(self, forced, size):
+        graph = ba_csr()
+        held = graph._edge_tables()
+        if forced == "all-ones":
+            held.filter = np.full(4, np.uint32(0xFFFFFFFF))
+        else:
+            held.filter = one_word_filter(held)
+            assert held.filter.size == 1
+        _, truth = set_graph(graph.num_nodes, list(graph.edges()))
+        us, vs = probe_batches(graph)["mixed"]
+        us, vs = us[-size:], vs[-size:]
+        assert_matches_set(graph, truth, us, vs)
+
+    def test_every_key_sets_its_bit(self):
+        held = ba_csr(2000, 10, seed=0)._edge_tables()
+        filt = held._build_filter()
+        word, bit = tables._filter_slots(held.keys[:-1], filt)
+        assert np.all(filt[word] & bit)
+        assert filt.size == 1 << (int(20 * (held.keys.size - 1) - 1).bit_length() - 5)
+
+    def test_chunked_build_equals_one_shot(self, monkeypatch):
+        held = ba_csr(2000, 10, seed=0)._edge_tables()
+        chunked = held._build_filter()
+        monkeypatch.setattr(tables, "_FILTER_CHUNK", held.keys.size)
+        assert np.array_equal(held._build_filter(), chunked)
+
+    def test_few_non_edges_pass(self):
+        """Count guard: at 20 bits per key, under 8% of random non-edge
+        probes reach the key search."""
+        graph = CSRGraph.from_graph(barabasi_albert(2000, 10, seed=0))
+        held = graph._edge_tables()
+        filt = held._build_filter()
+        us, vs = random_pairs(graph.num_nodes, 120_000, seed=5)
+        miss = ~graph.has_edges(us, vs)
+        probes = (us * held.stride + vs)[miss][:100_000]
+        assert probes.size == 100_000
+        word, bit = tables._filter_slots(probes, filt)
+        assert np.count_nonzero(filt[word] & bit) < 8_000
+
+
+class TestProbeFilterLifetime:
+    def test_absent_until_the_first_keyed_has_edges(self):
+        graph = ba_csr()
+        assert graph._edge_tables().filter is None
+        graph.has_edges(*random_pairs(graph.num_nodes, 10))
+        filt = graph._tables.filter
+        assert filt is not None
+        graph.has_edges(*random_pairs(graph.num_nodes, 10, seed=1))
+        assert graph._tables.filter is filt  # built once
+
+    def test_key_readers_and_bitmap_probes_never_build_it(self, monkeypatch):
+        built = []
+        original = tables.EdgeTables._build_filter
+
+        def counted(self):
+            built.append(self)
+            return original(self)
+
+        monkeypatch.setattr(tables.EdgeTables, "_build_filter", counted)
+        graph = ba_csr()
+        graph._directed_keys()
+        assert g3_tables(graph).bits is not None
+        graph.has_edges(*random_pairs(graph.num_nodes, 5_000))
+        assert built == []
+        # The delta splice reads its base's keys only.  (Validating the
+        # batch probes the base, which may build the base's filter.)
+        delta = DeltaCSRGraph(ba_csr())
+        delta.apply(inserts=[absent_pair(delta)])
+        built.clear()
+        delta._directed_keys()
+        fresh = delta.compact()
+        assert built == [] and delta._tables is None and fresh._tables is None
+
+    def test_delta_apply_and_compact_drop_it(self):
+        gc.disable()
+        try:
+            delta = DeltaCSRGraph(ba_csr())
+            us, vs = random_pairs(delta.num_nodes, 1_000)
+            delta.has_edges(us, vs)  # builds the base's filter
+            base_filter = weakref.ref(delta.base._tables.filter)
+            delta._edge_tables().has_edges(us, vs)  # the merged view's
+            merged_filter = weakref.ref(delta._tables.filter)
+            delta.apply(inserts=[absent_pair(delta)])
+            assert delta._tables is None and merged_filter() is None
+            assert base_filter() is not None  # the base did not change
+            delta.compact()
+            assert base_filter() is None
+            assert delta.base._tables is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_no_pickle_or_deep_copy_carries_it(self, form):
+        cold, graph = FORMS[form](), FORMS[form]()
+        us, vs = random_pairs(graph.num_nodes, 5_000)
+        want = graph.has_edges(us, vs)
+        # An overlay probes through its base's tables.
+        filt = getattr(graph, "base", graph)._tables.filter
+        assert filt is not None
+        assert len(pickle.dumps(graph)) == len(pickle.dumps(cold))
+        for back in (pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+            assert back._tables is None
+            # Restoring an overlay replays its log, which may probe (and
+            # so filter) the restored base afresh; it never shares ours.
+            held = getattr(back, "base", back)._tables
+            assert held is None or held.filter is not filt
+            assert np.array_equal(back.has_edges(us, vs), want)
+
+    def test_freed_with_its_graph(self):
+        gc.disable()
+        try:
+            graph = ba_csr()
+            graph.has_edges(*random_pairs(graph.num_nodes, 1_000))
+            filt = weakref.ref(graph._tables.filter)
+            del graph
+            assert filt() is None
+        finally:
+            gc.enable()
+
+
+class TestHostileProbeIds:
+    """``has_edges`` rejects ids it would otherwise truncate, alias or
+    broadcast, before casting them, on every backend."""
+
+    @pytest.mark.parametrize("backend", ["csr", "delta", "mmap"])
+    @pytest.mark.parametrize(
+        "us, vs",
+        [
+            ([0.9], [1.0]),
+            (np.array([0.0, 1.0]), np.array([1, 2])),
+            (np.array([0, 1]), np.array([1.5, 2.0])),
+            (np.array([True]), np.array([False])),
+            (np.array([0]), np.array([True])),
+            (np.array(["0"]), np.array(["1"])),
+            (np.array([0], dtype=object), np.array([1], dtype=object)),
+        ],
+        ids=["float-list", "float-us", "float-vs", "bool", "bool-vs", "str", "object"],
+    )
+    def test_non_integer_ids_raise(self, backends, backend, us, vs):
+        with pytest.raises(GraphError, match="node ids must be integers"):
+            backends[backend].has_edges(us, vs)
+
+    @pytest.mark.parametrize("backend", ["csr", "delta", "mmap"])
+    @pytest.mark.parametrize(
+        "shapes", [((3, 1), (3,)), ((1,), (3,)), ((), (2,)), ((2, 3), (3, 2))]
+    )
+    def test_unequal_shapes_raise(self, backends, backend, shapes):
+        us, vs = (np.zeros(shape, dtype=np.int64) for shape in shapes)
+        with pytest.raises(GraphError, match="differ in shape"):
+            backends[backend].has_edges(us, vs)
+
+    @pytest.mark.parametrize("backend", ["csr", "delta", "mmap"])
+    def test_integer_ids_of_any_width_and_shape_answer(self, backends, backend):
+        graph = backends[backend]
+        us, vs = random_pairs(graph.num_nodes, 600)
+        want = graph.has_edges(us, vs)
+        for dtype in (np.int32, np.uint16, np.uint64):
+            got = graph.has_edges(us.astype(dtype), vs.astype(dtype))
+            assert np.array_equal(got, want)
+        grid = graph.has_edges(us.reshape(20, 30), vs.reshape(20, 30))
+        assert grid.shape == (20, 30) and np.array_equal(grid.ravel(), want)
+        assert graph.has_edges([], []).size == 0
+
+    @pytest.mark.parametrize("backend", ["csr", "delta", "mmap"])
+    def test_zero_d_ids(self, backends, backend):
+        """0-d ids answer 0-d, flips included, and out-of-range ones raise
+        ``GraphError`` (they raised ``IndexError``, and a 0-d probe of an
+        overlay's flipped pair a ``TypeError``)."""
+        graph = backends[backend]
+        pairs = [(0, 1), (0, 299), (5, 5)]
+        if backend == "delta":
+            stride = graph.num_nodes + 1
+            pairs += [divmod(int(key), stride) for key in graph._dkeys]
+        for u, v in pairs:
+            got = graph.has_edges(np.int64(u), np.int64(v))
+            assert got.shape == () and bool(got) == graph.has_edge(u, v)
+        with pytest.raises(GraphError, match="out of range"):
+            graph.has_edges(np.int64(0), np.int64(graph.num_nodes))
