@@ -5,7 +5,10 @@ Two library extensions beyond the paper's Algorithm 1:
 * ``run_joint_estimation`` — the MSS idea of Wang et al. [36] generalized
   to this framework: one walk on G(2) carries windows of lengths 2, 3 and
   4 simultaneously, so a single API-budget crawl yields 3-, 4- *and*
-  5-node concentrations at once.
+  5-node concentrations at once.  Every size's window t starts at walk
+  step t, so each size's estimate equals its own standalone SRW2CSS run
+  (SRW2 for k = 3) at the same seed, bit for bit; only the crawl is
+  shared.
 * ``run_with_checkpoints`` — snapshots of the running estimate along one
   walk, rendering the anytime convergence curve without re-walking.
 

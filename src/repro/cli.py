@@ -38,6 +38,7 @@ from .evaluation import format_table, nrmse_table
 from .exact import exact_concentrations
 from .graphlets import graphlet_by_name, graphlets
 from .graphs import (
+    BACKENDS,
     Graph,
     largest_connected_component,
     list_datasets,
@@ -560,12 +561,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default=None,
-        choices=("list", "csr", "csr-jit", "delta", "mmap"),
+        choices=BACKENDS,
         help="graph storage backend (csr enables vectorized multi-chain "
-        "walks for every G(d), including SRW3/SRW4/PSRW; csr-jit adds "
-        "the optional numba kernels for the fused d=3 fast path, "
-        "falling back to csr with a warning when numba is missing; "
-        "delta wraps the graph in an updatable overlay with the same "
+        "walks for every G(d), including SRW3/SRW4/PSRW; delta wraps the graph in an updatable overlay with the same "
         "fast paths; mmap serves the CSR arrays from disk-backed "
         "memory maps — same results bit-for-bit, bounded RAM)",
     )

@@ -227,6 +227,11 @@ def _effective_degree_fn(
 class _SerialChain:
     """One walker-driven chain of Algorithm 1, resumable.
 
+    The caller hands over the walker: anything with a ``state`` and a
+    ``step()`` that returns the next state of a walk on G(d).
+    :class:`SRWSession` gives each chain its own walker;
+    :func:`~repro.core.joint.run_joint_estimation` gives each graphlet
+    size a replay of one shared walk.
     Construction walks ``burn_in`` discarded transitions and builds the
     initial window of l states (Algorithm 1 line 3); each
     :meth:`advance` then runs the loop body — classify and re-weight the
@@ -234,19 +239,12 @@ class _SerialChain:
     counted transitions, keeping window and sums between calls.
     """
 
-    def __init__(
-        self, graph, spec: MethodSpec, alphas, rng: random.Random,
-        seed_node: int, burn_in: int,
-    ) -> None:
-        space = walk_space(spec.d)
-        walker = make_walk(
-            graph, space, non_backtracking=spec.nb, rng=rng, seed_node=seed_node
-        )
+    def __init__(self, graph, spec: MethodSpec, alphas, walker, burn_in: int = 0) -> None:
         self.graph = graph
         self.spec = spec
         self.alphas = alphas
         self.walker = walker
-        self.effective_degree = _effective_degree_fn(graph, space, spec)
+        self.effective_degree = _effective_degree_fn(graph, walk_space(spec.d), spec)
         self.sums = np.zeros(len(alphas))
         self.sample_counts = np.zeros(len(alphas), dtype=np.int64)
         self.valid_samples = 0
@@ -620,8 +618,16 @@ class SRWSession(Session):
                 chain_rngs = [random.Random(rng.randrange(2**63)) for _ in range(chains)]
             else:
                 chain_rngs = [rng]
+            space = walk_space(spec.d)
             self._serial = [
-                _SerialChain(graph, spec, self._alphas, chain_rng, seed_node, burn_in)
+                _SerialChain(
+                    graph, spec, self._alphas,
+                    make_walk(
+                        graph, space, non_backtracking=spec.nb, rng=chain_rng,
+                        seed_node=seed_node,
+                    ),
+                    burn_in,
+                )
                 for chain_rng in chain_rngs
             ]
         self._elapsed = time.perf_counter() - start

@@ -8,28 +8,58 @@ of length ``l_k = k - d + 1`` — so a single SRW on G(2) can estimate 3-,
 4- and 5-node concentrations at once, amortizing the crawl cost (which,
 under restricted access, is the expensive part).
 
-Each size gets the standard unbiased weighting (basic or CSS), so every
-marginal estimator is exactly the one analyzed in §3/§4; only the walk is
-shared.  This module is the library's implementation of the paper's
-"future work" direction and is exercised by the joint-estimation tests and
-the crawling example.
+Each size runs the one serial SRW chain of :mod:`repro.core.estimator`
+over the shared walk, and its windows are start-aligned: size k's window
+t covers walk states t .. t + l_k - 1, exactly as in a standalone run.
+So every size's sums equal, bit for bit, a standalone
+:func:`~repro.core.estimator.run_estimation` of that size at the same
+seed and step count, while the walk itself — and every API call it
+makes — is paid once: ``steps + l_max - 1`` transitions, as for the
+longest size alone.  This module is the library's implementation of the
+paper's "future work" direction and is exercised by the
+joint-estimation tests and the crawling example.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Dict, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Dict, Optional, Sequence
 
-import numpy as np
-
-from ..graphlets.catalog import classify_bitmask, graphlets
 from ..relgraph.spaces import walk_space
 from ..walks.walkers import make_walk
 from .alpha import alpha_table
-from .css import sampling_weight
-from .expanded_chain import nominal_degree
+from .estimator import MethodSpec, _SerialChain, _srw_meta
 from .result import Estimate
+
+#: Transitions each size's chain runs per round; the shared walk buffers
+#: at most ``l_max + JOINT_BLOCK`` states.
+JOINT_BLOCK = 1024
+
+
+class _SharedWalk:
+    """One walk, handed out in stretches to several readers.
+
+    States are drawn from the walker only when a stretch first needs
+    them and dropped by :meth:`release` once every reader is past.
+    """
+
+    def __init__(self, walker) -> None:
+        self.walker = walker
+        self.states = [walker.state]
+        self.first = 0  # walk index of states[0]
+
+    def stretch(self, lo: int, hi: int):
+        """A ``step`` function returning walk states ``lo .. hi - 1``."""
+        while self.first + len(self.states) < hi:
+            self.states.append(self.walker.step())
+        return iter(self.states[lo - self.first : hi - self.first]).__next__
+
+    def release(self, index: int) -> None:
+        """Drop the states before walk index ``index``."""
+        del self.states[: index - self.first]
+        self.first = index
 
 
 def run_joint_estimation(
@@ -48,15 +78,19 @@ def run_joint_estimation(
     ----------
     ks:
         Graphlet sizes, each >= max(3, d + 1) (the window must have length
-        >= 2).  CSS additionally requires ``k - d + 1 > 2``.
+        >= 2).  With ``css=True``, a size with ``k - d + 1 = 2`` uses the
+        basic weighting, which CSS coincides with there.
     d, steps, css, nb, seed_node:
         As in :func:`repro.core.estimator.run_estimation`; one walk of
-        ``steps`` transitions is shared by all sizes.
+        ``steps + l_max - 1`` transitions is shared by all sizes.
 
     Returns
     -------
     dict k -> :class:`~repro.core.result.Estimate`, each carrying the
-    method name ``SRW{d}[CSS][NB]`` and the shared step count.
+    method name ``SRW{d}[CSS][NB]`` and the shared step count.  Size k's
+    sums and sample counts equal ``run_estimation(graph, MethodSpec(k, d,
+    css=css and k - d + 1 > 2, nb=nb), steps, rng=random.Random(s))``
+    bit for bit when ``rng`` is ``random.Random(s)``.
     """
     sizes = sorted(set(ks))
     if not sizes:
@@ -66,95 +100,45 @@ def run_joint_estimation(
             raise ValueError(f"graphlet size {k} < 3")
         if k - d + 1 < 2:
             raise ValueError(f"k={k} needs d <= k - 1 (got d={d})")
-        # For sizes with l = 2 (k = d + 1), CSS degenerates to the basic
-        # weighting (p~ = alpha); sampling_weight handles that uniformly,
-        # so mixed window lengths need no special-casing.
     if steps <= 0:
         raise ValueError("steps must be positive")
 
+    start = time.perf_counter()
     rng = rng if rng is not None else random.Random()
-    space = walk_space(d)
-    walker = make_walk(graph, space, non_backtracking=nb, rng=rng, seed_node=seed_node)
+    walker = make_walk(
+        graph, walk_space(d), non_backtracking=nb, rng=rng, seed_node=seed_node
+    )
+    origin = walker.state
+    shared = _SharedWalk(walker)
+    chains = {}
+    for k in sizes:
+        spec = MethodSpec(k, d, css=css and k - d + 1 > 2, nb=nb)
+        # Each chain's walker is a replay whose ``step`` is set to each
+        # stretch of the shared walk in turn.
+        replay = SimpleNamespace(state=origin, step=shared.stretch(1, spec.l))
+        chains[k] = _SerialChain(graph, spec, alpha_table(k, d), replay)
+    # After ``done`` counted transitions size k's window starts at walk
+    # state ``done``, so its next ``n`` steps read states l_k + done on.
+    for done in range(0, steps, JOINT_BLOCK):
+        n = min(JOINT_BLOCK, steps - done)
+        for chain in chains.values():
+            lo = chain.spec.l + done
+            chain.walker.step = shared.stretch(lo, lo + n)
+            chain.advance(n)
+        shared.release(done + n)
+    elapsed = time.perf_counter() - start
 
-    if d == 1:
-        def state_degree(state: Tuple[int, ...]) -> int:
-            return graph.degree(state[0])
-    elif d == 2:
-        def state_degree(state: Tuple[int, ...]) -> int:
-            return graph.degree(state[0]) + graph.degree(state[1]) - 2
-    else:
-        def state_degree(state: Tuple[int, ...]) -> int:
-            return space.degree(graph, state)
-
-    if nb:
-        def effective_degree(state: Tuple[int, ...]) -> int:
-            return nominal_degree(state_degree(state))
-    else:
-        effective_degree = state_degree
-
-    alphas = {k: alpha_table(k, d) for k in sizes}
-    sums = {k: np.zeros(len(alphas[k])) for k in sizes}
-    sample_counts = {k: np.zeros(len(alphas[k]), dtype=np.int64) for k in sizes}
-    valid = {k: 0 for k in sizes}
-
-    max_l = max(k - d + 1 for k in sizes)
-    window = [walker.state]
-    for _ in range(max_l - 1):
-        window.append(walker.step())
-    degrees = [effective_degree(s) for s in window]
-
-    neighbor_set = graph.neighbor_set
-    start_time = time.perf_counter()
-    for _ in range(steps):
-        for k in sizes:
-            l = k - d + 1
-            tail = window[max_l - l :]
-            nodes = sorted({v for state in tail for v in state})
-            if len(nodes) != k:
-                continue
-            mask = 0
-            bit = 0
-            for i in range(k):
-                u_adj = neighbor_set(nodes[i])
-                for j in range(i + 1, k):
-                    if nodes[j] in u_adj:
-                        mask |= 1 << bit
-                    bit += 1
-            type_index = classify_bitmask(mask, k)
-            if css:
-                weight = 1.0 / sampling_weight(mask, nodes, k, d, effective_degree)
-            else:
-                weight = 1.0 / alphas[k][type_index]
-                for degree in degrees[max_l - l + 1 : max_l - 1]:
-                    weight *= degree
-            sums[k][type_index] += weight
-            sample_counts[k][type_index] += 1
-            valid[k] += 1
-
-        window.pop(0)
-        window.append(walker.step())
-        degrees.pop(0)
-        degrees.append(effective_degree(window[-1]))
-
-    elapsed = time.perf_counter() - start_time
     method = f"SRW{d}" + ("CSS" if css else "") + ("NB" if nb else "")
     return {
         k: Estimate(
             method=method,
             k=k,
             steps=steps,
-            samples=valid[k],
-            sums=sums[k],
-            sample_counts=sample_counts[k],
+            samples=chain.valid_samples,
+            sums=chain.sums,
+            sample_counts=chain.sample_counts,
             elapsed_seconds=elapsed,
-            meta={
-                "d": d,
-                "css": css,
-                "nb": nb,
-                "chains": 1,
-                "unreachable": tuple(i for i, a in enumerate(alphas[k]) if a == 0),
-                "api_calls": getattr(graph, "api_calls", None),
-            },
+            meta={**_srw_meta(chain.spec, chain.alphas, graph), "css": css},
         )
-        for k in sizes
+        for k, chain in chains.items()
     }

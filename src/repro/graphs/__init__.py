@@ -1,7 +1,7 @@
 """Graph substrate: core graph type, generators, I/O, access models."""
 
 from .access import AccessViolation, RestrictedGraph
-from .csr import BACKENDS, CSRGraph, JitCSRGraph, as_backend
+from .csr import BACKENDS, CSRGraph, as_backend
 from .delta import DeltaCSRGraph
 from .ingest import IngestReport, ingest_edge_list
 from .mmap import MmapCSRGraph, is_mmap_dir, save_csr, to_mmap
@@ -68,7 +68,6 @@ __all__ = [
     "GraphError",
     "GraphSummary",
     "IngestReport",
-    "JitCSRGraph",
     "KARATE_EDGES",
     "MmapCSRGraph",
     "RestrictedGraph",

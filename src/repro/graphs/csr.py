@@ -418,30 +418,14 @@ class CSRGraph:
         return MmapCSRGraph.load(directory, verify=verify)
 
 
-class JitCSRGraph(CSRGraph):
-    """A :class:`CSRGraph` flagged for the optional numba fast path.
-
-    Same storage, same read surface; the class identity is the flag the
-    batched engine checks to route the fused d = 3 inner loops through
-    :mod:`repro.relgraph.jitkernels`.  Build via
-    ``as_backend(graph, "csr-jit")`` — when numba is not importable the
-    conversion warns once and returns a plain :class:`CSRGraph`, so the
-    flag never silently promises a fast path it cannot deliver.
-    """
-
-    __slots__ = ()
-
-
-BACKENDS = ("list", "csr", "csr-jit", "delta", "mmap")
+BACKENDS = ("list", "csr", "delta", "mmap")
 
 
 def as_backend(graph, backend: str, context: Optional[str] = None):
     """Convert ``graph`` to the named storage backend.
 
     ``"list"`` is the seed :class:`Graph` (lists + sets); ``"csr"`` is
-    :class:`CSRGraph`; ``"csr-jit"`` is CSR flagged for the optional
-    numba kernels (falls back to plain CSR with a warning when numba is
-    missing); ``"delta"`` is the mutable
+    :class:`CSRGraph`; ``"delta"`` is the mutable
     :class:`~repro.graphs.delta.DeltaCSRGraph` overlay for edge-stream
     workloads; ``"mmap"`` is the disk-backed
     :class:`~repro.graphs.mmap.MmapCSRGraph` (an in-RAM graph is spilled
@@ -467,33 +451,6 @@ def as_backend(graph, backend: str, context: Optional[str] = None):
                 "to keep the crawl-access wrapper as-is, or convert the "
                 "underlying full-access graph to CSR before wrapping it"
             ) from None
-    if backend == "csr-jit":
-        from ..relgraph.jitkernels import HAVE_NUMBA
-
-        if not HAVE_NUMBA:
-            import warnings
-
-            warnings.warn(
-                'backend="csr-jit" requested but numba is not installed; '
-                "falling back to the plain csr backend (same results, "
-                "NumPy kernels). Install the optional numba extra to "
-                "enable the jit fast path.",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return as_backend(graph, "csr", context=context)
-        if isinstance(graph, JitCSRGraph):
-            return graph
-        try:
-            base = (
-                graph
-                if isinstance(graph, CSRGraph)
-                else CSRGraph.from_graph(graph)
-            )
-        except GraphError as exc:
-            site = context or 'as_backend(graph, "csr-jit")'
-            raise GraphError(f"{site}: {exc}") from None
-        return JitCSRGraph(base.indptr, base.indices)
     if backend == "delta":
         from .delta import DeltaCSRGraph
 

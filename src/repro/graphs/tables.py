@@ -29,11 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-#: NumPy triangle-table builds beyond this many adjacency probes
+#: Triangle-table builds beyond this many adjacency probes
 #: (``sum(min(deg u, deg v))`` over undirected edges) are skipped: the
 #: walk engine steps G(3) through the generic swap frontier (one sort of
-#: the state rows per transition) rather than stalling start-up.  The jit build streams two-pointer merges and
-#: ignores the cap.
+#: the state rows per transition) rather than stalling start-up.
 MAX_TRI_PROBES = 50_000_000
 
 #: Largest adjacency bitmap worth carrying: 2**23 uint32 words = 32 MiB,
@@ -156,10 +155,9 @@ class EdgeTables:
         self.filter = filt  # only once complete: a partial one would miss edges
         return filt
 
-    def build_g3(self, jit=None) -> bool:
+    def build_g3(self) -> bool:
         """Build the fused G(3) kernel's tables once; returns whether
-        they exist.  ``jit`` is :mod:`repro.relgraph.jitkernels` on the
-        ``csr-jit`` backend with numba present, else ``None``."""
+        they exist."""
         if self.g3 is not None:
             return self.g3
         self.g3 = False
@@ -168,19 +166,16 @@ class EdgeTables:
         if indices.size == 0:
             return False
         rows = self._rows()
-        if jit is not None:
-            tri = jit.tri_counts(indptr, indices)
-        else:
-            probes = int(np.minimum(degs[rows], degs[indices]).sum()) // 2
-            if probes > MAX_TRI_PROBES:
-                return False  # unfused fallback beats a minutes-long build
-            # One census, two consumers: the exact-triads module owns the
-            # blocked intersection kernel.
-            from ..exact.triads import edge_triangle_counts
+        probes = int(np.minimum(degs[rows], degs[indices]).sum()) // 2
+        if probes > MAX_TRI_PROBES:
+            return False  # unfused fallback beats a minutes-long build
+        # One census, two consumers: the exact-triads module owns the
+        # blocked intersection kernel.
+        from ..exact.triads import edge_triangle_counts
 
-            tri = edge_triangle_counts(
-                indptr, indices, degs=degs, rows=rows, keys=self.keys[:-1]
-            )
+        tri = edge_triangle_counts(
+            indptr, indices, degs=degs, rows=rows, keys=self.keys[:-1]
+        )
         # The sentinel slot pairs with the keys' one: a probe that lands
         # on it reads a zero count.
         self.tri = np.concatenate([tri, [0]])

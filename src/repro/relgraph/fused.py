@@ -32,12 +32,6 @@ same canonical order as the generic frontier — swap-out position
 ascending, then swap-in node id ascending — so a fixed seed yields
 bit-identical trajectories: the kernel consumes exactly one uniform per
 chain per transition, like :meth:`VectorSubgraphSpace.propose`.
-
-With the ``csr-jit`` backend (:func:`repro.graphs.as_backend`) and numba
-installed, the innermost ragged-gather/dedup loops — triangle-count
-build, segment counting/ranking and segment selection — run as compiled
-two-pointer merges over the CSR arrays (:mod:`repro.relgraph.jitkernels`)
-instead of the NumPy sort pipeline, with identical outputs.
 """
 
 from __future__ import annotations
@@ -70,14 +64,9 @@ class FusedD3Kernel:
     :meth:`ready` and :meth:`propose` call, so graph and kernel never
     form a cycle and a dropped graph frees its tables at once, without
     waiting for the cyclic collector.
-
-    ``jit`` is the :mod:`repro.relgraph.jitkernels` module when the
-    graph rides the ``csr-jit`` backend and numba is importable, else
-    ``None`` (the NumPy sort pipeline).
     """
 
-    def __init__(self, csr, jit=None) -> None:
-        self.jit = jit
+    def __init__(self, csr) -> None:
         # Node-id bits of the lane-composite keys: a power-of-2 node
         # stride makes the lane/value split a shift+mask instead of a
         # division.  A graph's node count is fixed for life (overlay
@@ -95,10 +84,10 @@ class FusedD3Kernel:
         """The graph's current tables with their G(3) part, or ``None``
         when the graph cannot carry them."""
         tables = csr._edge_tables()
-        return tables if tables.build_g3(self.jit) else None
+        return tables if tables.build_g3() else None
 
     # ------------------------------------------------------------------
-    # Per-segment candidate machinery (NumPy path)
+    # Per-segment candidate machinery
     # ------------------------------------------------------------------
     def _iota(self, n: int) -> np.ndarray:
         """Cached ``arange(n)`` prefix (every gather re-derives one)."""
@@ -211,26 +200,9 @@ class FusedD3Kernel:
         lane_of = np.repeat(self._iota(m), sizes)
         return np.bincount(lane_of[hits], minlength=m)
 
-    def _segment_count(self, t, x, y, excl, inter) -> np.ndarray:
-        """Valid-candidate count of one segment per lane."""
-        if x.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        if self.jit is not None:
-            bound = np.full(x.size, t.num_nodes, dtype=np.int64)
-            return self.jit.segment_rank(
-                t.indptr, t.indices, x, y,
-                excl[:, 0], excl[:, 1], excl[:, 2], bound, inter,
-            )
-        return self._segment_candidates(t, x, y, excl, inter)[1]
-
     def _segment_rank(self, t, x, y, excl, bound, inter) -> np.ndarray:
         """Per lane: how many valid candidates of the segment precede
         ``bound`` in the canonical (ascending id) order."""
-        if self.jit is not None:
-            return self.jit.segment_rank(
-                t.indptr, t.indices, x, y,
-                excl[:, 0], excl[:, 1], excl[:, 2], bound, inter,
-            )
         kept, _, _ = self._segment_candidates(t, x, y, excl, inter)
         shift = self._shift
         lanes = kept >> (shift + 1)
@@ -240,11 +212,6 @@ class FusedD3Kernel:
 
     def _segment_select(self, t, x, y, excl, within, inter) -> np.ndarray:
         """The ``within``-th valid candidate of the segment, per lane."""
-        if self.jit is not None:
-            return self.jit.segment_select(
-                t.indptr, t.indices, x, y,
-                excl[:, 0], excl[:, 1], excl[:, 2], within, inter,
-            )
         kept, _, offsets = self._segment_candidates(t, x, y, excl, inter)
         # Only the chosen element per lane is unpacked from its key.
         mask = kept.dtype.type((1 << self._shift) - 1)
@@ -277,18 +244,11 @@ class FusedD3Kernel:
         if lanes.size:
             x = states[lanes, _XI[js]]
             y = states[lanes, _YI[js]]
-            if self.jit is not None:
-                counts[lanes, js] = self._segment_count(
-                    t, x, y, states[lanes], np.ones(lanes.size, dtype=bool)
-                )
-            else:
-                # x, y, and the dropped node are the only state nodes the
-                # intersection could contain, and only the dropped node
-                # actually can (x !~ y keeps them out of each other's
-                # rows) — it is in iff it neighbors both.
-                counts[lanes, js] = self._isect_count(t, x, y) - (
-                    (ox & oy)[lanes, js]
-                )
+            # x, y, and the dropped node are the only state nodes the
+            # intersection could contain, and only the dropped node
+            # actually can (x !~ y keeps them out of each other's rows) —
+            # it is in iff it neighbors both.
+            counts[lanes, js] = self._isect_count(t, x, y) - (ox & oy)[lanes, js]
         return counts, e
 
     def _advance(self, t, states, e, counts, r, out):

@@ -44,7 +44,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphs.csr import CSRGraph, JitCSRGraph
+from ..graphs.csr import CSRGraph
 from ..relgraph.fused import FusedD3Kernel
 from ..relgraph.vectorized import VectorSpace, vector_space
 
@@ -81,6 +81,24 @@ def batch_capable(graph, d: int) -> bool:
     """Boolean form of :func:`batch_support` (kept for call sites that
     only branch)."""
     return batch_support(graph, d)[0]
+
+
+def check_seed_node(graph, seed_node) -> None:
+    """Reject a walk start that is not a node id of ``graph``.
+
+    Unchecked, a negative id counts from the end of the list backend's
+    adjacency, ``True`` starts at node 1, the CSR engine casts a float,
+    and an id past the end raises a bare ``IndexError``.  A graph that
+    does not report its size (a crawl wrapper) is checked from below only.
+    """
+    if isinstance(seed_node, (bool, np.bool_)) or not isinstance(
+        seed_node, (int, np.integer)
+    ):
+        raise ValueError(f"seed_node must be an integer node id, got {seed_node!r}")
+    num_nodes = getattr(graph, "num_nodes", None)
+    if seed_node < 0 or (num_nodes is not None and seed_node >= num_nodes):
+        size = "" if num_nodes is None else f" for a graph of {num_nodes} nodes"
+        raise ValueError(f"seed_node {seed_node} is out of range{size}")
 
 
 def warn_serial_fallback(
@@ -152,9 +170,7 @@ class BatchedWalkEngine:
         (:class:`~repro.relgraph.fused.FusedD3Kernel`) for d = 3
         transitions when available.  Bit-identical to the generic path
         for any fixed seed — this is a performance switch, kept only so
-        benchmarks can time the unfused baseline.  When the substrate is
-        a :class:`~repro.graphs.csr.JitCSRGraph` (``backend="csr-jit"``)
-        and numba is importable, the kernel's inner loops run compiled.
+        benchmarks can time the unfused baseline.
     """
 
     def __init__(
@@ -192,11 +208,10 @@ class BatchedWalkEngine:
                 )
             self._cur = states
         else:
-            starts = (
-                np.full(chains, seed_node, dtype=np.int64)
-                if seed_nodes is None
-                else np.asarray(list(seed_nodes), dtype=np.int64)
-            )
+            seed_nodes = [seed_node] * chains if seed_nodes is None else list(seed_nodes)
+            for node in seed_nodes:
+                check_seed_node(csr, node)
+            starts = np.asarray(seed_nodes, dtype=np.int64)
             if starts.shape != (chains,):
                 raise ValueError(f"seed_nodes must have length {chains}")
             degs = csr.degrees_array
@@ -208,13 +223,7 @@ class BatchedWalkEngine:
 
         self._fused: Optional[FusedD3Kernel] = None
         if fused and d == 3:
-            jit = None
-            if isinstance(csr, JitCSRGraph):
-                from ..relgraph import jitkernels
-
-                if jitkernels.HAVE_NUMBA:  # pragma: no cover - numba CI leg
-                    jit = jitkernels
-            self._fused = FusedD3Kernel(csr, jit=jit)
+            self._fused = FusedD3Kernel(csr)
 
     # ------------------------------------------------------------------
     # Public stepping API

@@ -28,7 +28,7 @@ from typing import Iterator, List, Optional, Union
 import numpy as np
 
 from ..relgraph.spaces import State, WalkSpace
-from .batched import BatchedWalkEngine, batch_capable
+from .batched import BatchedWalkEngine, batch_capable, check_seed_node
 
 
 class SimpleWalk:
@@ -41,6 +41,7 @@ class SimpleWalk:
         rng: Optional[random.Random] = None,
         seed_node: int = 0,
     ) -> None:
+        check_seed_node(graph, seed_node)
         self.graph = graph
         self.space = space
         self.rng = rng if rng is not None else random.Random()

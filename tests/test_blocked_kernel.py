@@ -6,10 +6,7 @@ per Python-level pass, pre-drawing the ``(T, B)`` uniform block; this
 module pins that blocking is *invisible* — every shape (B = 1, T = 1,
 budgets not divisible by T, degree-1 forced backtracks, mid-block stuck
 states) is bit-identical to per-step stepping and to the per-chain
-Python reference, with and without the fused d = 3 kernel.  The
-``csr-jit`` backend degrades to plain ``csr`` with a warning when numba
-is missing, and runs the compiled kernels to the same bits when it is
-installed (the CI numba leg).
+Python reference, with and without the fused d = 3 kernel.
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import CSRGraph, Graph, JitCSRGraph, as_backend
+from repro.graphs import CSRGraph, Graph, as_backend
 from repro.graphs.generators import barabasi_albert, complete_graph, path_graph
 from repro.relgraph.spaces import WalkSpaceError
 from repro.walks import BatchedWalkEngine
@@ -176,36 +173,3 @@ class TestBlockParity:
             assert np.array_equal(base.sums, alt.sums)
             assert np.array_equal(base.sample_counts, alt.sample_counts)
             assert base.samples == alt.samples
-
-
-class TestJitBackend:
-    def test_csr_jit_falls_back_to_csr_without_numba(self, monkeypatch):
-        from repro.relgraph import jitkernels
-
-        monkeypatch.setattr(jitkernels, "HAVE_NUMBA", False)
-        csr = CSRGraph.from_graph(barabasi_albert(30, 2, seed=1))
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            got = as_backend(csr, "csr-jit", context="test")
-        assert type(got) is CSRGraph
-        assert not isinstance(got, JitCSRGraph)
-        # The fallback still walks (the plain fused path).
-        engine = BatchedWalkEngine(got, 3, 2, np.random.default_rng(0))
-        engine.step_block(3)
-        assert engine.steps_taken == 3
-
-    def test_jit_backend_matches_numpy_fused_bit_for_bit(self):
-        pytest.importorskip("numba")  # the CI numba leg only
-        csr = CSRGraph.from_graph(barabasi_albert(80, 3, seed=2))
-        jit_graph = as_backend(csr, "csr-jit", context="test")
-        assert isinstance(jit_graph, JitCSRGraph)
-        for nb in (False, True):
-            compiled = BatchedWalkEngine(
-                jit_graph, 3, 16, np.random.default_rng(5), non_backtracking=nb
-            )
-            plain = BatchedWalkEngine(
-                csr, 3, 16, np.random.default_rng(5), non_backtracking=nb
-            )
-            for _ in range(3):
-                assert np.array_equal(
-                    compiled.step_block(10), plain.step_block(10)
-                )

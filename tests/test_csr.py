@@ -134,8 +134,9 @@ class TestStructuralParity:
         assert as_backend(csr, "csr") is csr
         assert as_backend(g, "list") is g
         assert as_backend(csr, "list") == g
-        with pytest.raises(ValueError):
-            as_backend(g, "sparse")
+        for gone in ("sparse", "csr-jit"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                as_backend(g, gone)
 
     def test_mixing_tools_accept_csr(self, karate):
         # Regression: transition_matrix used `if not neighbors:` which is

@@ -23,7 +23,6 @@ from repro.graphs import (
     DeltaCSRGraph,
     Graph,
     GraphError,
-    JitCSRGraph,
     MmapCSRGraph,
     barabasi_albert,
 )
@@ -293,7 +292,6 @@ def _forms():
     delta.apply(deletes=absent[:1])
     return absent[0], {
         "csr": lambda: ba_csr(2000, 5, seed=0),
-        "csr-jit": lambda: JitCSRGraph(base.indptr, base.indices),
         "delta": lambda: copy.deepcopy(delta),
     }
 

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.estimator import MethodSpec, run_estimation
 from repro.core.joint import run_joint_estimation
 from repro.exact import exact_concentrations
 from repro.graphlets import graphlet_by_name
@@ -112,3 +113,44 @@ class TestJointSemantics:
         )
         truth = exact_concentrations(karate, 3)
         assert abs(results[3].concentrations[1] - truth[1]) < 0.15 * truth[1] + 0.01
+
+
+class TestStandaloneIdentity:
+    """Each size of a joint run is its standalone run: windows start at
+    the same walk step, so sums and counts agree bit for bit."""
+
+    @pytest.mark.parametrize(
+        "css, nb", [(False, False), (True, False), (False, True)],
+        ids=["basic", "css", "nb"],
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_each_size_equals_its_standalone_run(self, karate, d, css, nb):
+        # k = d + 1 has l = 2: under css=True it runs the basic weighting.
+        ks = [k for k in (3, 4, 5) if k >= d + 1]
+        steps = 1_500
+        joint = run_joint_estimation(
+            karate, ks, d=d, steps=steps, css=css, nb=nb, rng=random.Random(23)
+        )
+        for k in ks:
+            spec = MethodSpec(k, d, css=css and k - d + 1 > 2, nb=nb)
+            alone = run_estimation(karate, spec, steps, rng=random.Random(23))
+            assert np.array_equal(joint[k].sums, alone.sums), k
+            assert np.array_equal(joint[k].sample_counts, alone.sample_counts), k
+            assert joint[k].valid_samples == alone.valid_samples
+            assert joint[k].method == f"SRW{d}" + ("CSS" if css else "") + (
+                "NB" if nb else ""
+            )
+
+    def test_steps_past_one_block(self, karate):
+        """Sizes advance in rounds over a bounded buffer of the walk; a run
+        longer than one round still matches."""
+        from repro.core import joint as joint_mod
+
+        steps = 2 * joint_mod.JOINT_BLOCK + 7
+        joint = run_joint_estimation(
+            karate, [3, 5], d=2, steps=steps, css=True, rng=random.Random(22)
+        )
+        for k in (3, 5):
+            spec = MethodSpec(k, 2, css=k > 3)
+            alone = run_estimation(karate, spec, steps, rng=random.Random(22))
+            assert np.array_equal(joint[k].sums, alone.sums), k

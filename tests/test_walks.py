@@ -5,9 +5,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from repro.graphs import Graph
+from repro.core.estimator import MethodSpec, run_estimation
+from repro.core.joint import run_joint_estimation
+from repro.graphs import Graph, as_backend
 from repro.graphs.generators import cycle_graph, path_graph, star_graph
 from repro.relgraph import EdgeSpace, NodeSpace, SubgraphSpace
 from repro.walks import (
@@ -161,3 +164,48 @@ class TestMetropolisHastings:
         walk = MetropolisHastingsWalk(karate, rng=random.Random(2), seed_node=0)
         list(walk.walk(500))
         assert 0.0 < walk.acceptance_rate <= 1.0
+
+
+BAD_SEED_NODES = [-1, "num_nodes", True, 2.0]
+
+
+@pytest.fixture(scope="module")
+def karate_backends(karate):
+    return {name: as_backend(karate, name) for name in ("list", "csr", "delta", "mmap")}
+
+
+@pytest.mark.filterwarnings("ignore::repro.walks.batched.BatchFallbackWarning")
+class TestSeedNodeChecked:
+    """A walk start that is not a node id raises a ``ValueError`` naming
+    ``seed_node`` on every backend, serial chains and batched engine
+    alike."""
+
+    @pytest.mark.parametrize("bad", BAD_SEED_NODES, ids=repr)
+    @pytest.mark.parametrize("chains", [1, 4])
+    @pytest.mark.parametrize("backend", ["list", "csr", "delta", "mmap"])
+    def test_rejected(self, karate_backends, backend, chains, bad):
+        graph = karate_backends[backend]
+        seed_node = graph.num_nodes if bad == "num_nodes" else bad
+        with pytest.raises(ValueError, match="seed_node"):
+            run_estimation(
+                graph, MethodSpec(3, 1), 100, rng=random.Random(0),
+                seed_node=seed_node, chains=chains,
+            )
+
+    @pytest.mark.parametrize("bad", BAD_SEED_NODES, ids=repr)
+    def test_rejected_by_joint_estimation(self, karate, bad):
+        seed_node = karate.num_nodes if bad == "num_nodes" else bad
+        with pytest.raises(ValueError, match="seed_node"):
+            run_joint_estimation(karate, [3, 4], d=2, steps=100, seed_node=seed_node)
+
+    @pytest.mark.parametrize("backend", ["list", "csr"])
+    def test_numpy_integer_accepted(self, karate_backends, backend):
+        graph = karate_backends[backend]
+        runs = [
+            run_estimation(
+                graph, MethodSpec(3, 1), 500, rng=random.Random(0),
+                seed_node=node, chains=4,
+            )
+            for node in (33, np.int64(33))
+        ]
+        assert np.array_equal(runs[0].sums, runs[1].sums)
