@@ -131,22 +131,31 @@ def split_budget(steps: int, chains: int) -> List[int]:
     return [steps // chains + (1 if b < steps % chains else 0) for b in range(chains)]
 
 
-def _between_chain_stderr(chain_sums: Sequence[np.ndarray]) -> Optional[np.ndarray]:
-    """Per-type standard error of the mean across chain concentrations.
+def pool_chains(
+    chain_sums: Sequence[np.ndarray],
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Pooled per-type sums and their between-chain standard error.
 
-    Fed by both session modes — the serial chains' sums and the
-    vectorized accumulator's per-(chain, type) cells.  Needs at
-    least two chains with positive total sums; returns None otherwise.
+    The one pooling every multi-chain answer goes through: both
+    :class:`SRWSession` modes, continuous sessions and the daemon's
+    fanout parts.  Sums add in chain order with an explicit loop — the
+    addition sequence the bit-identity contracts pin, which
+    ``np.sum(axis=0)`` does not promise (over a single type column it
+    reduces pairwise).  The standard error is that of the mean across
+    chain concentrations; it needs at least two chains with positive
+    total sums and is None otherwise.
     """
+    sums = np.zeros(len(chain_sums[0]))
     per_chain = []
-    for sums in chain_sums:
-        total = float(sums.sum())
+    for cells in chain_sums:
+        sums += cells
+        total = float(cells.sum())
         if total > 0:
-            per_chain.append(sums / total)
+            per_chain.append(cells / total)
     if len(per_chain) < 2:
-        return None
+        return sums, None
     stacked = np.vstack(per_chain)
-    return stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
+    return sums, stacked.std(axis=0, ddof=1) / math.sqrt(stacked.shape[0])
 
 
 def _srw_meta(spec: MethodSpec, alphas, graph, chains: int = 1) -> Dict:
@@ -358,9 +367,9 @@ class _VectorizedAccumulator:
     ``np.add.at`` — which applies duplicate indices *sequentially in
     order of appearance*, so every cell accumulates its windows in time
     order exactly like a per-chain Python accumulator, and the
-    chain-ordered pooling of :meth:`pooled_sums` is **bit-identical** to
-    the per-chain reference (the test suite's oracle) and independent of
-    how the stream was blocked.  The cells also yield the between-chain
+    chain-ordered :func:`pool_chains` of the cells is **bit-identical**
+    to the per-chain reference (the test suite's oracle) and independent
+    of how the stream was blocked.  The cells also yield the between-chain
     standard error.
 
     ``budgets`` must be non-increasing (:func:`split_budget` always
@@ -531,18 +540,6 @@ class _VectorizedAccumulator:
         self.sample_counts += np.bincount(types, minlength=self.num_types)
         self.valid_samples += int(valid.sum())
 
-    def pooled_sums(self) -> np.ndarray:
-        """Per-type sums pooled over chains.
-
-        Pools the per-chain cells sequentially in chain order — the
-        exact addition sequence of the per-chain reference pooling — so
-        the result is bit-identical to it (basic and CSS alike).
-        """
-        sums = np.zeros(self.num_types)
-        for b in range(self.chains):
-            sums += self.chain_sums[b]
-        return sums
-
 
 class SRWSession(Session):
     """One run of an ``SRW{d}[CSS][NB]`` method — streamed or one-shot.
@@ -643,15 +640,14 @@ class SRWSession(Session):
     def snapshot(self) -> Estimate:
         if self._vectorized is not None:
             acc = self._vectorized
-            chain_sums = [acc.chain_sums[b] for b in range(self._chains)]
-            sums = acc.pooled_sums()
+            chain_sums = acc.chain_sums
             sample_counts = acc.sample_counts.copy()
             samples = acc.valid_samples
         else:
             chain_sums = [chain.sums for chain in self._serial]
-            sums = np.sum(chain_sums, axis=0)
             sample_counts = np.sum([c.sample_counts for c in self._serial], axis=0)
             samples = sum(chain.valid_samples for chain in self._serial)
+        sums, stderr = pool_chains(chain_sums)
         return Estimate(
             method=self.spec.name,
             k=self.spec.k,
@@ -659,7 +655,7 @@ class SRWSession(Session):
             samples=samples,
             sums=sums,
             sample_counts=sample_counts,
-            stderr=_between_chain_stderr(chain_sums),
+            stderr=stderr,
             elapsed_seconds=self._elapsed,
             meta=_srw_meta(self.spec, self._alphas, self.graph, chains=self._chains),
         )

@@ -20,7 +20,6 @@ new method is one ``register()`` call away from every harness.
 from __future__ import annotations
 
 import time
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Protocol, Union, runtime_checkable
@@ -28,13 +27,13 @@ from typing import Any, Dict, Optional, Protocol, Union, runtime_checkable
 from .result import Estimate
 from .stopping import (
     DEFAULT_STEP_CAP,
-    StepBudget,
     StopProbe,
     StoppingRule,
     as_stopping_spec,
+    stopping_record,
 )
 
-#: Step budget used when neither ``target`` nor ``budget`` is given.
+#: Step budget used when no ``target`` is given.
 DEFAULT_BUDGET = 20_000
 
 
@@ -58,11 +57,10 @@ class EstimationConfig:
         construction this attribute is always a normalized rule, and
         ``budget`` holds its step cap.
     budget:
-        Legacy raw step cap.  Passing ``budget=N`` *without* a target is
-        deprecated (it becomes ``target=StepBudget(N)`` and warns);
-        alongside an open-ended dynamic target it silently provides the
-        step cap.  When neither is given the default is
-        ``StepBudget(20_000)``.
+        Step cap of an open-ended dynamic target; it must agree with a
+        target that has a cap of its own, and without a target it is an
+        error (pass ``target=N`` instead).  When neither is given the
+        target is ``StepBudget(20_000)``.
     seed:
         RNG seed (``None`` for nondeterministic).
     seed_node:
@@ -90,38 +88,31 @@ class EstimationConfig:
     target: Union[StoppingRule, int, str, None] = None
 
     def __post_init__(self) -> None:
-        spec = None if self.target is None else as_stopping_spec(self.target)
+        if self.target is None:
+            if self.budget is not None:
+                raise ValueError(
+                    f"EstimationConfig(budget={self.budget}) needs a target: "
+                    f"pass target={self.budget} (or any stopping spec); "
+                    "budget= only caps an open-ended dynamic target"
+                )
+            self.target = DEFAULT_BUDGET
+        spec = as_stopping_spec(self.target)
+        cap = spec.step_cap()
         if self.budget is not None:
             budget = int(self.budget)
             if budget <= 0:
                 raise ValueError(f"budget must be positive, got {budget}")
-            if spec is None:
-                warnings.warn(
-                    "EstimationConfig(budget=N) without a target is "
-                    "deprecated; pass target=StepBudget(N) (or any "
-                    "stopping spec) instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                spec = StepBudget(budget)
-                cap = budget
-            else:
-                cap = spec.step_cap()
-                if cap is None:
-                    # The spec is open-ended; budget provides its cap.
-                    cap = budget
-                elif cap != budget:
-                    raise ValueError(
-                        f"budget={budget} conflicts with the target's step "
-                        f"cap {cap} ({spec.describe()!r}); drop budget= or "
-                        "make them agree"
-                    )
-        else:
-            if spec is None:
-                spec = StepBudget(DEFAULT_BUDGET)
-            cap = spec.step_cap()
             if cap is None:
-                cap = max(DEFAULT_STEP_CAP, spec._step_floor())
+                # The spec is open-ended; budget provides its cap.
+                cap = budget
+            elif cap != budget:
+                raise ValueError(
+                    f"budget={budget} conflicts with the target's step "
+                    f"cap {cap} ({spec.describe()!r}); drop budget= or "
+                    "make them agree"
+                )
+        elif cap is None:
+            cap = max(DEFAULT_STEP_CAP, spec._step_floor())
         self.target = spec
         self.budget = int(cap)
         if self.chains < 1:
@@ -140,6 +131,10 @@ class Session(ABC):
     *nested*, not independent (use fresh sessions when independence
     matters).
     """
+
+    #: Smallest number of budget units one ``_advance`` accepts;
+    #: :meth:`run` never steps fewer.
+    _min_step = 1
 
     def __init__(self, budget: int) -> None:
         if budget <= 0:
@@ -168,16 +163,16 @@ class Session(ABC):
         """Whether the budget is exhausted."""
         return self._consumed >= self._budget
 
-    def _extend_budget(self, extra: int) -> None:
-        """Grow the total budget by ``extra`` units.
+    def _set_remaining(self, units: int) -> None:
+        """Re-size the budget so that exactly ``units`` remain.
 
-        Protected hook for open-ended subclasses (continuous sessions
-        over edge streams top their budget up per refresh); ordinary
-        fixed-budget sessions never call it.
+        Protected hook for open-ended subclasses (a continuous session
+        over an edge stream sets each refresh's step cap this way);
+        ordinary fixed-budget sessions never call it.
         """
-        if extra < 0:
-            raise ValueError(f"extra must be >= 0, got {extra}")
-        self._budget += int(extra)
+        if units < 0:
+            raise ValueError(f"units must be >= 0, got {units}")
+        self._budget = self._consumed + int(units)
 
     def step(self, n: Optional[int] = None) -> int:
         """Advance by up to ``n`` budget units (all remaining if None).
@@ -210,56 +205,61 @@ class Session(ABC):
     ) -> Estimate:
         """Run until ``target`` is satisfied or the budget is exhausted.
 
-        Without a target (or with a pure step-budget spec) this is
-        exactly :meth:`result` — the legacy single-``step`` path, so
-        fixed-seed runs stay bit-identical to the pre-spec API.  Dynamic
-        specs are checked every ``check_every`` steps (default: 1/16 of
-        the budget) against a fresh :meth:`snapshot`; the returned
-        estimate's ``meta["stopping"]`` records the spec, the rule that
-        fired (if any), and the steps actually spent.
+        The one stopping loop: one-shot runs call it on a fresh session,
+        and a continuous session's ``refresh`` is this loop over a budget
+        topped up to the refresh's step cap.  Without a target (or with a
+        pure step-budget spec) this is exactly :meth:`result` — the
+        legacy single-``step`` path, so fixed-seed runs stay bit-identical
+        to the pre-spec API.  Dynamic specs are checked every
+        ``check_every`` steps (default: 1/16 of the budget left) against
+        a fresh :meth:`snapshot`.  Each check is measured from the call:
+        steps spent since ``run`` began, against the budget left at that
+        point, and seconds likewise — except that a session not yet
+        stepped keeps counting its construction time.  No step is shorter
+        than the session's smallest legal step (``_min_step``): a shorter
+        tail merges into the step before it.  The returned estimate's
+        ``meta["stopping"]`` is the
+        :func:`~repro.core.stopping.stopping_record` plus the number of
+        ``checks``.
         """
         spec = None if target is None else as_stopping_spec(target)
         if spec is None or not spec.dynamic:
             return self.result()
+        budget = self.remaining
         if check_every is None:
-            cadence = max(1, self._budget // 16)
+            cadence = max(1, budget // 16)
         else:
             cadence = int(check_every)
             if cadence <= 0:
                 raise ValueError(f"check_every must be positive, got {cadence}")
+        cadence = max(cadence, self._min_step)
+        start_steps = self._consumed
+        start_elapsed = self._elapsed if self._consumed else 0.0
         checks = 0
-        fired = None
-        estimate = None
-        while not self.done:
-            self.step(min(cadence, self.remaining))
-            checks += 1
+        while True:
+            if not self.done:
+                n = min(cadence, self.remaining)
+                if self.remaining - n < self._min_step:
+                    n = self.remaining
+                self.step(n)
+                checks += 1
             estimate = self.snapshot()
             probe = StopProbe(
                 estimate=estimate,
-                steps=self._consumed,
-                budget=self._budget,
-                elapsed=self._elapsed,
+                steps=self._consumed - start_steps,
+                budget=budget,
+                elapsed=self._elapsed - start_elapsed,
             )
             fired = spec.firing(probe)
-            if fired is not None:
+            if fired is not None or self.done:
                 break
-        if estimate is None:
-            estimate = self.snapshot()
-            probe = StopProbe(
-                estimate=estimate,
-                steps=self._consumed,
-                budget=self._budget,
-                elapsed=self._elapsed,
-            )
-            fired = spec.firing(probe)
-        estimate.meta["stopping"] = {
-            "target": spec.describe(),
-            "fired": None if fired is None else fired.describe(),
-            "satisfied": fired is not None,
-            "early": self.remaining > 0,
-            "steps": self._consumed,
-            "checks": checks,
-        }
+        estimate.meta["stopping"] = stopping_record(
+            spec,
+            fired,
+            early=not self.done,
+            steps=probe.steps,
+            checks=checks,
+        )
         return estimate
 
     @abstractmethod

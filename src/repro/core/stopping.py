@@ -20,9 +20,13 @@ when *all* are satisfied)::
     target = CIWidth(0.05) | StepBudget(100_000)   # whichever first
 
 Dynamic rules are evaluated on a fixed cadence inside
-:meth:`repro.core.session.Session.run`; a spec whose only rule is a step
-budget never changes the execution path, so fixed-seed runs that exhaust
-the same step count stay bit-identical to the pre-spec API.
+:meth:`repro.core.session.Session.run`, the one stopping loop (a
+continuous session's ``refresh`` is that loop over a topped-up budget;
+the daemon checks the same rules on its pooled progress snapshots); a
+spec whose only rule is a step budget never changes the execution path,
+so fixed-seed runs that exhaust the same step count stay bit-identical
+to the pre-spec API.  Every run with a dynamic target records its
+outcome in ``meta["stopping"]`` through :func:`stopping_record`.
 """
 
 from __future__ import annotations
@@ -60,6 +64,31 @@ class StopProbe:
         if finite.size == 0:
             return None
         return float(finite.max())
+
+
+def stopping_record(
+    spec: "StoppingRule",
+    fired: Optional["StoppingRule"],
+    *,
+    early: bool,
+    steps: int,
+    **extra: int,
+) -> dict:
+    """The ``meta["stopping"]`` record of a run with a dynamic target.
+
+    Names the spec, the rule that fired (None when unmet), whether the
+    run stopped before its step cap and the steps it spent; ``extra``
+    keys follow (``checks`` from :meth:`Session.run
+    <repro.core.session.Session.run>`, ``extra_steps`` from the daemon).
+    """
+    return {
+        "target": spec.describe(),
+        "fired": None if fired is None else fired.describe(),
+        "satisfied": fired is not None,
+        "early": bool(early),
+        "steps": int(steps),
+        **extra,
+    }
 
 
 class StoppingRule:

@@ -7,7 +7,7 @@ same protocol:
 
     estimator = repro.estimators.get("srw2css")
     session   = estimator.prepare(graph, EstimationConfig(
-        method="srw2css", k=4, budget=100_000, seed=7))
+        method="srw2css", k=4, target=100_000, seed=7))
     session.step(10_000)         # stream part of the budget
     partial = session.snapshot() # useful partial result, any time
     final   = session.result()   # consume the rest
@@ -15,7 +15,7 @@ same protocol:
 and returns the unified :class:`~repro.core.result.Estimate`.  The
 :func:`estimate` one-liner covers the common case::
 
-    est = repro.estimate(graph, "srw2css", k=4, budget=100_000, seed=7)
+    est = repro.estimate(graph, "srw2css", k=4, target=100_000, seed=7)
     est.concentration_dict()
 
 New methods join every harness (evaluation runner, checkpoint sweeps,
@@ -147,9 +147,10 @@ def estimate(
     :class:`~repro.core.result.Estimate` comes back.  ``target`` is a
     :class:`~repro.core.stopping.StoppingRule` (composable with ``|`` /
     ``&``), an int step budget, or a spec string like
-    ``"ci:0.05|steps:100000"``; the legacy ``budget=N`` keyword still
-    works and means ``target=StepBudget(N)`` (or, next to an open-ended
-    dynamic target, the run's step cap).  Fixed-seed runs of the
+    ``"ci:0.05|steps:100000"``.  ``budget=N`` alone is turned into
+    ``target=StepBudget(N)`` here (an :class:`EstimationConfig` with a
+    budget but no target raises); next to an open-ended dynamic target
+    it is the run's step cap.  Fixed-seed runs of the
     framework methods are bit-identical to
     :func:`repro.core.run_estimation` with ``rng=random.Random(seed)``.
     """

@@ -22,7 +22,7 @@ A request becomes one or more **parts**:
 * ``fanout=True``: ``chains`` single-chain parts with per-chain seeds
   drawn the way the serial multi-chain runner draws them
   (``random.Random(seed).randrange(2**63)``, in chain order) and pooled
-  with the same expressions (summed S_i, between-chain stderr) — the
+  by the same :func:`~repro.core.estimator.pool_chains` — the
   answer is bit-identical to the *serial* multi-chain reference while
   the chains actually run in parallel across workers.
 
@@ -85,10 +85,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.estimator import _between_chain_stderr, split_budget
+from ..core.estimator import pool_chains, split_budget
 from ..core.result import Estimate
 from ..core.session import EstimationConfig
-from ..core.stopping import StopProbe
+from ..core.stopping import StopProbe, stopping_record
 from ..estimators import get as get_estimator, normalize, select
 from ..experiments.spec import CHAINLESS_METHODS, resolve_graph
 from ..graphs.csr import CSRGraph
@@ -733,9 +733,9 @@ class Daemon:
     def _pool(self, state: _RequestState) -> Optional[Estimate]:
         """Pooled estimate over the parts' freshest frames.
 
-        With every part final and parts in chain order this evaluates
-        the exact expressions of the serial multi-chain runner, so the
-        final fanout answer is bit-identical to the serial reference.
+        With every part final and parts in chain order this is the
+        serial multi-chain session's pooling, so the final fanout answer
+        is bit-identical to the serial reference.
         """
         frames = [p.final if p.final is not None else p.latest for p in state.parts]
         frames = [f for f in frames if f is not None]
@@ -754,14 +754,15 @@ class Daemon:
             meta["chains"] = state.request.chains if chains_done == len(
                 state.parts
             ) else chains_done
+        sums, stderr = pool_chains([f.sums for f in frames])
         return Estimate(
             method=first.method,
             k=first.k,
             steps=int(sum(f.steps for f in frames)),
             samples=int(sum(f.samples for f in frames)),
-            sums=np.sum([f.sums for f in frames], axis=0),
+            sums=sums,
             sample_counts=np.sum([f.sample_counts for f in frames], axis=0),
-            stderr=_between_chain_stderr([f.sums for f in frames]),
+            stderr=stderr,
             elapsed_seconds=sum(f.elapsed_seconds for f in frames),
             meta=meta,
         )
@@ -791,11 +792,12 @@ class Daemon:
             }
         return snapshot
 
-    def _probe(self, state: _RequestState, snapshot: Snapshot) -> StopProbe:
+    def _probe(self, state: _RequestState, estimate: Estimate) -> StopProbe:
+        """The stopping check of a pooled ``estimate`` of ``state``."""
         return StopProbe(
-            estimate=snapshot.estimate,
-            steps=snapshot.steps,
-            budget=snapshot.budget,
+            estimate=estimate,
+            steps=int(estimate.steps),
+            budget=state.request.budget + state.extra_steps,
             elapsed=time.monotonic() - state.started,
         )
 
@@ -807,7 +809,7 @@ class Daemon:
             and spec.dynamic
             and snapshot.estimate is not None
         ):
-            fired = spec.firing(self._probe(state, snapshot))
+            fired = spec.firing(self._probe(state, snapshot.estimate))
             if fired is not None and fired.dynamic:
                 state.fired = fired
                 self._finalize(state, early=True, progress_snapshot=snapshot)
@@ -839,15 +841,7 @@ class Daemon:
         if not request.fanout and request.chains != 1:
             return False
         pooled = self._pool(state)
-        if pooled is None:
-            return False
-        probe = StopProbe(
-            estimate=pooled,
-            steps=int(pooled.steps),
-            budget=request.budget + state.extra_steps,
-            elapsed=time.monotonic() - state.started,
-        )
-        if spec.satisfied(probe):
+        if pooled is None or spec.satisfied(self._probe(state, pooled)):
             return False
         grant = min(self._released_budget, request.budget)
         if grant < 1:
@@ -918,18 +912,15 @@ class Daemon:
             and snapshot.estimate is not None
             and error is None
         ):
-            fired = state.fired
-            if fired is None:
-                fired = spec.firing(self._probe(state, snapshot))
-                state.fired = fired
-            snapshot.estimate.meta["stopping"] = {
-                "target": spec.describe(),
-                "fired": None if fired is None else fired.describe(),
-                "satisfied": fired is not None,
-                "early": snapshot.early_stopped,
-                "steps": int(snapshot.steps),
-                "extra_steps": int(state.extra_steps),
-            }
+            if state.fired is None:
+                state.fired = spec.firing(self._probe(state, snapshot.estimate))
+            snapshot.estimate.meta["stopping"] = stopping_record(
+                spec,
+                state.fired,
+                early=snapshot.early_stopped,
+                steps=snapshot.steps,
+                extra_steps=int(state.extra_steps),
+            )
         state.final_snapshot = snapshot
         state.snapshots.put(snapshot)
         state.done.set()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from ..core.result import Estimate
-from ..core.stopping import StoppingRule, TargetStderr, as_stopping_spec
+from ..core.stopping import StoppingRule, as_stopping_spec
 
 #: Default number of progressive snapshots per request when the caller
 #: does not pin ``snapshot_steps`` explicitly.
@@ -84,12 +84,9 @@ class EstimateRequest:
         it, cancels the remaining budget, and *releases* it to the
         reallocation pool for still-converging requests.  A spec with a
         step cap overrides ``budget``; an open-ended spec keeps
-        ``budget`` as its cap.
-    target_stderr:
-        Thin alias for ``target=TargetStderr(value)`` (kept for
-        compatibility); folded into the unified spec at construction.
-        Firing needs a between-chain stderr, i.e. ``chains >= 2`` or a
-        pooled fanout — single chains carry none.
+        ``budget`` as its cap.  Variance rules (``TargetStderr``,
+        ``CIWidth``) need a between-chain stderr, i.e. ``chains >= 2``
+        or a pooled fanout — single chains carry none.
     """
 
     method: str
@@ -102,17 +99,11 @@ class EstimateRequest:
     fanout: bool = False
     snapshot_steps: Optional[int] = None
     timeout_seconds: Optional[float] = None
-    target_stderr: Optional[float] = None
     target: Union[StoppingRule, int, str, None] = None
 
     def __post_init__(self) -> None:
-        if self.target_stderr is not None and self.target_stderr <= 0:
-            raise ValueError("target_stderr must be positive when given")
-        spec = None if self.target is None else as_stopping_spec(self.target)
-        if self.target_stderr is not None:
-            alias = TargetStderr(float(self.target_stderr))
-            spec = alias if spec is None else (spec | alias)
-        if spec is not None:
+        if self.target is not None:
+            spec = as_stopping_spec(self.target)
             cap = spec.step_cap()
             if cap is not None:
                 object.__setattr__(self, "budget", int(cap))
@@ -177,8 +168,8 @@ class Snapshot:
     def stderr_bound(self) -> Optional[float]:
         """Largest finite per-type stderr of the current estimate.
 
-        ``None`` while no estimate (or no stderr) is available; the
-        ``target_stderr`` early-stop criterion compares against this.
+        ``None`` while no estimate (or no stderr) is available; a
+        ``TargetStderr`` target compares against this.
         """
         import numpy as np
 

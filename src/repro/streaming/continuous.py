@@ -15,8 +15,11 @@ Accumulation is epoch-wise: every ``step(n)`` runs one vectorized epoch
 states) and folds the per-(chain, type) cells into running totals, so a
 ``refresh()`` after an update batch costs only ``refresh_budget``
 transitions — not the cumulative budget a cold re-estimation would pay.
-Snapshots pool the running cells in chain order and carry the
-between-chain standard error, like every multi-chain path in the repo.
+A refresh is :meth:`Session.run <repro.core.session.Session.run>` over a
+budget topped up to the refresh's step cap, so a stopping ``target``
+is checked and recorded exactly as in a one-shot run.  Snapshots pool
+the running cells through :func:`~repro.core.estimator.pool_chains`,
+like every multi-chain path in the repo.
 
 Determinism: the session seed fixes the per-epoch engine RNG stream
 (derived with the same single draw :func:`~repro.walks.walkers.make_engine`
@@ -38,13 +41,13 @@ from ..core.alpha import alpha_table
 from ..core.estimator import (
     MethodSpec,
     _VectorizedAccumulator,
-    _between_chain_stderr,
     _srw_meta,
+    pool_chains,
     split_budget,
 )
 from ..core.result import Estimate
 from ..core.session import Session
-from ..core.stopping import StopProbe, as_stopping_spec
+from ..core.stopping import as_stopping_spec
 from ..graphs.delta import DeltaCSRGraph
 from ..relgraph.spaces import WalkSpaceError, walk_space
 from ..walks.batched import BatchedWalkEngine
@@ -111,6 +114,7 @@ class ContinuousSession(Session):
                 f"refresh_budget={refresh_budget} < chains={chains}"
             )
         super().__init__(refresh_budget)
+        self._min_step = chains  # every epoch moves every chain
         self.spec = spec
         self.refresh_budget = int(refresh_budget)
         self.graph = graph if isinstance(graph, DeltaCSRGraph) else DeltaCSRGraph(graph)
@@ -181,9 +185,7 @@ class ContinuousSession(Session):
 
     def snapshot(self) -> Estimate:
         """Pooled estimate over everything accumulated so far."""
-        sums = np.zeros(len(self._alphas))
-        for b in range(self._chains):  # chain order: bit-parity with pooling
-            sums += self._chain_sums[b]
+        sums, stderr = pool_chains(self._chain_sums)
         meta = _srw_meta(self.spec, self._alphas, self.graph, chains=self._chains)
         meta["graph_version"] = self.graph.version
         meta["refreshes"] = self._refreshes
@@ -195,9 +197,7 @@ class ContinuousSession(Session):
             samples=self._valid_samples,
             sums=sums,
             sample_counts=self._sample_counts.copy(),
-            stderr=_between_chain_stderr(
-                [self._chain_sums[b] for b in range(self._chains)]
-            ),
+            stderr=stderr,
             elapsed_seconds=self._elapsed,
             meta=meta,
         )
@@ -206,69 +206,38 @@ class ContinuousSession(Session):
     # The continuous surface
     # ------------------------------------------------------------------
     def refresh(self, steps: Optional[int] = None, *, target=None) -> Estimate:
-        """Advance ``steps`` (default ``refresh_budget``) transitions and
-        return the refreshed pooled estimate.
+        """Walk one refresh and return the refreshed pooled estimate.
 
-        The session budget is open-ended: each refresh tops it up, so a
-        monitoring loop can call this forever.  With a ``target``
-        stopping spec (:mod:`repro.core.stopping`) the refresh repeats
-        ``steps``-sized epochs until a dynamic rule fires or the spec's
-        step cap is spent — the final epoch is clamped so the cap is
-        honored exactly (never overshot), and a rule met in that partial
-        tail still fires; open-ended specs default to 8 epochs per
-        refresh.  The returned snapshot's ``meta["stopping"]`` records
-        what happened — so each refresh spends only as much walking as
-        its accuracy target needs.
+        A refresh is :meth:`~repro.core.session.Session.run` over a
+        budget topped up to the refresh's step cap; the session budget
+        is open-ended, so a monitoring loop can call this forever.
+        ``steps`` (default ``refresh_budget``) is the epoch: the stopping
+        ``target`` (:mod:`repro.core.stopping`) is checked after every
+        epoch.  The cap is the target's step cap when it has one, else
+        8 epochs for an open-ended dynamic target, or one epoch without
+        a target.  The refresh walks exactly the cap unless a dynamic
+        rule fires first; a tail shorter than ``chains`` merges into the
+        epoch before it, and a cap below ``chains`` is an error.  The
+        returned snapshot's ``meta["stopping"]`` records what happened —
+        so each refresh spends only as much walking as its accuracy
+        target needs.
         """
-        want = self.refresh_budget if steps is None else int(steps)
-        if want < self._chains:
+        epoch = self.refresh_budget if steps is None else int(steps)
+        if epoch < self._chains:
             raise ValueError(
-                f"refresh must cover every chain: steps={want} < chains={self._chains}"
+                f"refresh must cover every chain: steps={epoch} < chains={self._chains}"
             )
         spec = None if target is None else as_stopping_spec(target)
-        if spec is None or not spec.dynamic:
-            cap = want if spec is None else max(want, spec.step_cap() or want)
-            if self.remaining < cap:
-                self._extend_budget(cap - self.remaining)
-            self.step(cap)
-            self._refreshes += 1
-            return self.snapshot()
-        cap = spec.step_cap()
+        cap = None if spec is None else spec.step_cap()
         if cap is None:
-            cap = want * 8
-        spent = 0
-        checks = 0
-        fired = None
-        epoch_start = self._elapsed
-        while True:
-            # Clamp the tail epoch to the cap instead of overshooting it
-            # (the engine still needs one transition per chain).
-            epoch = max(min(want, cap - spent), self._chains)
-            if self.remaining < epoch:
-                self._extend_budget(epoch - self.remaining)
-            self.step(epoch)
-            spent += epoch
-            checks += 1
-            snapshot = self.snapshot()
-            probe = StopProbe(
-                estimate=snapshot,
-                steps=spent,
-                budget=cap,
-                elapsed=self._elapsed - epoch_start,
+            cap = epoch if spec is None else 8 * epoch
+        if cap < self._chains:
+            raise ValueError(
+                f"refresh must cover every chain: step cap {cap} < chains={self._chains}"
             )
-            fired = spec.firing(probe)
-            if fired is not None or spent >= cap:
-                break
+        self._set_remaining(cap)
         self._refreshes += 1
-        snapshot.meta["stopping"] = {
-            "target": spec.describe(),
-            "fired": None if fired is None else fired.describe(),
-            "satisfied": fired is not None,
-            "early": spent < cap,
-            "steps": spent,
-            "checks": checks,
-        }
-        return snapshot
+        return self.run(spec, check_every=epoch)
 
     def apply_updates(
         self, inserts: Iterable[Edge] = (), deletes: Iterable[Edge] = ()

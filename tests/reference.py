@@ -26,6 +26,7 @@ from repro.core.estimator import (
     MethodSpec,
     _effective_degree_fn,
     _VectorizedAccumulator,
+    pool_chains,
 )
 from repro.graphlets.catalog import classify_bitmask
 from repro.relgraph.spaces import walk_space
@@ -359,4 +360,4 @@ def _batched_vectorized(
     the shape :func:`_batched_python` does."""
     acc = _VectorizedAccumulator(graph, spec, alphas, budgets, engine, burn_in)
     acc.advance(acc.total)
-    return acc.pooled_sums(), acc.sample_counts, acc.valid_samples
+    return pool_chains(acc.chain_sums)[0], acc.sample_counts, acc.valid_samples

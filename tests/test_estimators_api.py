@@ -197,7 +197,7 @@ class TestBitIdentityWithOldEntryPoints:
         same per-chain walks as the serial runner."""
         spec = MethodSpec.parse("SRW2", 4)
         old = run_estimation(karate, spec, 2_000, rng=random.Random(3), chains=4)
-        config = EstimationConfig(method="srw2", k=4, budget=2_000, seed=3, chains=4)
+        config = EstimationConfig(method="srw2", k=4, target=2_000, seed=3, chains=4)
         session = estimators.get("srw2").prepare(karate, config)
         while session.step(333):
             pass
@@ -211,7 +211,7 @@ class TestStreamingSessions:
     def test_snapshot_mid_run_equals_fresh_run(self, karate, method, k):
         """Satellite: snapshot() after t units equals a fresh budget-t run
         with the same seed (streaming/batch parity)."""
-        config = EstimationConfig(method=method, k=k, budget=6_000, seed=13)
+        config = EstimationConfig(method=method, k=k, target=6_000, seed=13)
         session = estimators.get(method).prepare(karate, config)
         assert session.step(2_500) == 2_500
         snap = session.snapshot()
@@ -222,7 +222,7 @@ class TestStreamingSessions:
             assert np.array_equal(snap.sums, fresh.sums)
 
     def test_step_budget_bookkeeping(self, karate):
-        config = EstimationConfig(method="srw1", k=3, budget=1_000, seed=1)
+        config = EstimationConfig(method="srw1", k=3, target=1_000, seed=1)
         session = estimators.get("srw1").prepare(karate, config)
         assert (session.budget, session.consumed, session.remaining) == (1_000, 0, 1_000)
         assert session.step(300) == 300
@@ -234,13 +234,13 @@ class TestStreamingSessions:
         assert result.steps == 1_000
 
     def test_snapshot_before_first_step(self, karate):
-        config = EstimationConfig(method="srw1", k=3, budget=100, seed=1)
+        config = EstimationConfig(method="srw1", k=3, target=100, seed=1)
         session = estimators.get("srw1").prepare(karate, config)
         early = session.snapshot()
         assert early.steps == 0 and early.samples == 0
 
     def test_snapshots_are_independent_copies(self, karate):
-        config = EstimationConfig(method="srw1", k=3, budget=400, seed=2)
+        config = EstimationConfig(method="srw1", k=3, target=400, seed=2)
         session = estimators.get("srw1").prepare(karate, config)
         session.step(200)
         a = session.snapshot()
@@ -251,7 +251,7 @@ class TestStreamingSessions:
         assert b.samples >= a.samples
 
     def test_negative_step_rejected(self, karate):
-        config = EstimationConfig(method="srw1", k=3, budget=100, seed=1)
+        config = EstimationConfig(method="srw1", k=3, target=100, seed=1)
         session = estimators.get("srw1").prepare(karate, config)
         with pytest.raises(ValueError):
             session.step(-1)

@@ -197,7 +197,7 @@ class TestDeterminism:
         estimator = get_estimator("SRW1")
         for t in range(3):
             config = EstimationConfig(
-                method="SRW1", k=3, budget=300, seed=11 + t, seed_node=0
+                method="SRW1", k=3, target=300, seed=11 + t, seed_node=0
             )
             expected = estimator.prepare(karate, config).result()
             assert np.array_equal(summary.estimates[t], expected.concentrations)

@@ -194,7 +194,7 @@ class TestSnapshots:
                         chains=4,
                         fanout=True,
                         snapshot_steps=1000,
-                        target_stderr=0.02,
+                        target=TargetStderr(0.02),
                     )
                 )
                 return list(handle.snapshots(timeout=300))[-1]
@@ -211,11 +211,10 @@ class TestSnapshots:
 # Self-tuning: stopping targets, auto-selection, budget reallocation
 # ----------------------------------------------------------------------
 class TestSelfTuning:
-    def test_target_spec_unifies_with_the_stderr_alias(self):
-        alias = EstimateRequest("srw1", k=3, budget=4000, target_stderr=0.02)
-        assert alias.target == TargetStderr(0.02)
+    def test_target_spec_is_normalized(self):
         spec = EstimateRequest("srw1", k=3, budget=4000, target=TargetStderr(0.02))
-        assert spec.target == alias.target
+        assert spec.target == TargetStderr(0.02)
+        assert spec.budget == 4000  # an open-ended spec keeps the budget
         # A step-capped spec overrides the raw budget.
         capped = EstimateRequest("srw1", k=3, budget=9999, target="steps:4000")
         assert capped.budget == 4000
@@ -259,7 +258,7 @@ class TestSelfTuning:
             first = service.submit(
                 EstimateRequest(
                     "srw2css", k=4, budget=40_000, seed=7, chains=4,
-                    fanout=True, snapshot_steps=1000, target_stderr=0.02,
+                    fanout=True, snapshot_steps=1000, target=TargetStderr(0.02),
                 )
             )
             a_final = list(first.snapshots(timeout=300))[-1]

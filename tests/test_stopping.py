@@ -3,19 +3,18 @@
 Pins the three contracts of :mod:`repro.core.stopping`:
 
 * **Bit-identity** — ``target=StepBudget(N)`` is byte-for-byte the
-  legacy ``budget=N`` run (hypothesis, across the framework methods),
-  and the deprecated ``EstimationConfig(budget=N)`` shim still produces
-  it (under a ``DeprecationWarning``).
+  legacy ``budget=N`` run (hypothesis, across the framework methods);
+  ``EstimationConfig(budget=N)`` without a target is an error.
 * **Monotonicity** — with a fixed seed and cadence, loosening a
   variance target never makes a run stop *later*.
 * **Provenance** — an early-stopped estimate's ``meta["stopping"]``
   records the spec, the rule that fired, and the steps actually spent;
-  a pure step-budget run carries no stopping meta at all.
+  a pure step-budget run carries no stopping meta at all.  One-shot
+  runs, continuous refreshes and daemon finals share the record's
+  schema, and a refresh honours its step cap exactly.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -68,19 +67,12 @@ class TestBitIdentity:
         assert "stopping" not in spec.meta
         assert spec.steps == budget
 
-    def test_deprecated_config_budget_still_runs_identically(self, karate):
-        with pytest.warns(DeprecationWarning, match="target=StepBudget"):
-            old = EstimationConfig(method="srw2css", k=4, budget=1_500, seed=9)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            new = EstimationConfig(
-                method="srw2css", k=4, target=StepBudget(1_500), seed=9
-            )
-        assert old.budget == new.budget == 1_500
-        assert old.target == new.target
-        assert canon(prepare(karate, old).result()) == canon(
-            run_config(karate, new)
-        )
+    def test_config_budget_without_a_target_is_an_error(self):
+        with pytest.raises(ValueError, match="target="):
+            EstimationConfig(method="srw2css", k=4, budget=1_500, seed=9)
+        config = EstimationConfig(method="srw2css", k=4, target=1_500, seed=9)
+        assert config.budget == 1_500
+        assert config.target == StepBudget(1_500)
 
     def test_budget_conflicting_with_step_cap_is_an_error(self):
         with pytest.raises(ValueError, match="conflicts"):
@@ -379,3 +371,158 @@ class TestCadenceTailWindows:
         assert stopping["steps"] == 2_500  # 1000 + 1000 + clamped 500
         assert stopping["satisfied"]
         assert stopping["fired"] == "reached:2400"
+
+
+class _Recorder(StoppingRule):
+    """Test-only dynamic rule that never fires and keeps every probe."""
+
+    def __init__(self) -> None:
+        self.probes = []
+
+    def satisfied(self, probe: StopProbe) -> bool:
+        self.probes.append(probe)
+        return False
+
+    def describe(self) -> str:
+        return "recorder"
+
+
+def _refresher(karate):
+    from repro.streaming import ContinuousSession
+
+    return ContinuousSession(
+        karate, "SRW1", k=3, chains=4, refresh_budget=1_000, seed=5
+    )
+
+
+class TestRefreshCap:
+    """A refresh walks exactly its step cap unless a dynamic rule fires:
+    the target's own cap when it has one, else 8 epochs for an
+    open-ended dynamic target, else one epoch."""
+
+    def test_short_tail_merges_instead_of_overshooting(self, karate):
+        # Epochs of 1000 leave a 2-step tail, below chains=4: it joins
+        # the second epoch rather than growing to a 4-step third one.
+        session = _refresher(karate)
+        stopping = session.refresh(target="stderr:1e-12|steps:2002").meta["stopping"]
+        assert session.consumed == stopping["steps"] == 2_002
+        assert stopping["checks"] == 2
+        assert not stopping["early"]
+
+    def test_cap_below_chains_is_an_error(self, karate):
+        session = _refresher(karate)
+        with pytest.raises(ValueError, match="step cap 3 < chains=4"):
+            session.refresh(target="stderr:1e-12|steps:3")
+        assert session.consumed == 0
+
+    @pytest.mark.parametrize("target", ["steps:500", 500, StepBudget(500)])
+    def test_static_cap_below_the_epoch_is_honoured(self, karate, target):
+        session = _refresher(karate)
+        snapshot = session.refresh(target=target)
+        assert session.consumed == snapshot.steps == 500
+        assert "stopping" not in snapshot.meta
+
+    def test_static_and_dynamic_caps_agree(self, karate):
+        static, dynamic = _refresher(karate), _refresher(karate)
+        static.refresh(target="steps:500")
+        stopping = dynamic.refresh(target="stderr:1e-12|steps:500").meta["stopping"]
+        assert static.consumed == dynamic.consumed == stopping["steps"] == 500
+
+    def test_open_ended_target_gets_eight_epochs(self, karate):
+        session = _refresher(karate)
+        stopping = session.refresh(target=TargetStderr(1e-12)).meta["stopping"]
+        assert session.consumed == stopping["steps"] == 8_000
+        assert stopping["checks"] == 8
+
+    def test_no_target_walks_one_epoch(self, karate):
+        session = _refresher(karate)
+        assert session.refresh(steps=600).steps == 600
+        assert session.refresh().steps == 1_600
+
+    def test_each_refresh_measures_from_its_own_call(self, karate):
+        session = _refresher(karate)
+        session.refresh()
+        rule = _Recorder()
+        stopping = session.refresh(target=rule | StepBudget(2_500)).meta["stopping"]
+        assert [(p.steps, p.budget) for p in rule.probes] == [
+            (1_000, 2_500), (2_000, 2_500), (2_500, 2_500),
+        ]
+        assert stopping["steps"] == 2_500
+        assert session.consumed == 3_500
+
+
+class TestRunMeasuresFromTheCall:
+    def _session(self, karate):
+        return prepare(
+            karate,
+            EstimationConfig(
+                method="srw1", k=3, chains=4, backend="csr", seed=11,
+                target=8_000,
+            ),
+        )
+
+    def test_stepped_session_counts_only_its_own_steps(self, karate):
+        session = self._session(karate)
+        session.step(3_000)
+        before = session.snapshot().elapsed_seconds
+        rule = _Recorder()
+        result = session.run(rule, check_every=2_500)
+        assert [(p.steps, p.budget) for p in rule.probes] == [
+            (2_500, 5_000), (5_000, 5_000),
+        ]
+        assert rule.probes[-1].elapsed == result.elapsed_seconds - before
+        stopping = result.meta["stopping"]
+        assert stopping["steps"] == 5_000 and stopping["checks"] == 2
+        assert not stopping["early"]
+        assert result.steps == 8_000
+
+    def test_fresh_session_keeps_its_construction_time(self, karate):
+        session = self._session(karate)
+        built = session.snapshot().elapsed_seconds
+        assert built > 0
+        rule = _Recorder()
+        result = session.run(rule, check_every=8_000)
+        assert [(p.steps, p.budget) for p in rule.probes] == [(8_000, 8_000)]
+        assert rule.probes[0].elapsed == result.elapsed_seconds > built
+
+    def test_stepped_session_fires_on_steps_since_the_call(self, karate):
+        session = self._session(karate)
+        session.step(3_000)
+        result = session.run(_StepsReached(2_000), check_every=1_000)
+        stopping = result.meta["stopping"]
+        assert stopping["fired"] == "reached:2000" and stopping["early"]
+        assert stopping["steps"] == 2_000 and stopping["checks"] == 2
+        assert result.steps == 5_000
+
+
+class TestOneRecordSchema:
+    """Every site that records a dynamic target writes the same keys;
+    only the documented extra key differs."""
+
+    BASE = {"target", "fired", "satisfied", "early", "steps"}
+
+    def test_run_refresh_and_daemon_share_the_record(self, karate):
+        from repro.graphs import CSRGraph
+        from repro.service import Daemon
+        from repro.streaming import ContinuousSession
+
+        spec = TargetStderr(1e-12)
+        one_shot = estimate(
+            karate, "srw1", k=3, budget=2_000, chains=4, backend="csr",
+            seed=3, target=spec,
+        )
+        refresh = ContinuousSession(
+            karate, "SRW1", k=3, chains=4, refresh_budget=500, seed=3
+        ).refresh(target=spec)
+        with Daemon(CSRGraph.from_graph(karate), workers=1) as service:
+            served = service.estimate(
+                "srw1", k=3, budget=2_000, chains=2, seed=3, target=spec
+            )
+        records = [r.meta["stopping"] for r in (one_shot, refresh, served)]
+        assert set(records[0]) == set(records[1]) == self.BASE | {"checks"}
+        assert set(records[2]) == self.BASE | {"extra_steps"}
+        for record in records:
+            assert record["target"] == "stderr:1e-12"
+            assert record["fired"] is None and not record["satisfied"]
+            assert not record["early"]
+        assert [r["steps"] for r in records] == [2_000, 4_000, 2_000]
