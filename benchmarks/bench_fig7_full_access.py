@@ -17,7 +17,7 @@ import random
 
 from conftest import emit
 
-from repro.baselines import path_sampling, wedge_sampling
+from repro import estimate
 from repro.core.estimator import MethodSpec, run_estimation
 from repro.evaluation import format_table, nrmse
 from repro.exact import exact_counts
@@ -43,13 +43,13 @@ def test_fig7a_triangle_counts_vs_wedge(benchmark):
     for name in ("brightkite-like", "wikipedia-like"):
         graph = load_dataset(name)
         truth = exact_counts(graph, 3)[1]
-        baseline = wedge_sampling(graph, BASELINE_SAMPLES, seed=1)
+        baseline = estimate(graph, "wedge", budget=BASELINE_SAMPLES, seed=1)
         budget = baseline.elapsed_seconds + baseline.preprocess_seconds
         steps = calibrate_steps(graph, spec, budget)
         r1 = relationship_edge_count(graph, 1)
 
         wedge_estimates = [
-            wedge_sampling(graph, BASELINE_SAMPLES, seed=10 + t).triangle_count
+            estimate(graph, "wedge", budget=BASELINE_SAMPLES, seed=10 + t).triangle_count
             for t in range(TRIALS)
         ]
         walk_estimates = []
@@ -75,7 +75,7 @@ def test_fig7a_triangle_counts_vs_wedge(benchmark):
         k: (round(a, 4), round(b, 4)) for k, (a, b, _) in outcome.items()
     }
     graph = load_dataset("brightkite-like")
-    benchmark(lambda: wedge_sampling(graph, 5_000, seed=3).triangle_count)
+    benchmark(lambda: estimate(graph, "wedge", budget=5_000, seed=3).triangle_count)
 
 
 def test_fig7b_clique_counts_vs_path_sampling(benchmark):
@@ -86,13 +86,14 @@ def test_fig7b_clique_counts_vs_path_sampling(benchmark):
     for name in ("brightkite-like", "facebook-like"):
         graph = load_dataset(name)
         truth = exact_counts(graph, 4)[clique]
-        baseline = path_sampling(graph, BASELINE_SAMPLES, seed=1)
+        baseline = estimate(graph, "path_sampling", budget=BASELINE_SAMPLES, seed=1)
         budget = baseline.elapsed_seconds + baseline.preprocess_seconds
         steps = calibrate_steps(graph, spec, budget)
         r2 = relationship_edge_count(graph, 2)
 
         path_estimates = [
-            path_sampling(graph, BASELINE_SAMPLES, seed=10 + t).count_dict()["clique"]
+            estimate(graph, "path_sampling", budget=BASELINE_SAMPLES, seed=10 + t)
+            .count_dict()["clique"]
             for t in range(TRIALS)
         ]
         walk_estimates = []
@@ -112,4 +113,6 @@ def test_fig7b_clique_counts_vs_path_sampling(benchmark):
         k: (round(a, 4), round(b, 4)) for k, v in outcome.items() for a, b in [v]
     }
     graph = load_dataset("brightkite-like")
-    benchmark(lambda: path_sampling(graph, 5_000, seed=3).count_dict())
+    benchmark(
+        lambda: estimate(graph, "path_sampling", budget=5_000, seed=3).count_dict()
+    )

@@ -19,7 +19,7 @@ import random
 
 from conftest import bench_jobs, emit
 
-from repro.baselines import wedge_mhrw
+from repro import estimate
 from repro.core.estimator import MethodSpec, run_estimation
 from repro.evaluation import format_table
 from repro.experiments import get_suite, run_experiment
@@ -100,7 +100,7 @@ def test_fig8_api_cost(benchmark):
     ours = api.api_calls
 
     api = RestrictedGraph(hidden, seed_node=0)
-    result = wedge_mhrw(api, steps, seed=1)
+    result = estimate(api, "wedge_mhrw", budget=steps, seed=1)
     theirs_measured = api.api_calls
     theirs_nominal = result.nominal_api_calls
 
@@ -120,7 +120,7 @@ def test_fig8_api_cost(benchmark):
     benchmark.extra_info["theirs"] = theirs_measured
 
     benchmark(
-        lambda: wedge_mhrw(
-            RestrictedGraph(hidden, seed_node=0), 200, seed=2
+        lambda: estimate(
+            RestrictedGraph(hidden, seed_node=0), "wedge_mhrw", budget=200, seed=2
         ).nominal_api_calls
     )

@@ -16,14 +16,7 @@ under restricted access.
 
 from __future__ import annotations
 
-from repro import (
-    GraphletEstimator,
-    RestrictedGraph,
-    global_clustering_coefficient,
-    hardiman_katzir,
-    load_dataset,
-    wedge_mhrw,
-)
+from repro import RestrictedGraph, estimate, global_clustering_coefficient, load_dataset
 from repro.evaluation import format_table
 
 STEPS = 20_000
@@ -40,7 +33,7 @@ def main() -> None:
         rows = []
 
         api = RestrictedGraph(graph, seed_node=0)
-        result = GraphletEstimator(api, k=3, method="SRW1CSSNB", seed=1).run(STEPS)
+        result = estimate(api, "srw1cssnb", k=3, budget=STEPS, seed=1)
         rows.append(
             [
                 "SRW1CSSNB (this paper)",
@@ -50,11 +43,11 @@ def main() -> None:
         )
 
         api = RestrictedGraph(graph, seed_node=0)
-        hk = hardiman_katzir(api, STEPS, seed=1)
+        hk = estimate(api, "hardiman_katzir", budget=STEPS, seed=1)
         rows.append(["Hardiman-Katzir [11]", hk.clustering_coefficient, api.api_calls])
 
         api = RestrictedGraph(graph, seed_node=0)
-        wm = wedge_mhrw(api, STEPS, seed=1)
+        wm = estimate(api, "wedge_mhrw", budget=STEPS, seed=1)
         rows.append(["Wedge-MHRW (Alg. 4)", wm.clustering_coefficient, api.api_calls])
 
         rows.append(["exact (full access)", exact, "-"])

@@ -59,7 +59,7 @@ def main() -> None:
         hidden,
         MethodSpec.parse("SRW1CSS", 3),
         checkpoints,
-        rng=random.Random(12),
+        seed=12,
     )
     errors = [
         abs(float(s.concentrations[1]) - truth32) / truth32 for s in snapshots

@@ -12,8 +12,8 @@ sampling) cannot run at all.
 from __future__ import annotations
 
 from repro import (
-    GraphletEstimator,
     RestrictedGraph,
+    estimate,
     exact_concentrations,
     graphlets,
     load_dataset,
@@ -25,8 +25,7 @@ def crawl(dataset: str, steps: int, seed: int) -> None:
     hidden = load_dataset(dataset)
     api = RestrictedGraph(hidden, seed_node=0)
 
-    estimator = GraphletEstimator(api, k=4, method="SRW2CSS", seed=seed)
-    result = estimator.run(steps=steps)
+    result = estimate(api, "srw2css", k=4, budget=steps, seed=seed)
 
     truth = exact_concentrations(hidden, 4)
     estimates = result.concentrations

@@ -27,15 +27,6 @@ docs/ARCHITECTURE.md for the layer and backend design, and
 docs/METHODS.md for choosing among the ``SRW{d}[CSS][NB]`` methods.
 """
 
-from .baselines import (
-    guise,
-    hardiman_katzir,
-    path_sampling,
-    psrw_estimate,
-    srw_estimate,
-    wedge_mhrw,
-    wedge_sampling,
-)
 from .core import (
     AllOf,
     AnyOf,
@@ -44,7 +35,6 @@ from .core import (
     Estimate,
     EstimationConfig,
     Estimator,
-    GraphletEstimator,
     MethodSpec,
     Session,
     StepBudget,
@@ -53,8 +43,6 @@ from .core import (
     TheoremBound,
     alpha_coefficient,
     alpha_table,
-    estimate_concentration,
-    estimate_counts,
     parse_target,
     recommended_method,
     run_estimation,
@@ -129,7 +117,6 @@ __all__ = [
     "Graph",
     "GraphError",
     "Graphlet",
-    "GraphletEstimator",
     "MethodSpec",
     "MmapCSRGraph",
     "RestrictedGraph",
@@ -143,8 +130,6 @@ __all__ = [
     "cosine_similarity",
     "erdos_renyi",
     "estimate",
-    "estimate_concentration",
-    "estimate_counts",
     "estimators",
     "exact_concentrations",
     "exact_counts",
@@ -153,8 +138,6 @@ __all__ = [
     "graphlet_kernel_similarity",
     "graphlet_names",
     "graphlets",
-    "guise",
-    "hardiman_katzir",
     "ingest_edge_list",
     "largest_connected_component",
     "list_datasets",
@@ -163,9 +146,7 @@ __all__ = [
     "nrmse_table",
     "num_graphlets",
     "parse_target",
-    "path_sampling",
     "powerlaw_cluster",
-    "psrw_estimate",
     "read_edge_list",
     "recommended_method",
     "relationship_edge_count",
@@ -176,13 +157,10 @@ __all__ = [
     "run_with_checkpoints",
     "sample_size_bound",
     "service",
-    "srw_estimate",
     "streaming",
     "triad_census",
     "triangle_count",
     "walk_space",
     "watts_strogatz",
-    "wedge_mhrw",
-    "wedge_sampling",
     "weighted_concentration",
 ]

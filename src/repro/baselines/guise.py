@@ -14,9 +14,9 @@ without producing a new sample.  The result records the rejection rate so
 experiments can show exactly that.
 
 :class:`GuiseSession` exposes the run through the streaming estimator
-protocol (``step``/``snapshot``/``result``); :func:`guise` is the
-one-shot wrapper and returns the unified
-:class:`~repro.core.result.Estimate`.  Visit tallies for all sizes stay available as
+protocol (``step``/``snapshot``/``result``) and returns the unified
+:class:`~repro.core.result.Estimate`; ``repro.estimate(graph, "guise",
+k=k, ...)`` runs it.  Visit tallies for all sizes stay available as
 ``result.visits``.
 """
 
@@ -115,15 +115,13 @@ class GuiseSession(Session):
         k: int = 3,
         seed: Optional[int] = None,
         seed_node: int = 0,
-        rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(budget)
         if k not in (MIN_SIZE, 4, MAX_SIZE):
             raise ValueError(f"GUISE covers k in (3, 4, 5), got k={k}")
         self.graph = graph
         self.k = k
-        rng = rng if rng is not None else random.Random(seed)
-        self._rng = rng
+        self._rng = rng = random.Random(seed)
         # Grow the initial 3-node state.
         state: List[int] = [seed_node]
         while len(state) < MIN_SIZE:
@@ -183,22 +181,3 @@ class GuiseSession(Session):
                 "api_calls": getattr(self.graph, "api_calls", None),
             },
         )
-
-
-def guise(
-    graph,
-    steps: int,
-    seed: Optional[int] = None,
-    seed_node: int = 0,
-    k: int = 3,
-) -> Estimate:
-    """Run GUISE for ``steps`` MH proposals.
-
-    Starts from a 3-node subgraph grown from ``seed_node``.  The
-    returned estimate's concentrations refer to size ``k``; visit
-    tallies for all sizes are in ``result.visits``.
-    """
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    return GuiseSession(graph, steps, k=k, seed=seed, seed_node=seed_node).result()
-

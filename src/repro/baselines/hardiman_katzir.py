@@ -16,9 +16,10 @@ The paper shows this method is equivalent to SRW1 inside the new framework
 the original construction so that equivalence is *measured*, not assumed.
 
 :class:`HardimanKatzirSession` exposes the run through the streaming
-estimator protocol; :func:`hardiman_katzir` returns the unified
-:class:`~repro.core.result.Estimate` with ``clustering_coefficient``
-and the raw ``phi``/``psi`` accumulators in the meta dict.
+estimator protocol (registry name ``"hardiman_katzir"``) and returns the
+unified :class:`~repro.core.result.Estimate` with
+``clustering_coefficient`` and the raw ``phi``/``psi`` accumulators in
+the meta dict.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ class HardimanKatzirSession(Session):
         budget: int,
         seed: Optional[int] = None,
         seed_node: int = 0,
-        rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(budget)
         self.graph = graph
-        rng = rng if rng is not None else random.Random(seed)
-        self._walk = SimpleWalk(graph, NodeSpace(), rng=rng, seed_node=seed_node)
+        self._walk = SimpleWalk(
+            graph, NodeSpace(), rng=random.Random(seed), seed_node=seed_node
+        )
         self._previous = self._walk.state[0]
         self._current = self._walk.step()[0]
         self._phi_weighted = 0.0
@@ -87,16 +88,3 @@ class HardimanKatzirSession(Session):
                 "api_calls": getattr(self.graph, "api_calls", None),
             },
         )
-
-
-def hardiman_katzir(
-    graph,
-    steps: int,
-    seed: Optional[int] = None,
-    seed_node: int = 0,
-) -> Estimate:
-    """Run the estimator for ``steps`` interior walk positions."""
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    return HardimanKatzirSession(graph, steps, seed=seed, seed_node=seed_node).result()
-

@@ -20,8 +20,8 @@ hits, which is what makes S rather than S' the correct normalizer).
 The 3-star (beta = 0) is invisible to this sampler — the reason the paper
 declines to adapt path sampling to restricted access (§6.3.3).  Its
 concentration and count are ``nan`` in the unified
-:class:`~repro.core.result.Estimate` this module returns; count
-estimates are in
+:class:`~repro.core.result.Estimate` that :class:`PathSamplingSession`
+(registry name ``"path_sampling"``) returns; count estimates are in
 ``meta['count_estimates']`` / :meth:`Estimate.count_dict`.
 """
 
@@ -69,27 +69,13 @@ class PathSampler:
         target = self.rng.randrange(int(self.total_weight))
         return self.edges[bisect.bisect_right(self.cumulative, target)]
 
-    def run(self, samples: int) -> Estimate:
-        """Draw ``samples`` candidate 3-paths and summarize."""
-        if samples <= 0:
-            raise ValueError("samples must be positive")
-        return PathSamplingSession(sampler=self, budget=samples).result()
-
 
 class PathSamplingSession(Session):
     """Streaming 3-path run: one budget unit = one candidate draw."""
 
-    def __init__(
-        self,
-        graph: Optional[Graph] = None,
-        budget: int = 20_000,
-        seed: Optional[int] = None,
-        sampler: Optional[PathSampler] = None,
-    ) -> None:
+    def __init__(self, graph: Graph, budget: int, seed: Optional[int] = None) -> None:
         super().__init__(budget)
-        if sampler is None:
-            sampler = PathSampler(graph, random.Random(seed))
-        self.sampler = sampler
+        self.sampler = PathSampler(graph, random.Random(seed))
         self._hits = np.zeros(len(graphlets(4)), dtype=np.int64)
 
     def _advance(self, n: int) -> None:
@@ -141,11 +127,3 @@ class PathSamplingSession(Session):
                 "preprocess_seconds": self.sampler.preprocess_seconds,
             },
         )
-
-
-def path_sampling(
-    graph: Graph, samples: int, seed: Optional[int] = None
-) -> Estimate:
-    """One-shot 3-path sampling."""
-    return PathSampler(graph, random.Random(seed)).run(samples)
-

@@ -15,10 +15,9 @@ Requires the whole graph up front (the O(|V|) preprocessing the paper's
 :mod:`.wedge_mhrw`.
 
 :class:`WedgeSession` exposes the run through the streaming estimator
-protocol; :func:`wedge_sampling` and :meth:`WedgeSampler.run` return the
-unified :class:`~repro.core.result.Estimate` whose k=3 concentrations
-are ``[c_1^3, c_2^3]``;
-triadic extras (``triangle_count``, ``closed_fraction``, …) ride in the
+protocol (registry name ``"wedge"``) and returns the unified
+:class:`~repro.core.result.Estimate` whose k=3 concentrations are
+``[c_1^3, c_2^3]``; triadic extras (``triangle_count``, ``closed_fraction``, …) ride in the
 meta dict and stay readable as attributes.
 """
 
@@ -67,27 +66,13 @@ class WedgeSampler:
             b_pos += 1
         return center, neighbors[a_pos], neighbors[b_pos]
 
-    def run(self, samples: int) -> Estimate:
-        """Draw ``samples`` wedges and summarize."""
-        if samples <= 0:
-            raise ValueError("samples must be positive")
-        return WedgeSession(sampler=self, budget=samples).result()
-
 
 class WedgeSession(Session):
     """Streaming wedge-sampling run: one budget unit = one wedge draw."""
 
-    def __init__(
-        self,
-        graph: Optional[Graph] = None,
-        budget: int = 20_000,
-        seed: Optional[int] = None,
-        sampler: Optional[WedgeSampler] = None,
-    ) -> None:
+    def __init__(self, graph: Graph, budget: int, seed: Optional[int] = None) -> None:
         super().__init__(budget)
-        if sampler is None:
-            sampler = WedgeSampler(graph, random.Random(seed))
-        self.sampler = sampler
+        self.sampler = WedgeSampler(graph, random.Random(seed))
         self._closed = 0
 
     def _advance(self, n: int) -> None:
@@ -130,11 +115,3 @@ class WedgeSession(Session):
                 "preprocess_seconds": self.sampler.preprocess_seconds,
             },
         )
-
-
-def wedge_sampling(
-    graph: Graph, samples: int, seed: Optional[int] = None
-) -> Estimate:
-    """One-shot wedge sampling."""
-    return WedgeSampler(graph, random.Random(seed)).run(samples)
-

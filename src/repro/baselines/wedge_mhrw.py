@@ -16,7 +16,7 @@ figure; when run over a :class:`~repro.graphs.RestrictedGraph` the result
 also carries the measured (cache-aware) call count.
 
 :class:`WedgeMHRWSession` exposes the run through the streaming estimator
-protocol; :func:`wedge_mhrw` returns the unified
+protocol (registry name ``"wedge_mhrw"``) and returns the unified
 :class:`~repro.core.result.Estimate`.
 """
 
@@ -47,12 +47,10 @@ class WedgeMHRWSession(Session):
         budget: int,
         seed: Optional[int] = None,
         seed_node: int = 0,
-        rng: Optional[random.Random] = None,
     ) -> None:
         super().__init__(budget)
         self.graph = graph
-        rng = rng if rng is not None else random.Random(seed)
-        self._rng = rng
+        self._rng = rng = random.Random(seed)
         self._walk = MetropolisHastingsWalk(
             graph, weight=wedge_weight, rng=rng, seed_node=seed_node
         )
@@ -109,18 +107,6 @@ class WedgeMHRWSession(Session):
                 "api_calls": getattr(self.graph, "api_calls", None),
             },
         )
-
-
-def wedge_mhrw(
-    graph,
-    steps: int,
-    seed: Optional[int] = None,
-    seed_node: int = 0,
-) -> Estimate:
-    """Run Algorithm 4 for ``steps`` random-walk steps."""
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    return WedgeMHRWSession(graph, steps, seed=seed, seed_node=seed_node).result()
 
 
 def graph_size_guard(graph) -> int:

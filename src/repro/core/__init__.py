@@ -13,9 +13,9 @@ from .bounds import (
     sample_size_bound,
     weighted_concentration,
 )
-from .checkpoints import checkpoint_session, run_with_checkpoints
+from .checkpoints import run_with_checkpoints
 from .css import css_templates, sampling_weight
-from .estimator import MethodSpec, SRWSession, run_estimation
+from .estimator import MethodSpec, SRWSession, recommended_method, run_estimation
 from .joint import run_joint_estimation
 from .result import Estimate
 from .session import EstimationConfig, Estimator, Session
@@ -40,12 +40,6 @@ from .expanded_chain import (
     theorem2_distribution,
 )
 from .variance import VarianceReport, lemma5_variances
-from .framework import (
-    GraphletEstimator,
-    estimate_concentration,
-    estimate_counts,
-    recommended_method,
-)
 
 __all__ = [
     "AllOf",
@@ -63,18 +57,14 @@ __all__ = [
     "TheoremBound",
     "as_stopping_spec",
     "parse_target",
-    "GraphletEstimator",
     "MethodSpec",
     "SRWSession",
     "Session",
     "alpha_coefficient",
     "alpha_fingerprints",
     "alpha_table",
-    "checkpoint_session",
     "css_templates",
     "enumerate_windows",
-    "estimate_concentration",
-    "estimate_counts",
     "expanded_transition_matrix",
     "hamilton_paths",
     "nominal_degree",

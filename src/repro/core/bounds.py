@@ -16,6 +16,7 @@ module targets small graphs; that is also how the paper uses the theorem
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -23,6 +24,7 @@ from typing import Dict, Optional
 from ..exact import exact_counts
 from ..graphs.graph import Graph
 from ..relgraph.construct import relationship_graph
+from ..relgraph.spaces import walk_space
 from ..walks.mixing import mixing_time_spectral
 from .alpha import alpha_table
 
@@ -162,21 +164,10 @@ def css_sample_size_bound(
     if counts[graphlet_index] == 0:
         raise ValueError(f"graphlet {graphlet_index} does not occur in the graph")
 
-    relgraph, states = relationship_graph(graph, d)
+    relgraph, _ = relationship_graph(graph, d)
     tau = mixing_time_spectral(relgraph, epsilon=0.125)
     two_r = 2.0 * relgraph.num_edges
-
-    if d == 1:
-        def degree_of_state(state):
-            return graph.degree(state[0])
-    elif d == 2:
-        def degree_of_state(state):
-            return graph.degree(state[0]) + graph.degree(state[1]) - 2
-    else:
-        state_index = {s: i for i, s in enumerate(states)}
-
-        def degree_of_state(state):
-            return relgraph.degree(state_index[tuple(sorted(state))])
+    degree_of_state = functools.partial(walk_space(d).degree, graph)
 
     w_prime = 0.0
     for nodes in enumerate_connected_subgraphs(graph, k):

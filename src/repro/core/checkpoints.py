@@ -11,68 +11,17 @@ family.
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional, Sequence, Union
 
-from .estimator import MethodSpec, SRWSession
+from .estimator import MethodSpec
 from .result import Estimate
-from .session import Session
-
-
-def checkpoint_session(
-    graph,
-    method: Union[MethodSpec, str],
-    budget: int,
-    rng: Optional[random.Random] = None,
-    seed: Optional[int] = None,
-    seed_node: int = 0,
-    burn_in: int = 0,
-    chains: int = 1,
-    k: Optional[int] = None,
-) -> Session:
-    """A streaming session for ``method`` (a MethodSpec or registry name).
-
-    MethodSpec runs accept a live ``rng`` (bit-parity with
-    :func:`repro.core.run_estimation`); registry names are resolved via
-    :mod:`repro.estimators` and seed through ``seed``.  ``rng`` and
-    ``seed`` are mutually exclusive — passing both is an error rather
-    than a silent precedence rule.
-    """
-    if rng is not None and seed is not None:
-        raise ValueError(
-            "pass either rng= (a live random.Random, MethodSpec runs only) "
-            "or seed= (an int, any method), not both — they would describe "
-            "two different random streams for the same run; drop seed=, or "
-            "drop rng= and let the run seed itself with random.Random(seed)"
-        )
-    if isinstance(method, MethodSpec):
-        if rng is None:
-            rng = random.Random(seed)
-        return SRWSession(
-            graph, method, budget, rng=rng, seed_node=seed_node,
-            burn_in=burn_in, chains=chains,
-        )
-    if rng is not None:
-        raise ValueError(
-            "rng= is only supported for MethodSpec runs; registry methods "
-            "are seeded declaratively — pass seed= instead"
-        )
-    # Lazy import: estimators sits above core in the layer stack.
-    from ..estimators import get as get_estimator
-    from .session import EstimationConfig
-
-    config = EstimationConfig(
-        method=str(method), k=k, target=int(budget), seed=seed,
-        seed_node=seed_node, burn_in=burn_in, chains=chains,
-    )
-    return get_estimator(method).prepare(graph, config)
+from .session import EstimationConfig
 
 
 def run_with_checkpoints(
     graph,
     spec: Union[MethodSpec, str],
     checkpoints: Sequence[int],
-    rng: Optional[random.Random] = None,
     seed_node: int = 0,
     burn_in: int = 0,
     seed: Optional[int] = None,
@@ -87,18 +36,28 @@ def run_with_checkpoints(
     share the run, so they are *nested*, not independent — use
     :func:`repro.evaluation.run_trials` when independence matters.
 
-    ``spec`` may be a :class:`MethodSpec` (the historical surface, honors
-    ``rng``) or any registry method name (``"guise"``, ``"srw2css"``, …;
-    pass ``seed``/``k`` instead of ``rng``).
+    ``spec`` is any registry method name (``"guise"``, ``"srw2css"``, …)
+    or a :class:`MethodSpec`, which stands for ``(spec.name, spec.k)``.
+    The session opens through :func:`repro.estimators.prepare`, so
+    ``seed=s`` gives the bits of
+    :func:`~repro.core.run_estimation` with ``rng=random.Random(s)``.
     """
     budgets = sorted(set(checkpoints))
     if not budgets:
         raise ValueError("checkpoints must be non-empty")
     if budgets[0] <= 0:
         raise ValueError(f"steps must be positive, got {budgets[0]}")
-    session = checkpoint_session(
-        graph, spec, budgets[-1], rng=rng, seed=seed, seed_node=seed_node,
-        burn_in=burn_in, chains=chains, k=k,
+    if isinstance(spec, MethodSpec):
+        spec, k = spec.name, spec.k
+    # Lazy import: estimators sits above core in the layer stack.
+    from ..estimators import prepare
+
+    session = prepare(
+        graph,
+        EstimationConfig(
+            method=spec, k=k, target=budgets[-1], seed=seed,
+            seed_node=seed_node, burn_in=burn_in, chains=chains,
+        ),
     )
     snapshots: List[Estimate] = []
     reached = 0

@@ -37,6 +37,7 @@ result is distributed like one run whose samples came from B chains.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -47,7 +48,7 @@ import numpy as np
 
 from ..graphlets.catalog import classify_bitmask
 from ..graphlets.signatures import classification_table
-from ..relgraph.spaces import WalkSpace, walk_space
+from ..relgraph.spaces import walk_space
 from ..walks import windows as windows_mod
 from ..walks.batched import batch_capable, warn_serial_fallback
 from ..walks.walkers import make_engine, make_walk
@@ -114,6 +115,12 @@ class MethodSpec:
             else:
                 raise ValueError(f"unrecognized suffix {rest!r} in method {name!r}")
         return cls(k=k, d=int(digits), css=css, nb=nb)
+
+
+def recommended_method(k: int) -> str:
+    """The paper's §6.2 recommendation: SRW1CSSNB for 3-node graphlets,
+    SRW2CSS for 4- and 5-node graphlets."""
+    return "SRW1CSSNB" if k == 3 else "SRW2CSS"
 
 
 def split_budget(steps: int, chains: int) -> List[int]:
@@ -210,22 +217,10 @@ def run_estimation(
     ).result()
 
 
-def _effective_degree_fn(
-    graph, space: WalkSpace, spec: MethodSpec
-) -> Callable[[Tuple[int, ...]], int]:
-    """The (possibly NB-nominal) G(d)-degree of a state, per backend-
-    agnostic closed forms for d <= 2 and the enumerating fallback above."""
-    d = spec.d
-    if d == 1:
-        def state_degree(state: Tuple[int, ...]) -> int:
-            return graph.degree(state[0])
-    elif d == 2:
-        def state_degree(state: Tuple[int, ...]) -> int:
-            return graph.degree(state[0]) + graph.degree(state[1]) - 2
-    else:
-        def state_degree(state: Tuple[int, ...]) -> int:
-            return space.degree(graph, state)
-
+def _effective_degree_fn(graph, spec: MethodSpec) -> Callable[[Tuple[int, ...]], int]:
+    """The (possibly NB-nominal) G(d)-degree of a state:
+    :meth:`~repro.relgraph.spaces.WalkSpace.degree`."""
+    state_degree = functools.partial(walk_space(spec.d).degree, graph)
     if spec.nb:
         def effective_degree(state: Tuple[int, ...]) -> int:
             return nominal_degree(state_degree(state))
@@ -253,7 +248,7 @@ class _SerialChain:
         self.spec = spec
         self.alphas = alphas
         self.walker = walker
-        self.effective_degree = _effective_degree_fn(graph, walk_space(spec.d), spec)
+        self.effective_degree = _effective_degree_fn(graph, spec)
         self.sums = np.zeros(len(alphas))
         self.sample_counts = np.zeros(len(alphas), dtype=np.int64)
         self.valid_samples = 0

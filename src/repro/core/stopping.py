@@ -44,6 +44,22 @@ import numpy as np
 DEFAULT_STEP_CAP = 200_000
 
 
+def stderr_bound(estimate) -> Optional[float]:
+    """Largest finite per-type stderr of ``estimate``.
+
+    None when there is no estimate, no stderr, or no finite entry; a
+    ``TargetStderr`` target compares against this.
+    """
+    stderr = getattr(estimate, "stderr", None)
+    if stderr is None:
+        return None
+    values = np.asarray(stderr, dtype=np.float64)
+    finite = values[np.isfinite(values)]
+    if finite.size == 0:
+        return None
+    return float(finite.max())
+
+
 @dataclass(frozen=True)
 class StopProbe:
     """One stopping-rule evaluation point: the run state at a check."""
@@ -56,14 +72,7 @@ class StopProbe:
     @property
     def stderr_bound(self) -> Optional[float]:
         """Max finite per-type stderr, or None when unavailable."""
-        stderr = getattr(self.estimate, "stderr", None)
-        if stderr is None:
-            return None
-        values = np.asarray(stderr, dtype=np.float64)
-        finite = values[np.isfinite(values)]
-        if finite.size == 0:
-            return None
-        return float(finite.max())
+        return stderr_bound(self.estimate)
 
 
 def stopping_record(

@@ -10,12 +10,14 @@ a given graph — the per-type variance ratios drive the Figure 4 gaps).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..graphlets.catalog import classify_bitmask, graphlets, induced_bitmask
 from ..graphs.graph import Graph
 from ..relgraph.construct import relationship_graph
+from ..relgraph.spaces import walk_space
 from .alpha import alpha_table
 from .css import sampling_weight
 from .expanded_chain import enumerate_windows, stationary_weight
@@ -55,17 +57,7 @@ def lemma5_variances(graph: Graph, k: int, d: int) -> Dict[int, VarianceReport]:
     alphas = alpha_table(k, d)
     num_types = len(alphas)
 
-    if d == 1:
-        def degree_of_state(state: Tuple[int, ...]) -> int:
-            return graph.degree(state[0])
-    elif d == 2:
-        def degree_of_state(state: Tuple[int, ...]) -> int:
-            return graph.degree(state[0]) + graph.degree(state[1]) - 2
-    else:
-        index = {s: i for i, s in enumerate(states)}
-
-        def degree_of_state(state: Tuple[int, ...]) -> int:
-            return relgraph.degree(index[tuple(sorted(state))])
+    degree_of_state = functools.partial(walk_space(d).degree, graph)
 
     mean: List[float] = [0.0] * num_types
     second_basic: List[float] = [0.0] * num_types

@@ -8,8 +8,11 @@ the full method table on import:
 * the framework grammar ``SRW{d}[CSS][NB]`` (``srw1`` … ``srw4nb``,
   including the d >= 3 methods the batched CSR engine now vectorizes;
   any other combination resolves on demand),
-* the baselines PSRW, plain SRW-on-G(k), GUISE, wedge sampling,
-  wedge-MHRW, 3-path sampling and Hardiman–Katzir,
+* PSRW and the plain subgraph random walk of Wang et al. [36] as named
+  SRW specs: ``psrw`` is SRW(k - 1) and ``srw`` is SRW(k) (§1.2,
+  §6.3.1), so they share :class:`SRWEstimator`,
+* the baselines GUISE, wedge sampling, wedge-MHRW, 3-path sampling and
+  Hardiman–Katzir,
 * the ``exact`` enumeration oracle.
 """
 
@@ -23,7 +26,6 @@ import numpy as np
 from ..baselines.guise import GuiseSession
 from ..baselines.hardiman_katzir import HardimanKatzirSession
 from ..baselines.path_sampling import PathSamplingSession
-from ..baselines.psrw import psrw_spec, srw_spec
 from ..baselines.wedge import WedgeSession
 from ..baselines.wedge_mhrw import WedgeMHRWSession
 from ..core.estimator import MethodSpec, SRWSession
@@ -57,13 +59,23 @@ def _reject_walk_options(config: EstimationConfig, method: str) -> None:
         raise ValueError(f"method {method!r} does not support burn_in")
 
 
+#: Named SRW specs whose walk dimension follows k, as
+#: ``name -> (k - d, default k)``: PSRW (Wang et al. [36]) is SRW(k - 1)
+#: and the plain subgraph random walk is SRW(k) with window length 1
+#: (§1.2, §6.3.1).
+_NAMED_SRW = {"psrw": (1, 4), "srw": (0, 3)}
+
+
 class SRWEstimator:
-    """A fixed ``SRW{d}[CSS][NB]`` method of the paper's framework."""
+    """A fixed ``SRW{d}[CSS][NB]`` method of the paper's framework, or
+    one of the named specs ``psrw`` / ``srw`` whose d follows k."""
 
     def __init__(self, method: str) -> None:
         self.name = normalize(method)
 
     def _default_k(self) -> int:
+        if self.name in _NAMED_SRW:
+            return _NAMED_SRW[self.name][1]
         spec_probe = self.name.upper()
         digits = "".join(c for c in spec_probe[3:] if c.isdigit())
         d = int(digits)
@@ -72,46 +84,13 @@ class SRWEstimator:
 
     def prepare(self, graph, config: EstimationConfig) -> Session:
         k = _resolve_k(config, self._default_k())
-        spec = MethodSpec.parse(self.name, k)
+        if self.name in _NAMED_SRW:
+            spec = MethodSpec(k=k, d=k - _NAMED_SRW[self.name][0])
+        else:
+            spec = MethodSpec.parse(self.name, k)
         return SRWSession(
             graph,
             spec,
-            config.budget,
-            rng=random.Random(config.seed),
-            seed_node=config.seed_node,
-            burn_in=config.burn_in,
-            chains=config.chains,
-        )
-
-
-class PSRWEstimator:
-    """PSRW (Wang et al. [36]) — the framework's d = k - 1 special case."""
-
-    name = "psrw"
-
-    def prepare(self, graph, config: EstimationConfig) -> Session:
-        k = _resolve_k(config, 4)
-        return SRWSession(
-            graph,
-            psrw_spec(k),
-            config.budget,
-            rng=random.Random(config.seed),
-            seed_node=config.seed_node,
-            burn_in=config.burn_in,
-            chains=config.chains,
-        )
-
-
-class PlainSRWEstimator:
-    """Plain subgraph random walk on G(k) (d = k, window length 1)."""
-
-    name = "srw"
-
-    def prepare(self, graph, config: EstimationConfig) -> Session:
-        k = _resolve_k(config, 3)
-        return SRWSession(
-            graph,
-            srw_spec(k),
             config.budget,
             rng=random.Random(config.seed),
             seed_node=config.seed_node,
@@ -248,11 +227,9 @@ def register_builtin_estimators() -> None:
             "srw1", "srw1nb", "srw1css", "srw1cssnb",
             "srw2", "srw2nb", "srw2css", "srw2cssnb",
             "srw3", "srw3nb", "srw3css", "srw3cssnb",
-            "srw4", "srw4nb",
+            "srw4", "srw4nb", "psrw", "srw",
         )
     ] + [
-        PSRWEstimator(),
-        PlainSRWEstimator(),
         GuiseEstimator(),
         WedgeEstimator(),
         WedgeMHRWEstimator(),

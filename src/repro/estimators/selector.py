@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from ..core.framework import recommended_method
+from ..core.estimator import recommended_method
 from ..core.session import EstimationConfig
 
 #: Largest node count per k at which exact enumeration beats sampling

@@ -13,7 +13,6 @@ from .runner import (
     TrialSummary,
     nrmse_table,
     random_start_nodes,
-    run_custom_trials,
     run_trials,
 )
 from .similarity import (
@@ -44,7 +43,6 @@ __all__ = [
     "random_start_nodes",
     "relative_bias",
     "relative_std",
-    "run_custom_trials",
     "run_trials",
     "similarity_trials",
 ]

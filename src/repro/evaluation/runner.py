@@ -21,7 +21,7 @@ and one result table — no per-method branches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "TrialSummary",
     "nrmse_table",
     "random_start_nodes",
-    "run_custom_trials",
     "run_trials",
 ]
 
@@ -145,12 +144,3 @@ def nrmse_table(
         )
         table[method] = summary.nrmse_for(truth, target_index)
     return table
-
-
-def run_custom_trials(
-    estimator: Callable[[int], float],
-    trials: int,
-) -> np.ndarray:
-    """Collect scalar estimates from an arbitrary seeded estimator callable
-    (for scalar studies that target a single derived statistic)."""
-    return np.array([estimator(t) for t in range(trials)], dtype=float)

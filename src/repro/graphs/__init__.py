@@ -54,7 +54,7 @@ from .subgraph import (
     induced_subgraph,
     k_core,
 )
-from .io import graph_from_pairs, iter_edge_list, read_edge_list, write_edge_list
+from .io import graph_from_pairs, read_edge_list, write_edge_list
 
 __all__ = [
     "AccessViolation",
@@ -92,7 +92,6 @@ __all__ = [
     "ingest_edge_list",
     "is_connected",
     "is_mmap_dir",
-    "iter_edge_list",
     "largest_connected_component",
     "list_datasets",
     "load_dataset",

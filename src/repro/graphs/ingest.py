@@ -94,9 +94,8 @@ def _strip_comments(block: bytes) -> bytes:
 def _parse_lines(block: bytes, path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
     """Per-line fallback for ragged or non-integer-extra-column blocks.
 
-    Mirrors :func:`repro.graphs.io.iter_edge_list`'s error contract: a
-    line with fewer than two tokens or a non-integer endpoint raises
-    :class:`GraphError` quoting the offending line.
+    A line with fewer than two tokens or a non-integer endpoint raises
+    :class:`GraphError` quoting the file and the offending line.
     """
     us: List[int] = []
     vs: List[int] = []
@@ -163,7 +162,7 @@ def iter_edge_blocks(
 
     Raw file order, self-loops included — callers filter.  This is the
     shared chunked front-end of :func:`ingest_edge_list` and of
-    :func:`repro.graphs.io.read_edge_list`'s large-file route.
+    :func:`repro.graphs.io.read_edge_list`.
     """
     path = Path(path)
     parser = _BlockParser(path)

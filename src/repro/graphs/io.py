@@ -10,20 +10,13 @@ from __future__ import annotations
 
 import gzip
 from pathlib import Path
-from typing import Dict, IO, Iterable, Iterator, Optional, Tuple, Union
+from typing import Dict, IO, Iterable, Tuple, Union
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .graph import Graph
 
 PathLike = Union[str, Path]
-
-#: Files at or above this many bytes route through the chunked numpy
-#: parser of :mod:`repro.graphs.ingest` instead of the per-line loop —
-#: identical output (see ``tests/test_ingest.py``), ~10x less Python
-#: overhead.  Both loaders still materialize the :class:`Graph` in RAM;
-#: truly large files belong with :func:`repro.graphs.ingest.ingest_edge_list`.
-CHUNKED_THRESHOLD_BYTES = 16 << 20
 
 
 def _open_text(path: PathLike, mode: str) -> IO[str]:
@@ -33,65 +26,20 @@ def _open_text(path: PathLike, mode: str) -> IO[str]:
     return open(path, mode)
 
 
-def iter_edge_list(path: PathLike) -> Iterator[Tuple[int, int]]:
-    """Yield raw ``(u, v)`` integer pairs from an edge-list file."""
-    with _open_text(path, "r") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(("#", "%")):
-                continue
-            parts = stripped.split()
-            if len(parts) < 2:
-                raise GraphError(f"{path}:{line_no}: expected 'u v', got {stripped!r}")
-            yield int(parts[0]), int(parts[1])
-
-
-def read_edge_list(
-    path: PathLike, *, chunked_threshold: Optional[int] = None
-) -> Tuple[Graph, Dict[int, int]]:
+def read_edge_list(path: PathLike) -> Tuple[Graph, Dict[int, int]]:
     """Load an edge-list file into a :class:`Graph`.
 
     Node ids are relabeled to contiguous ``0 .. n-1`` in first-seen
-    order; self-loops are dropped (SNAP dumps occasionally contain them)
-    and duplicate edges collapsed.
-
-    Files at or above ``chunked_threshold`` bytes (default
-    :data:`CHUNKED_THRESHOLD_BYTES`) parse through the chunked numpy
-    front-end; the two routes produce identical graphs and mappings —
-    pass ``chunked_threshold=0`` to force the vectorized route.
+    order, scanning ``u`` then ``v`` per line; self-loops are dropped
+    (SNAP dumps occasionally contain them) and duplicate edges
+    collapsed.  The file parses through the chunked numpy front end of
+    :mod:`repro.graphs.ingest` (plain or ``.gz``); a malformed line
+    raises :class:`GraphError` quoting the file and the line.
 
     Returns
     -------
     (graph, mapping):
         ``mapping`` maps original id -> new id.
-    """
-    threshold = (
-        CHUNKED_THRESHOLD_BYTES if chunked_threshold is None else chunked_threshold
-    )
-    try:
-        size = Path(path).stat().st_size
-    except OSError:
-        size = 0  # let the per-line loader surface the open error
-    if size >= threshold:
-        return _read_edge_list_chunked(path)
-    mapping: Dict[int, int] = {}
-    edges = []
-    for u, v in iter_edge_list(path):
-        if u == v:
-            continue
-        for x in (u, v):
-            if x not in mapping:
-                mapping[x] = len(mapping)
-        edges.append((mapping[u], mapping[v]))
-    return Graph(len(mapping), edges), mapping
-
-
-def _read_edge_list_chunked(path: PathLike) -> Tuple[Graph, Dict[int, int]]:
-    """Vectorized :func:`read_edge_list`: same output, numpy throughout.
-
-    The legacy loader assigns new ids in first-seen order scanning ``u``
-    then ``v`` per line; interleaving both columns into one array makes
-    that order recoverable from ``np.unique``'s first-occurrence indices.
     """
     from .ingest import iter_edge_blocks
 
@@ -107,6 +55,8 @@ def _read_edge_list_chunked(path: PathLike) -> Tuple[Graph, Dict[int, int]]:
         return Graph(0), {}
     u = np.concatenate(u_blocks)
     v = np.concatenate(v_blocks)
+    # Interleaving both columns makes first-seen order recoverable from
+    # np.unique's first-occurrence indices.
     flat = np.empty(u.size * 2, dtype=np.int64)
     flat[0::2] = u
     flat[1::2] = v

@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from .baselines import wedge_mhrw
 from .core.alpha import alpha_table
 from .core.bounds import weighted_concentration
 from .core.estimator import MethodSpec, run_estimation
+from .estimators import estimate
 from .evaluation import format_table, nrmse, nrmse_table
 from .evaluation.similarity import graphlet_kernel_similarity, similarity_trials
 from .exact import exact_concentrations_cached, exact_counts_cached
@@ -151,7 +151,8 @@ def section_wedge_mhrw(
         for t in range(trials)
     ]
     theirs = [
-        wedge_mhrw(graph, steps, seed=seed + t).triangle_concentration
+        estimate(graph, "wedge_mhrw", budget=steps, seed=seed + t)
+        .triangle_concentration
         for t in range(trials)
     ]
     our_error, their_error = nrmse(ours, truth), nrmse(theirs, truth)

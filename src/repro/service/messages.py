@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from ..core.result import Estimate
-from ..core.stopping import StoppingRule, as_stopping_spec
+from ..core.stopping import StoppingRule, as_stopping_spec, stderr_bound
 
 #: Default number of progressive snapshots per request when the caller
 #: does not pin ``snapshot_steps`` explicitly.
@@ -166,17 +166,6 @@ class Snapshot:
 
     @property
     def stderr_bound(self) -> Optional[float]:
-        """Largest finite per-type stderr of the current estimate.
-
-        ``None`` while no estimate (or no stderr) is available; a
-        ``TargetStderr`` target compares against this.
-        """
-        import numpy as np
-
-        if self.estimate is None or self.estimate.stderr is None:
-            return None
-        stderr = np.asarray(self.estimate.stderr, dtype=float)
-        finite = stderr[np.isfinite(stderr)]
-        if finite.size == 0:
-            return None
-        return float(finite.max())
+        """Largest finite per-type stderr of the current estimate
+        (:func:`repro.core.stopping.stderr_bound`)."""
+        return stderr_bound(self.estimate)

@@ -8,7 +8,6 @@ from .batched import (
     batch_support,
 )
 from .mhrw import (
-    BatchedMetropolisHastingsWalk,
     MetropolisHastingsWalk,
     uniform_weight,
     wedge_weight,
@@ -34,7 +33,6 @@ from .windows import (
 )
 
 __all__ = [
-    "BatchedMetropolisHastingsWalk",
     "BatchedWalkEngine",
     "BatchFallbackWarning",
     "batch_support",

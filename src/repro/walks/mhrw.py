@@ -16,8 +16,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterator, Optional
 
-import numpy as np
-
 
 def wedge_weight(degree: int) -> float:
     """Target weight proportional to the number of wedges centered at a
@@ -86,75 +84,3 @@ class MetropolisHastingsWalk:
     def acceptance_rate(self) -> float:
         """Fraction of proposals accepted so far."""
         return self.accepted / self.steps_taken if self.steps_taken else 0.0
-
-
-class BatchedMetropolisHastingsWalk:
-    """Vectorized MH walk: B independent chains on a CSR backend.
-
-    The transition kernel is identical to :class:`MetropolisHastingsWalk`
-    — propose a uniform neighbor, accept with ratio
-    ``min(1, [w(d_prop)/d_prop] / [w(d_cur)/d_cur])`` — but a whole batch
-    of proposals is two CSR gathers, and because every target used in the
-    paper is a *degree* function, the weights collapse to a lookup table
-    indexed by degree, built once at construction.
-
-    Requires a :class:`~repro.graphs.CSRGraph` (the batched kernels need
-    the packed ``indptr``/``indices`` arrays).
-    """
-
-    def __init__(
-        self,
-        csr,
-        weight: Callable[[int], float] = wedge_weight,
-        rng: Optional[np.random.Generator] = None,
-        seed_node: int = 0,
-        chains: int = 1,
-    ) -> None:
-        from ..graphs.csr import CSRGraph
-
-        if not isinstance(csr, CSRGraph):
-            raise TypeError("BatchedMetropolisHastingsWalk requires a CSRGraph")
-        if chains < 1:
-            raise ValueError(f"need at least one chain, got {chains}")
-        if not len(csr.neighbors(seed_node)):
-            raise ValueError(f"seed node {seed_node} is isolated")
-        self.graph = csr
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.chains = chains
-        # w(d)/d per possible degree; acceptance compares table entries.
-        degs = np.arange(csr.max_degree() + 1, dtype=np.int64)
-        table = np.array([weight(int(d)) for d in degs], dtype=np.float64)
-        self._ratio = np.divide(
-            table, degs, out=np.zeros_like(table), where=degs > 0
-        )
-        self.state = np.full(chains, seed_node, dtype=np.int64)
-        self.steps_taken = 0
-        self.accepted = 0
-
-    def step(self) -> np.ndarray:
-        """One proposal/accept step for every chain; returns the states."""
-        csr = self.graph
-        degs = csr.degrees_array
-        cur = self.state
-        d_cur = degs[cur]
-        offsets = (self.rng.random(self.chains) * d_cur).astype(np.int64)
-        np.minimum(offsets, d_cur - 1, out=offsets)
-        proposal = csr.indices[csr.indptr[cur] + offsets]
-        num = self._ratio[degs[proposal]]
-        den = self._ratio[d_cur]
-        accept = self.rng.random(self.chains) * den <= num
-        self.state = np.where(accept, proposal, cur)
-        self.accepted += int(accept.sum())
-        self.steps_taken += 1
-        return self.state
-
-    def walk(self, steps: int) -> Iterator[np.ndarray]:
-        """Yield ``steps`` successive state batches."""
-        for _ in range(steps):
-            yield self.step()
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Fraction of proposals accepted so far (across all chains)."""
-        total = self.steps_taken * self.chains
-        return self.accepted / total if total else 0.0

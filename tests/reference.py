@@ -12,12 +12,15 @@ original d <= 2 proposal loops, redrawing lane subsets round by round.
 :func:`padded_css_weights` is the CSS weight evaluation over templates
 padded to each chunk's largest count, the oracle for
 :meth:`repro.core.css.CSSWeightTable.weights`.
+:func:`iter_edge_list` / :func:`read_edge_list_per_line` are the
+per-line edge-list loader, the oracle for the chunked numpy parser of
+:func:`repro.graphs.read_edge_list`.
 Test code only; nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +32,8 @@ from repro.core.estimator import (
     pool_chains,
 )
 from repro.graphlets.catalog import classify_bitmask
-from repro.relgraph.spaces import walk_space
+from repro.graphs import Graph, GraphError
+from repro.graphs.io import _open_text
 from repro.walks.windows import label_pairs
 
 
@@ -311,7 +315,7 @@ def _batched_python(
     reproduce these sums bit for bit — the parity suites drive both off
     identically seeded engines.
     """
-    effective_degree = _effective_degree_fn(graph, walk_space(spec.d), spec)
+    effective_degree = _effective_degree_fn(graph, spec)
     accumulators = [
         _ChainAccumulator(graph, spec, alphas, effective_degree, budget, burn_in)
         for budget in budgets
@@ -361,3 +365,33 @@ def _batched_vectorized(
     acc = _VectorizedAccumulator(graph, spec, alphas, budgets, engine, burn_in)
     acc.advance(acc.total)
     return pool_chains(acc.chain_sums)[0], acc.sample_counts, acc.valid_samples
+
+
+def iter_edge_list(path) -> Iterator[Tuple[int, int]]:
+    """Yield raw ``(u, v)`` integer pairs from an edge-list file, one
+    line at a time."""
+    with _open_text(path, "r") as handle:
+        for line_no, line in enumerate(handle, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith(("#", "%")):
+                continue
+            parts = stripped.split()
+            if len(parts) < 2:
+                raise GraphError(f"{path}:{line_no}: expected 'u v', got {stripped!r}")
+            yield int(parts[0]), int(parts[1])
+
+
+def read_edge_list_per_line(path) -> Tuple[Graph, Dict[int, int]]:
+    """The per-line edge-list loader: new ids in first-seen order
+    scanning ``u`` then ``v`` per line, self-loops dropped, duplicate
+    edges collapsed by the :class:`Graph` constructor."""
+    mapping: Dict[int, int] = {}
+    edges = []
+    for u, v in iter_edge_list(path):
+        if u == v:
+            continue
+        for x in (u, v):
+            if x not in mapping:
+                mapping[x] = len(mapping)
+        edges.append((mapping[u], mapping[v]))
+    return Graph(len(mapping), edges), mapping

@@ -8,17 +8,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    guise,
-    guise_neighbors,
-    hardiman_katzir,
-    path_sampling,
-    path_weights,
-    psrw_estimate,
-    srw_estimate,
-    wedge_mhrw,
-    wedge_sampling,
-)
+from repro import estimate
+from repro.baselines import guise_neighbors, path_weights
 from repro.baselines.path_sampling import PathSampler
 from repro.baselines.wedge import WedgeSampler
 from repro.exact import (
@@ -35,20 +26,20 @@ from repro.graphs.generators import path_graph
 class TestWedgeSampling:
     def test_triangle_concentration_converges(self, karate):
         truth = exact_concentrations(karate, 3)[1]
-        result = wedge_sampling(karate, 30_000, seed=1)
+        result = estimate(karate, "wedge", budget=30_000, seed=1)
         assert abs(result.triangle_concentration - truth) < 0.1 * truth + 0.005
 
     def test_triangle_count_converges(self, karate):
-        result = wedge_sampling(karate, 30_000, seed=2)
+        result = estimate(karate, "wedge", budget=30_000, seed=2)
         assert abs(result.triangle_count - 45) < 8
 
     def test_closed_fraction_estimates_transitivity(self, karate):
-        result = wedge_sampling(karate, 30_000, seed=3)
+        result = estimate(karate, "wedge", budget=30_000, seed=3)
         cc = global_clustering_coefficient(karate)
         assert abs(result.closed_fraction - cc) < 0.03
 
     def test_wedge_graphlet_count(self, karate):
-        result = wedge_sampling(karate, 30_000, seed=4)
+        result = estimate(karate, "wedge", budget=30_000, seed=4)
         truth = exact_counts(karate, 3)[0]
         assert abs(result.wedge_graphlet_count - truth) < 0.1 * truth
 
@@ -69,11 +60,14 @@ class TestWedgeSampling:
 
     def test_no_wedges_raises(self):
         with pytest.raises(ValueError):
-            wedge_sampling(Graph(2, [(0, 1)]), 10)
+            estimate(Graph(2, [(0, 1)]), "wedge", budget=10)
+        # Enough nodes for k = 3, but a perfect matching has no wedge.
+        with pytest.raises(ValueError, match="no wedges"):
+            estimate(Graph(4, [(0, 1), (2, 3)]), "wedge", budget=10)
 
     def test_nonpositive_samples(self, karate):
         with pytest.raises(ValueError):
-            wedge_sampling(karate, 0)
+            estimate(karate, "wedge", budget=0)
 
 
 class TestPathSampling:
@@ -83,17 +77,17 @@ class TestPathSampling:
 
     def test_counts_converge(self, karate):
         truth = exact_counts(karate, 4)
-        result = path_sampling(karate, 40_000, seed=1)
+        result = estimate(karate, "path_sampling", budget=40_000, seed=1)
         counts = result.count_dict()
         for name, index in [("path", 0), ("tailed-triangle", 3), ("chordal-cycle", 4)]:
             assert abs(counts[name] - truth[index]) < 0.25 * truth[index] + 5
 
     def test_star_invisible(self, karate):
-        result = path_sampling(karate, 1_000, seed=2)
+        result = estimate(karate, "path_sampling", budget=1_000, seed=2)
         assert math.isnan(result.count_dict()["3-star"])
 
     def test_clique_estimate(self, karate):
-        result = path_sampling(karate, 60_000, seed=3)
+        result = estimate(karate, "path_sampling", budget=60_000, seed=3)
         truth = exact_counts(karate, 4)[5]
         assert abs(result.count_dict()["clique"] - truth) < 0.6 * truth + 3
 
@@ -107,10 +101,13 @@ class TestPathSampling:
 
     def test_no_paths_raises(self):
         with pytest.raises(ValueError):
-            path_sampling(path_graph(2), 10)
+            estimate(path_graph(2), "path_sampling", budget=10)
+        # Enough nodes for k = 4, but every star edge has tau_e = 0.
+        with pytest.raises(ValueError, match="no 3-paths"):
+            estimate(Graph(4, [(0, 1), (0, 2), (0, 3)]), "path_sampling", budget=10)
 
     def test_concentrations_ignore_star(self, karate):
-        result = path_sampling(karate, 5_000, seed=4)
+        result = estimate(karate, "path_sampling", budget=5_000, seed=4)
         conc = result.concentrations
         visible = [c for c in conc if not math.isnan(c)]
         assert math.isclose(sum(visible), 1.0, rel_tol=1e-9)
@@ -119,31 +116,31 @@ class TestPathSampling:
 class TestWedgeMHRW:
     def test_converges(self, karate):
         truth = exact_concentrations(karate, 3)[1]
-        result = wedge_mhrw(karate, 30_000, seed=1)
+        result = estimate(karate, "wedge_mhrw", budget=30_000, seed=1)
         assert abs(result.triangle_concentration - truth) < 0.15 * truth + 0.01
 
     def test_wedge_concentration_complement(self, karate):
-        result = wedge_mhrw(karate, 5_000, seed=2)
+        result = estimate(karate, "wedge_mhrw", budget=5_000, seed=2)
         assert math.isclose(
             result.wedge_concentration + result.triangle_concentration, 1.0
         )
 
     def test_nominal_api_cost_is_three_per_step(self, karate):
-        result = wedge_mhrw(karate, 1_000, seed=3)
+        result = estimate(karate, "wedge_mhrw", budget=1_000, seed=3)
         assert result.nominal_api_calls == 3_000
 
     def test_restricted_access_run(self, karate):
         api = RestrictedGraph(karate, seed_node=0)
-        result = wedge_mhrw(api, 3_000, seed=4)
+        result = estimate(api, "wedge_mhrw", budget=3_000, seed=4)
         assert result.api_calls is not None and result.api_calls > 0
 
     def test_low_degree_seed_advances(self, karate):
         # Node 11 has degree 1 in karate: the walk must move before sampling.
-        result = wedge_mhrw(karate, 2_000, seed=5, seed_node=11)
+        result = estimate(karate, "wedge_mhrw", budget=2_000, seed=5, seed_node=11)
         assert result.steps == 2_000
 
     def test_clustering_coefficient_identity(self, karate):
-        result = wedge_mhrw(karate, 30_000, seed=6)
+        result = estimate(karate, "wedge_mhrw", budget=30_000, seed=6)
         cc = global_clustering_coefficient(karate)
         assert abs(result.clustering_coefficient - cc) < 0.05
 
@@ -151,23 +148,23 @@ class TestWedgeMHRW:
 class TestHardimanKatzir:
     def test_clustering_converges(self, karate):
         truth = global_clustering_coefficient(karate)
-        result = hardiman_katzir(karate, 40_000, seed=1)
+        result = estimate(karate, "hardiman_katzir", budget=40_000, seed=1)
         assert abs(result.clustering_coefficient - truth) < 0.1 * truth
 
     def test_triangle_concentration_identity(self, karate):
-        result = hardiman_katzir(karate, 40_000, seed=2)
+        result = estimate(karate, "hardiman_katzir", budget=40_000, seed=2)
         truth = exact_concentrations(karate, 3)[1]
         assert abs(result.triangle_concentration - truth) < 0.15 * truth
 
     def test_wedge_complement(self, karate):
-        result = hardiman_katzir(karate, 2_000, seed=3)
+        result = estimate(karate, "hardiman_katzir", budget=2_000, seed=3)
         assert math.isclose(
             result.wedge_concentration, 1 - result.triangle_concentration
         )
 
     def test_positive_steps_required(self, karate):
         with pytest.raises(ValueError):
-            hardiman_katzir(karate, 0)
+            estimate(karate, "hardiman_katzir", budget=0)
 
 
 class TestGuise:
@@ -191,50 +188,65 @@ class TestGuise:
 
     def test_triad_concentration_converges(self, karate):
         truth = exact_concentrations(karate, 3)
-        result = guise(karate, 15_000, seed=3)
-        estimate = result.concentration_dict()
-        assert abs(estimate["triangle"] - truth[1]) < 0.25 * truth[1] + 0.02
+        result = estimate(karate, "guise", budget=15_000, seed=3)
+        concentrations = result.concentration_dict()
+        assert abs(concentrations["triangle"] - truth[1]) < 0.25 * truth[1] + 0.02
 
     def test_four_node_concentrations(self, karate):
-        result = guise(karate, 10_000, seed=7, k=4)
-        estimate = result.concentration_dict()
+        result = estimate(karate, "guise", k=4, budget=10_000, seed=7)
+        concentrations = result.concentration_dict()
         assert result.k == 4
-        assert abs(sum(estimate.values()) - 1.0) < 1e-9
+        assert abs(sum(concentrations.values()) - 1.0) < 1e-9
 
     def test_rejection_rate_reported(self, karate):
-        result = guise(karate, 2_000, seed=4)
+        result = estimate(karate, "guise", budget=2_000, seed=4)
         assert 0.0 <= result.rejection_rate < 1.0
 
     def test_visits_all_sizes(self, karate):
-        result = guise(karate, 5_000, seed=5)
+        result = estimate(karate, "guise", budget=5_000, seed=5)
         for k in (3, 4, 5):
             assert result.visits[k].sum() > 0
 
     def test_positive_steps_required(self, karate):
         with pytest.raises(ValueError):
-            guise(karate, 0)
+            estimate(karate, "guise", budget=0)
 
 
 class TestPSRW:
     def test_psrw_is_srw_kminus1(self, karate):
-        result = psrw_estimate(karate, 4, 2_000, seed=1)
+        result = estimate(karate, "psrw", k=4, budget=2_000, seed=1)
         assert result.method == "SRW3"
         assert result.d == 3
 
     def test_srw_is_on_gk(self, karate):
-        result = srw_estimate(karate, 3, 2_000, seed=2)
+        result = estimate(karate, "srw", k=3, budget=2_000, seed=2)
         assert result.d == 3
         assert result.method == "SRW3"
 
     def test_psrw_converges_k3(self, karate):
         truth = exact_concentrations(karate, 3)[1]
-        result = psrw_estimate(karate, 3, 30_000, seed=3)
+        result = estimate(karate, "psrw", k=3, budget=30_000, seed=3)
         assert abs(result.concentrations[1] - truth) < 0.15 * truth + 0.01
 
     def test_reproducible(self, karate):
-        a = psrw_estimate(karate, 3, 1_000, seed=4)
-        b = psrw_estimate(karate, 3, 1_000, seed=4)
+        a = estimate(karate, "psrw", k=3, budget=1_000, seed=4)
+        b = estimate(karate, "psrw", k=3, budget=1_000, seed=4)
         assert np.array_equal(a.sums, b.sums)
+
+    @pytest.mark.parametrize(
+        "name, k, grammar",
+        [("psrw", 4, "srw3"), ("psrw", 3, "srw2"), ("srw", 3, "srw3"), ("srw", 4, "srw4")],
+    )
+    def test_named_specs_are_srw_grammar(self, karate, name, k, grammar):
+        """"psrw" is SRW(k - 1) and "srw" is SRW(k), bit for bit."""
+        named = estimate(karate, name, k=k, budget=1_000, seed=5)
+        plain = estimate(karate, grammar, k=k, budget=1_000, seed=5)
+        assert named.method == plain.method
+        assert np.array_equal(named.sums, plain.sums)
+
+    def test_named_spec_default_k(self, karate):
+        assert estimate(karate, "psrw", budget=200, seed=6).k == 4
+        assert estimate(karate, "srw", budget=200, seed=6).k == 3
 
 
 class TestCrossMethodAgreement:
@@ -242,11 +254,15 @@ class TestCrossMethodAgreement:
         """Five independent estimator families must bracket the same truth
         — an end-to-end consistency check of the whole library."""
         truth = exact_concentrations(karate, 3)[1]
+
+        def triangles(method, **kwargs):
+            return estimate(karate, method, budget=20_000, seed=10, **kwargs)
+
         estimates = {
-            "wedge": wedge_sampling(karate, 20_000, seed=10).triangle_concentration,
-            "wedge_mhrw": wedge_mhrw(karate, 20_000, seed=10).triangle_concentration,
-            "hk": hardiman_katzir(karate, 20_000, seed=10).triangle_concentration,
-            "psrw": psrw_estimate(karate, 3, 20_000, seed=10).concentrations[1],
+            "wedge": triangles("wedge").triangle_concentration,
+            "wedge_mhrw": triangles("wedge_mhrw").triangle_concentration,
+            "hk": triangles("hardiman_katzir").triangle_concentration,
+            "psrw": triangles("psrw", k=3).concentrations[1],
         }
         for name, value in estimates.items():
             assert abs(value - truth) < 0.2 * truth + 0.01, name

@@ -18,7 +18,7 @@ class TestCheckpoints:
         run of the largest budget bit-for-bit."""
         spec = MethodSpec.parse("SRW2CSS", 4)
         snapshots = run_with_checkpoints(
-            karate, spec, [500, 2_000, 5_000], rng=random.Random(1)
+            karate, spec, [500, 2_000, 5_000], seed=1
         )
         plain = run_estimation(karate, spec, 5_000, rng=random.Random(1))
         assert np.allclose(snapshots[-1].sums, plain.sums)
@@ -27,14 +27,14 @@ class TestCheckpoints:
     def test_snapshot_steps(self, karate):
         spec = MethodSpec.parse("SRW1", 3)
         snapshots = run_with_checkpoints(
-            karate, spec, [100, 400, 900], rng=random.Random(2)
+            karate, spec, [100, 400, 900], seed=2
         )
         assert [s.steps for s in snapshots] == [100, 400, 900]
 
     def test_monotone_accumulation(self, karate):
         spec = MethodSpec.parse("SRW1", 3)
         snapshots = run_with_checkpoints(
-            karate, spec, [500, 1_000, 2_000], rng=random.Random(3)
+            karate, spec, [500, 1_000, 2_000], seed=3
         )
         for earlier, later in zip(snapshots, snapshots[1:]):
             assert later.valid_samples >= earlier.valid_samples
@@ -43,16 +43,16 @@ class TestCheckpoints:
     def test_unsorted_and_duplicate_checkpoints_normalized(self, karate):
         spec = MethodSpec.parse("SRW1", 3)
         snapshots = run_with_checkpoints(
-            karate, spec, [900, 100, 900], rng=random.Random(4)
+            karate, spec, [900, 100, 900], seed=4
         )
         assert [s.steps for s in snapshots] == [100, 900]
 
     def test_invalid_checkpoints(self, karate):
         spec = MethodSpec.parse("SRW1", 3)
         with pytest.raises(ValueError):
-            run_with_checkpoints(karate, spec, [], rng=random.Random(5))
+            run_with_checkpoints(karate, spec, [], seed=5)
         with pytest.raises(ValueError):
-            run_with_checkpoints(karate, spec, [0, 100], rng=random.Random(5))
+            run_with_checkpoints(karate, spec, [0, 100], seed=5)
 
     def test_anytime_error_trajectory(self, karate):
         """Later snapshots are (on average over a few seeds) closer to the
@@ -62,7 +62,7 @@ class TestCheckpoints:
         early_errors, late_errors = [], []
         for seed in range(6):
             snaps = run_with_checkpoints(
-                karate, spec, [300, 20_000], rng=random.Random(seed)
+                karate, spec, [300, 20_000], seed=seed
             )
             early_errors.append(abs(float(snaps[0].concentrations[1]) - truth))
             late_errors.append(abs(float(snaps[1].concentrations[1]) - truth))
@@ -71,7 +71,7 @@ class TestCheckpoints:
     def test_snapshots_are_independent_objects(self, karate):
         spec = MethodSpec.parse("SRW1", 3)
         snapshots = run_with_checkpoints(
-            karate, spec, [100, 200], rng=random.Random(6)
+            karate, spec, [100, 200], seed=6
         )
         snapshots[0].sums[0] = -1.0
         assert snapshots[1].sums[0] >= 0

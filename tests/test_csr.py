@@ -22,7 +22,6 @@ from repro.graphs import (
 )
 from repro.relgraph.spaces import walk_space
 from repro.walks import (
-    BatchedMetropolisHastingsWalk,
     BatchedWalkEngine,
     batch_capable,
     make_engine,
@@ -515,24 +514,3 @@ class TestBatchedEngine:
         assert isinstance(engine, BatchedWalkEngine)
         walkers = make_engine(karate, space, chains=4, rng=random.Random(0))
         assert isinstance(walkers, list) and len(walkers) == 4
-
-
-class TestBatchedMHRW:
-    def test_uniform_target_visits_all(self, karate):
-        csr = CSRGraph.from_graph(karate)
-        from repro.walks import uniform_weight
-
-        walk = BatchedMetropolisHastingsWalk(
-            csr, weight=uniform_weight, rng=np.random.default_rng(0), chains=16
-        )
-        counts = np.zeros(karate.num_nodes)
-        for states in walk.walk(400):
-            np.add.at(counts, states, 1)
-        # Uniform stationary distribution: no node should dominate the way
-        # it would under the raw SRW (hub 33 has degree 17 of 34 nodes).
-        assert counts.min() > 0
-        assert 0 < walk.acceptance_rate < 1
-
-    def test_requires_csr(self, karate):
-        with pytest.raises(TypeError):
-            BatchedMetropolisHastingsWalk(karate)

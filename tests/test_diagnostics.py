@@ -24,7 +24,7 @@ def snapshots():
     graph = load_dataset("karate")
     spec = MethodSpec.parse("SRW1CSS", 3)
     grid = [i * 2_000 for i in range(1, 11)]  # 10 equal batches
-    return run_with_checkpoints(graph, spec, grid, rng=random.Random(42))
+    return run_with_checkpoints(graph, spec, grid, seed=42)
 
 
 class TestTrajectory:

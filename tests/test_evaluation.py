@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 
 from repro.evaluation import (
@@ -17,7 +16,6 @@ from repro.evaluation import (
     nrmse,
     nrmse_table,
     random_start_nodes,
-    run_custom_trials,
     run_trials,
     similarity_trials,
 )
@@ -86,10 +84,6 @@ class TestRunTrials:
         )
         assert set(table) == {"SRW1", "SRW2"}
         assert all(v > 0 for v in table.values())
-
-    def test_run_custom_trials(self):
-        values = run_custom_trials(lambda seed: float(seed), trials=4)
-        assert np.array_equal(values, [0.0, 1.0, 2.0, 3.0])
 
 
 class TestConvergence:

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import random
 
 import numpy as np
 import pytest
 
-from repro.core import MethodSpec, run_with_checkpoints
-from repro.core.checkpoints import checkpoint_session
 from repro.core.session import EstimationConfig
 from repro.estimators import get as get_estimator
 from repro.evaluation import nrmse_table, random_start_nodes, run_trials
@@ -330,31 +327,6 @@ class TestSummary:
     def test_graph_override(self, karate):
         result = run_experiment(SPEC, graph=karate, jobs=1)
         assert result.estimates("SRW1").shape == (4, 2)
-
-
-class TestCheckpointSeedExclusivity:
-    def test_run_with_checkpoints_rejects_rng_plus_seed(self, karate):
-        spec = MethodSpec.parse("SRW1", 3)
-        with pytest.raises(ValueError, match="not both"):
-            run_with_checkpoints(
-                karate, spec, [100, 200], rng=random.Random(1), seed=1
-            )
-
-    def test_checkpoint_session_rejects_rng_plus_seed_registry(self, karate):
-        with pytest.raises(ValueError, match="not both"):
-            checkpoint_session(
-                karate, "guise", 200, rng=random.Random(1), seed=1
-            )
-
-    def test_each_alone_still_works(self, karate):
-        spec = MethodSpec.parse("SRW1", 3)
-        with_rng = run_with_checkpoints(
-            karate, spec, [100], rng=random.Random(4)
-        )
-        with_seed = run_with_checkpoints(karate, spec, [100], seed=4)
-        assert np.array_equal(
-            with_rng[0].concentrations, with_seed[0].concentrations
-        )
 
 
 class TestBenchCLI:

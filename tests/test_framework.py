@@ -1,4 +1,4 @@
-"""Tests for the high-level GraphletEstimator API."""
+"""Tests for running the paper's framework through ``repro.estimate``."""
 
 from __future__ import annotations
 
@@ -6,14 +6,11 @@ import math
 
 import pytest
 
-from repro.core import (
-    GraphletEstimator,
-    estimate_concentration,
-    estimate_counts,
-    recommended_method,
-)
+import repro
+from repro.core import recommended_method
 from repro.exact import exact_concentrations, exact_counts
 from repro.graphs import RestrictedGraph
+from repro.relgraph import relationship_edge_count
 
 
 class TestRecommendedMethods:
@@ -24,53 +21,65 @@ class TestRecommendedMethods:
 
 
 class TestGraphletEstimator:
+    """What the removed ``GraphletEstimator`` class did, through the
+    registry: method names resolve and a run returns its budget."""
+
     def test_default_method_resolution(self, karate):
-        est = GraphletEstimator(karate, k=4, seed=1)
+        est = repro.estimate(karate, recommended_method(4), k=4, budget=100, seed=1)
         assert est.method == "SRW2CSS"
 
     def test_explicit_method(self, karate):
-        est = GraphletEstimator(karate, k=3, method="SRW2NB", seed=1)
+        est = repro.estimate(karate, "srw2nb", k=3, budget=100, seed=1)
         assert est.method == "SRW2NB"
 
     def test_run_returns_result(self, karate):
-        est = GraphletEstimator(karate, k=3, seed=2)
-        result = est.run(2_000)
+        result = repro.estimate(
+            karate, recommended_method(3), k=3, budget=2_000, seed=2
+        )
         assert result.steps == 2_000
-        assert est.last_result is result
-
-    def test_sequential_runs_differ(self, karate):
-        """Subsequent runs continue the RNG stream (independent trials)."""
-        est = GraphletEstimator(karate, k=3, method="SRW1", seed=3)
-        a = est.run(1_000)
-        b = est.run(1_000)
-        assert not (a.sums == b.sums).all()
 
     def test_invalid_method_rejected(self, karate):
-        with pytest.raises(ValueError):
-            GraphletEstimator(karate, k=3, method="MAGIC")
+        with pytest.raises(KeyError):
+            repro.estimate(karate, "MAGIC", k=3)
+
+
+def _counts(graph, k, method, budget, seed, relationship_edges=None):
+    """Count estimates keyed by graphlet name: ``est.counts(|R(d)|)``."""
+    est = repro.estimate(graph, method, k=k, budget=budget, seed=seed)
+    if relationship_edges is None:
+        base = getattr(graph, "_graph", graph)  # unwrap RestrictedGraph
+        relationship_edges = relationship_edge_count(base, est.d)
+    counts = est.counts(relationship_edges)
+    return {g.name: float(counts[g.index]) for g in repro.graphlets(k)}
 
 
 class TestOneShots:
+    """Concentrations and counts, formerly ``estimate_concentration`` /
+    ``estimate_counts``, read off one ``repro.estimate`` call."""
+
     def test_estimate_concentration(self, karate):
         truth = exact_concentrations(karate, 3)
-        estimate = estimate_concentration(karate, 3, steps=30_000, seed=4)
+        estimate = repro.estimate(
+            karate, recommended_method(3), k=3, budget=30_000, seed=4
+        ).concentration_dict()
         assert abs(estimate["triangle"] - truth[1]) < 0.02
         assert math.isclose(sum(estimate.values()), 1.0, rel_tol=1e-9)
 
     def test_estimate_counts_computes_r_d(self, karate):
         truth = exact_counts(karate, 3)
-        counts = estimate_counts(karate, 3, steps=40_000, seed=5)
+        counts = _counts(karate, 3, recommended_method(3), 40_000, seed=5)
         assert abs(counts["triangle"] - truth[1]) < 0.25 * truth[1]
         assert abs(counts["wedge"] - truth[0]) < 0.25 * truth[0]
 
     def test_estimate_counts_explicit_r_d(self, karate):
-        counts = estimate_counts(
-            karate, 3, steps=20_000, seed=6, relationship_edges=karate.num_edges
+        counts = _counts(
+            karate, 3, recommended_method(3), 20_000, seed=6,
+            relationship_edges=karate.num_edges,
         )
         assert counts["triangle"] > 0
 
     def test_estimate_counts_restricted_graph_unwraps(self, karate):
         api = RestrictedGraph(karate, seed_node=0)
-        counts = estimate_counts(api, 3, steps=20_000, seed=7, method="SRW1")
+        counts = _counts(api, 3, "SRW1", 20_000, seed=7)
         truth = exact_counts(karate, 3)
         assert abs(counts["triangle"] - truth[1]) < 0.4 * truth[1]

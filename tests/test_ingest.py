@@ -28,7 +28,7 @@ from repro.graphs import (
     read_edge_list,
 )
 from repro.graphs.ingest import iter_edge_blocks
-from repro.graphs.io import _read_edge_list_chunked
+from reference import read_edge_list_per_line
 
 
 def _write(path, text, compress=False):
@@ -191,8 +191,8 @@ class TestIterEdgeBlocks:
 
 
 class TestReadEdgeListRouting:
-    """Satellite: the chunked numpy route is byte-identical to the
-    per-line loop — same Graph, same first-seen mapping."""
+    """The chunked numpy parser behind read_edge_list is byte-identical
+    to the per-line loader oracle — same Graph, same first-seen mapping."""
 
     VARIANTS = [
         "3 1\n1 2\n2 3\n",
@@ -205,24 +205,21 @@ class TestReadEdgeListRouting:
     @pytest.mark.parametrize("text", VARIANTS)
     def test_routes_identical(self, tmp_path, text):
         source = _write(tmp_path / "v.txt", text)
-        legacy_graph, legacy_map = read_edge_list(source, chunked_threshold=10**9)
-        chunk_graph, chunk_map = _read_edge_list_chunked(source)
+        legacy_graph, legacy_map = read_edge_list_per_line(source)
+        chunk_graph, chunk_map = read_edge_list(source)
         assert chunk_graph == legacy_graph
         assert chunk_map == legacy_map
         assert chunk_graph._adj == legacy_graph._adj  # byte-identical order
 
-    def test_threshold_routes_large_files(self, tmp_path):
-        source = _write(tmp_path / "t.txt", "1 2\n2 3\n")
-        via_chunked, _ = read_edge_list(source, chunked_threshold=0)
-        via_legacy, _ = read_edge_list(source, chunked_threshold=10**9)
-        assert via_chunked == via_legacy
-
     def test_malformed_raises_both_routes(self, tmp_path):
         source = _write(tmp_path / "m.txt", "1 2\n42\n")
         with pytest.raises(GraphError):
-            read_edge_list(source, chunked_threshold=10**9)
-        with pytest.raises(GraphError):
-            read_edge_list(source, chunked_threshold=0)
+            read_edge_list_per_line(source)
+        with pytest.raises(GraphError) as excinfo:
+            read_edge_list(source)
+        # The error quotes the file and the offending line.
+        assert str(source) in str(excinfo.value)
+        assert "'42'" in str(excinfo.value)
 
 
 class TestIngestCLI:

@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 import repro
 from repro import (
-    GraphletEstimator,
+    MethodSpec,
     RestrictedGraph,
-    estimate_concentration,
+    estimate,
     exact_concentrations,
     load_dataset,
+    run_estimation,
     run_trials,
 )
 
@@ -33,8 +35,7 @@ class TestCrawlScenario:
     def test_restricted_crawl_estimates_triangles(self):
         hidden = load_dataset("brightkite-like")
         api = RestrictedGraph(hidden, seed_node=0)
-        estimator = GraphletEstimator(api, k=3, method="SRW1CSSNB", seed=1)
-        result = estimator.run(15_000)
+        result = estimate(api, "srw1cssnb", k=3, budget=15_000, seed=1)
         truth = exact_concentrations(hidden, 3)
         assert abs(result.concentrations[1] - truth[1]) < 0.25 * truth[1] + 0.01
         # The crawl must have touched only a bounded set of nodes.
@@ -43,7 +44,7 @@ class TestCrawlScenario:
     def test_restricted_crawl_4node(self):
         hidden = load_dataset("epinion-like")
         api = RestrictedGraph(hidden, seed_node=0)
-        result = GraphletEstimator(api, k=4, method="SRW2CSS", seed=2).run(10_000)
+        result = estimate(api, "srw2css", k=4, budget=10_000, seed=2)
         truth = exact_concentrations(hidden, 4)
         dominant = max(truth, key=truth.get)
         assert abs(result.concentrations[dominant] - truth[dominant]) < 0.15
@@ -75,8 +76,7 @@ class TestConsistency:
     def test_concentration_vs_counts_consistent(self):
         """Count estimates renormalize to the concentration estimates."""
         graph = load_dataset("karate")
-        est = GraphletEstimator(graph, k=3, method="SRW1", seed=5)
-        result = est.run(10_000)
+        result = estimate(graph, "srw1", k=3, budget=10_000, seed=5)
         counts = result.counts(graph.num_edges)
         concentration = result.concentrations
         total = counts.sum()
@@ -84,11 +84,16 @@ class TestConsistency:
             assert math.isclose(counts[i] / total, concentration[i], rel_tol=1e-9)
 
     def test_one_shot_matches_estimator_api(self):
+        """The registry one-shot equals Algorithm 1 run with the same seed."""
         graph = load_dataset("karate")
-        one_shot = estimate_concentration(graph, 3, steps=5_000, method="SRW1", seed=6)
-        est = GraphletEstimator(graph, k=3, method="SRW1", seed=6)
-        result = est.run(5_000)
-        assert math.isclose(one_shot["triangle"], result.concentration_dict()["triangle"])
+        one_shot = estimate(graph, "srw1", k=3, budget=5_000, seed=6)
+        result = run_estimation(
+            graph, MethodSpec.parse("SRW1", 3), 5_000, rng=random.Random(6)
+        )
+        assert math.isclose(
+            one_shot.concentration_dict()["triangle"],
+            result.concentration_dict()["triangle"],
+        )
 
 
 class TestDatasetPipeline:

