@@ -16,15 +16,13 @@ module targets small graphs; that is also how the paper uses the theorem
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..exact import exact_counts
 from ..graphs.graph import Graph
-from ..relgraph.construct import relationship_graph
-from ..relgraph.spaces import walk_space
+from ..relgraph.construct import relationship_graph, state_degree_fn
 from ..walks.mixing import mixing_time_spectral
 from .alpha import alpha_table
 
@@ -103,7 +101,7 @@ def sample_size_bound(
     if counts[graphlet_index] == 0:
         raise ValueError(f"graphlet {graphlet_index} does not occur in the graph")
 
-    relgraph, _ = relationship_graph(graph, d)
+    relgraph, states = relationship_graph(graph, d)
     tau = mixing_time_spectral(relgraph, epsilon=0.125)
     l = k - d + 1
     two_r = 2.0 * relgraph.num_edges
@@ -164,10 +162,10 @@ def css_sample_size_bound(
     if counts[graphlet_index] == 0:
         raise ValueError(f"graphlet {graphlet_index} does not occur in the graph")
 
-    relgraph, _ = relationship_graph(graph, d)
+    relgraph, states = relationship_graph(graph, d)
     tau = mixing_time_spectral(relgraph, epsilon=0.125)
     two_r = 2.0 * relgraph.num_edges
-    degree_of_state = functools.partial(walk_space(d).degree, graph)
+    degree_of_state = state_degree_fn(relgraph, states)
 
     w_prime = 0.0
     for nodes in enumerate_connected_subgraphs(graph, k):

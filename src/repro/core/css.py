@@ -84,9 +84,9 @@ def sampling_weight(
     over sorted node list ``nodes``.
 
     ``degree_of_state`` maps a tuple of actual node ids (a d-node state) to
-    its degree in G(d) — the caller supplies the closed form for d <= 2, the
-    enumerating fallback for d >= 3, and the nominal-degree variant for
-    NB-SRW.
+    its degree in G(d) — :meth:`~repro.relgraph.spaces.WalkSpace.degree`
+    (wrapped with the nominal degree for NB-SRW) or, given an explicit
+    G(d), :func:`~repro.relgraph.construct.state_degree_fn`.
     """
     total = 0.0
     for template in css_templates(mask, k, d):

@@ -220,12 +220,12 @@ def run_estimation(
 def _effective_degree_fn(graph, spec: MethodSpec) -> Callable[[Tuple[int, ...]], int]:
     """The (possibly NB-nominal) G(d)-degree of a state:
     :meth:`~repro.relgraph.spaces.WalkSpace.degree`."""
-    state_degree = functools.partial(walk_space(spec.d).degree, graph)
+    space_degree = walk_space(spec.d).degree
     if spec.nb:
         def effective_degree(state: Tuple[int, ...]) -> int:
-            return nominal_degree(state_degree(state))
+            return nominal_degree(space_degree(graph, state))
         return effective_degree
-    return state_degree
+    return functools.partial(space_degree, graph)
 
 
 class _SerialChain:

@@ -10,14 +10,12 @@ a given graph — the per-type variance ratios drive the Figure 4 gaps).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, List
 
 from ..graphlets.catalog import classify_bitmask, graphlets, induced_bitmask
 from ..graphs.graph import Graph
-from ..relgraph.construct import relationship_graph
-from ..relgraph.spaces import walk_space
+from ..relgraph.construct import relationship_graph, state_degree_fn
 from .alpha import alpha_table
 from .css import sampling_weight
 from .expanded_chain import enumerate_windows, stationary_weight
@@ -57,7 +55,7 @@ def lemma5_variances(graph: Graph, k: int, d: int) -> Dict[int, VarianceReport]:
     alphas = alpha_table(k, d)
     num_types = len(alphas)
 
-    degree_of_state = functools.partial(walk_space(d).degree, graph)
+    degree_of_state = state_degree_fn(relgraph, states)
 
     mean: List[float] = [0.0] * num_types
     second_basic: List[float] = [0.0] * num_types

@@ -12,8 +12,9 @@ Pipeline (each phase streams; ``O(n)`` node-indexed arrays are the only
 RAM proportional to the graph, never ``O(m)``):
 
 1. **Parse** — chunked binary reads split at newline boundaries;
-   comment filtering only when a ``#``/``%`` byte is present; tokens
-   converted per-block via ``np.array(tokens, dtype=np.int64)``.  Each
+   comment filtering only when a ``#``/``%`` byte is present; a block
+   whose lines all have the file's column count converts per-block via
+   ``np.array(tokens, dtype=np.int64)``, any other block line by line.  Each
    undirected edge becomes one canonical ``uint64`` key
    ``min(u,v) << 32 | max(u,v)`` (node ids must fit 32 bits — SNAP ids
    do).  Keys accumulate into a bounded run buffer; full buffers are
@@ -83,7 +84,7 @@ def _strip_comments(block: bytes) -> bytes:
     if b"#" not in block and b"%" not in block:
         return block
     kept = []
-    for line in block.split(b"\n"):
+    for line in block.splitlines():
         stripped = line.strip()
         if not stripped or stripped[:1] in (b"#", b"%"):
             continue
@@ -91,55 +92,79 @@ def _strip_comments(block: bytes) -> bytes:
     return b"\n".join(kept)
 
 
-def _parse_lines(block: bytes, path: PathLike) -> Tuple[np.ndarray, np.ndarray]:
+def _line_count(block: bytes) -> int:
+    """Lines in a block that stops short of its last line break (a
+    trailing ``\r`` is the first half of that break)."""
+    breaks = block.count(b"\n")
+    if b"\r" in block:
+        breaks += block.count(b"\r") - block.count(b"\r\n") - block.endswith(b"\r")
+    return breaks + 1
+
+
+def _line_widths(block: bytes) -> np.ndarray:
+    """Token count of every line of ``block`` (0 for a blank line), with
+    the whitespace and line breaks of ``bytes.split``/``splitlines``; a
+    CRLF only adds a blank line."""
+    raw = np.frombuffer(block, dtype=np.uint8)
+    space = (raw == 32) | ((raw - np.uint8(9)) < 5)  # space, \t \n \v \f \r
+    starts = ~space
+    starts[1:] &= space[:-1]
+    breaks = np.flatnonzero((raw == 10) | (raw == 13))
+    return np.add.reduceat(starts, np.concatenate(([0], breaks)), dtype=np.intp)
+
+
+def _parse_lines(
+    block: bytes, path: PathLike, first_line: int
+) -> Tuple[np.ndarray, np.ndarray]:
     """Per-line fallback for ragged or non-integer-extra-column blocks.
 
-    A line with fewer than two tokens or a non-integer endpoint raises
-    :class:`GraphError` quoting the file and the offending line.
+    ``block`` still holds its comment lines and starts at line
+    ``first_line`` of the file.  A line with fewer than two tokens or a
+    non-integer endpoint raises :class:`GraphError` quoting the file,
+    the line number and the line.
     """
     us: List[int] = []
     vs: List[int] = []
-    for line in block.split(b"\n"):
+    for line_no, line in enumerate(block.splitlines(), start=first_line):
         tokens = line.split()
-        if not tokens:
+        if not tokens or tokens[0][:1] in (b"#", b"%"):
             continue
         if len(tokens) < 2:
             text = line.strip().decode("ascii", errors="replace")
-            raise GraphError(f"{path}: expected 'u v', got {text!r}")
+            raise GraphError(f"{path}:{line_no}: expected 'u v', got {text!r}")
         try:
             us.append(int(tokens[0]))
             vs.append(int(tokens[1]))
         except ValueError:
             text = line.strip().decode("ascii", errors="replace")
-            raise GraphError(f"{path}: invalid node id in line {text!r}") from None
+            raise GraphError(f"{path}:{line_no}: invalid node id in line {text!r}") from None
     return np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64)
 
 
 class _BlockParser:
-    """Stateful block-to-arrays parser (remembers the detected column count)."""
+    """Stateful block-to-arrays parser: remembers the column count of the
+    first edge line and how many lines of the file it has consumed."""
 
     def __init__(self, path: PathLike) -> None:
         self.path = path
         self.ncols: Optional[int] = None
+        self.lines = 0
 
     def parse(self, block: bytes) -> Tuple[np.ndarray, np.ndarray]:
-        block = _strip_comments(block)
-        if not block.strip():
+        first_line = self.lines + 1
+        self.lines += _line_count(block)
+        body = _strip_comments(block)
+        tokens = body.split()
+        if not tokens:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        widths = _line_widths(body)
         if self.ncols is None:
-            newline = block.find(b"\n")
-            first = block if newline < 0 else block[:newline]
-            while not first.strip() and newline >= 0:
-                block = block[newline + 1 :]
-                newline = block.find(b"\n")
-                first = block if newline < 0 else block[:newline]
-            self.ncols = len(first.split())
-        tokens = block.split()
+            self.ncols = int(widths[widths > 0][0])
         ncols = self.ncols
-        if ncols < 2 or len(tokens) % ncols:
-            # Ragged block (or a one-column file): the slow path raises
-            # the precise per-line error or handles mixed widths.
-            return _parse_lines(block, self.path)
+        if ncols < 2 or not ((widths == 0) | (widths == ncols)).all():
+            # A line of another width (or a one-column file): the slow
+            # path raises the precise per-line error or handles it.
+            return _parse_lines(block, self.path, first_line)
         try:
             if ncols == 2:
                 flat = np.array(tokens, dtype=np.int64)
@@ -152,7 +177,7 @@ class _BlockParser:
             # Non-integer token somewhere (float weights in the id
             # columns, stray text): re-parse line by line for the exact
             # diagnostic.
-            return _parse_lines(block, self.path)
+            return _parse_lines(block, self.path, first_line)
 
 
 def iter_edge_blocks(

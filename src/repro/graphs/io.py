@@ -34,7 +34,8 @@ def read_edge_list(path: PathLike) -> Tuple[Graph, Dict[int, int]]:
     (SNAP dumps occasionally contain them) and duplicate edges
     collapsed.  The file parses through the chunked numpy front end of
     :mod:`repro.graphs.ingest` (plain or ``.gz``); a malformed line
-    raises :class:`GraphError` quoting the file and the line.
+    raises :class:`GraphError` quoting the file, its line number and the
+    line.
 
     Returns
     -------

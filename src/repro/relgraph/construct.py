@@ -14,7 +14,7 @@ anyway, for *small* graphs, because an explicit G(d) is the ideal oracle:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..graphs.graph import Graph
 from .spaces import State
@@ -58,6 +58,13 @@ def relationship_graph(graph: Graph, d: int) -> Tuple[Graph, List[State]]:
                         seen.add(pair)
                         edges.append(pair)
     return Graph(len(states), edges), states
+
+
+def state_degree_fn(relgraph: Graph, states: List[State]) -> Callable[[State], int]:
+    """The G(d)-degree of a state (a sorted node tuple), read off an
+    explicit :func:`relationship_graph` — an O(1) lookup where
+    :meth:`~repro.relgraph.spaces.WalkSpace.degree` enumerates."""
+    return {state: relgraph.degree(i) for i, state in enumerate(states)}.__getitem__
 
 
 def relationship_edge_count(graph: Graph, d: int) -> int:

@@ -200,6 +200,11 @@ class TestReadEdgeListRouting:
         "# c\n\n  3   1  \n\t1\t2\t\n2 3",                 # whitespace, no EOL
         "3 1 0.5\n1 2 7 8\n2 3\n3 3\n1 2\n",               # extras, loop, dup
         "103 101\n101 102\n102 103\n",                     # non-contiguous ids
+        "1 2\n3 4 7\n5 6 8\n",                             # widths 2,3,3: 8 tokens
+        "1 2 3\n4 5\n6 7 8 9\n",                           # widths 3,2,4: 9 tokens
+        "1 2\n3 4 5 6\n7 8\n",                             # widths 2,4,2: 8 tokens
+        "1 2\r3 4\r5 6\n",                                 # bare CR line breaks
+        "# c\r1 2\r2 3\r",                                 # bare CR after a comment
     ]
 
     @pytest.mark.parametrize("text", VARIANTS)
@@ -213,13 +218,21 @@ class TestReadEdgeListRouting:
 
     def test_malformed_raises_both_routes(self, tmp_path):
         source = _write(tmp_path / "m.txt", "1 2\n42\n")
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError) as oracle:
             read_edge_list_per_line(source)
         with pytest.raises(GraphError) as excinfo:
             read_edge_list(source)
-        # The error quotes the file and the offending line.
-        assert str(source) in str(excinfo.value)
+        # The error quotes the file, the line number and the line.
+        assert f"{source}:2:" in str(excinfo.value)
         assert "'42'" in str(excinfo.value)
+        assert str(excinfo.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 5, 16, 1 << 20])
+    def test_malformed_line_number_across_chunks(self, tmp_path, chunk_bytes):
+        lines = ["# head", "1 2", "", "3 4\r", "% c", "5 6 7", "8 9"] * 4
+        source = _write(tmp_path / "n.txt", "\n".join(lines + ["42", "1 2"]) + "\n")
+        with pytest.raises(GraphError, match=rf":{len(lines) + 1}: expected 'u v'"):
+            list(iter_edge_blocks(source, chunk_bytes=chunk_bytes))
 
 
 class TestIngestCLI:

@@ -20,6 +20,7 @@ from repro.relgraph import (
     relationship_graph,
     walk_space,
 )
+from repro.relgraph.construct import state_degree_fn
 
 
 class TestFactory:
@@ -65,6 +66,14 @@ class TestExplicitConstruction:
         assert relationship_edge_count(karate, 1) == karate.num_edges
         relgraph2, _ = relationship_graph(karate, 2)
         assert relationship_edge_count(karate, 2) == relgraph2.num_edges
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_state_degree_fn_matches_walk_space(self, karate, d):
+        """The explicit-G(d) degree lookup equals the on-the-fly degree."""
+        relgraph, states = relationship_graph(karate, d)
+        degree = state_degree_fn(relgraph, states)
+        space = walk_space(d)
+        assert all(degree(s) == space.degree(karate, s) for s in states)
 
     def test_enumerate_states_matches_esu_sizes(self, karate):
         assert len(enumerate_states(karate, 1)) == karate.num_nodes
