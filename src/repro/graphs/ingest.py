@@ -65,6 +65,7 @@ PathLike = Union[str, Path]
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT = np.uint64(32)
 _MAX_ID = 1 << 32
+_INT64 = range(-(1 << 63), 1 << 63)
 
 #: Default ingest memory budget (MB) for spill buffers and merge windows.
 DEFAULT_MAX_MEMORY_MB = 1024.0
@@ -119,9 +120,9 @@ def _parse_lines(
     """Per-line fallback for ragged or non-integer-extra-column blocks.
 
     ``block`` still holds its comment lines and starts at line
-    ``first_line`` of the file.  A line with fewer than two tokens or a
-    non-integer endpoint raises :class:`GraphError` quoting the file,
-    the line number and the line.
+    ``first_line`` of the file.  A line with fewer than two tokens or an
+    endpoint that is not an int64 integer raises :class:`GraphError`
+    quoting the file, the line number and the line.
     """
     us: List[int] = []
     vs: List[int] = []
@@ -133,8 +134,11 @@ def _parse_lines(
             text = line.strip().decode("ascii", errors="replace")
             raise GraphError(f"{path}:{line_no}: expected 'u v', got {text!r}")
         try:
-            us.append(int(tokens[0]))
-            vs.append(int(tokens[1]))
+            u, v = int(tokens[0]), int(tokens[1])
+            if u not in _INT64 or v not in _INT64:
+                raise ValueError
+            us.append(u)
+            vs.append(v)
         except ValueError:
             text = line.strip().decode("ascii", errors="replace")
             raise GraphError(f"{path}:{line_no}: invalid node id in line {text!r}") from None

@@ -227,6 +227,11 @@ class TestReadEdgeListRouting:
         assert "'42'" in str(excinfo.value)
         assert str(excinfo.value) == str(oracle.value)
 
+    def test_id_beyond_int64_raises(self, tmp_path):
+        source = _write(tmp_path / "o.txt", "1 2\n99999999999999999999 3\n")
+        with pytest.raises(GraphError, match=r":2: invalid node id"):
+            read_edge_list(source)
+
     @pytest.mark.parametrize("chunk_bytes", [1, 5, 16, 1 << 20])
     def test_malformed_line_number_across_chunks(self, tmp_path, chunk_bytes):
         lines = ["# head", "1 2", "", "3 4\r", "% c", "5 6 7", "8 9"] * 4
