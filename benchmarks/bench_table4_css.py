@@ -30,7 +30,7 @@ def degree_d2(graph):
 
 def find_embedding(graph, k, name, rng):
     """A random induced subgraph of the requested type."""
-    from repro.graphlets import classify_nodes, graphlets
+    from repro.graphlets import classify_nodes
 
     target = graphlet_by_name(k, name).index
     nodes = list(graph.nodes())

@@ -383,7 +383,7 @@ def cmd_serve(args) -> int:
 def cmd_query(args) -> int:
     import json as json_module
 
-    from .service import Client, RequestFailed, RequestTimeout
+    from .service import Client, RequestFailed
 
     client = Client(args.socket)
     if args.shutdown:

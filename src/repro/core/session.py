@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Protocol, Union, runtime_checkable
+from dataclasses import dataclass
+from typing import Optional, Protocol, Union, runtime_checkable
 
 from .result import Estimate
 from .stopping import (
@@ -72,8 +72,6 @@ class EstimationConfig:
         Independent chains the budget is split over (SRW family).
     burn_in:
         Discarded transitions per chain before sampling starts.
-    options:
-        Method-specific extras, passed through to the estimator.
     """
 
     method: str
@@ -84,7 +82,6 @@ class EstimationConfig:
     backend: Optional[str] = None
     chains: int = 1
     burn_in: int = 0
-    options: Dict[str, Any] = field(default_factory=dict)
     target: Union[StoppingRule, int, str, None] = None
 
     def __post_init__(self) -> None:

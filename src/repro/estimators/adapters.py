@@ -51,6 +51,15 @@ def _resolve_k(
     return k
 
 
+#: Built-in methods with no chain-splitting notion (the i.i.d./MH
+#: baselines and the oracle): their adapters reject ``chains > 1`` and
+#: ``burn_in`` through :func:`_reject_walk_options`.  Experiment specs and
+#: the service read this table to refuse a chained run before it starts.
+CHAINLESS_METHODS = frozenset(
+    {"guise", "wedge", "wedge_mhrw", "path_sampling", "hardiman_katzir", "exact"}
+)
+
+
 def _reject_walk_options(config: EstimationConfig, method: str) -> None:
     """i.i.d./MH baselines have no chain-splitting or burn-in notion."""
     if config.chains != 1:

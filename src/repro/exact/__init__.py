@@ -7,18 +7,12 @@ from ..graphs.graph import Graph
 from .enumerate import (
     count_connected_subgraphs,
     enumerate_connected_subgraphs,
-    exact_concentrations as _esu_concentrations,
     exact_counts as _esu_counts,
 )
-from .fourcounts import (
-    exact_four_concentrations,
-    exact_four_counts,
-    noninduced_four_counts,
-)
+from .fourcounts import exact_four_counts, noninduced_four_counts
 from .triads import (
     TriadCensus,
     edge_triangle_counts,
-    exact_triad_concentrations,
     exact_triad_counts,
     global_clustering_coefficient,
     triad_census,
@@ -30,30 +24,25 @@ from .triads import (
 )
 
 
-def exact_counts(graph: Graph, k: int, method: str = "auto") -> Dict[int, int]:
+def exact_counts(graph: Graph, k: int) -> Dict[int, int]:
     """Exact graphlet counts for any supported k.
 
-    ``method`` selects the engine: ``"esu"`` (enumeration, any k),
-    ``"formula"`` (closed forms, k <= 4 only), or ``"auto"`` (formula when
-    available — it is orders of magnitude faster — otherwise ESU).
+    The closed forms count k = 3 and k = 4 (orders of magnitude faster
+    than enumeration); larger k enumerates with ESU
+    (:func:`repro.exact.enumerate.exact_counts`, which also cross-checks
+    the closed forms).
     """
-    if method not in ("auto", "esu", "formula"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "esu":
-        return _esu_counts(graph, k)
-    if k == 3 and method in ("auto", "formula"):
+    if k == 3:
         return exact_triad_counts(graph)
-    if k == 4 and method in ("auto", "formula"):
+    if k == 4:
         return exact_four_counts(graph)
-    if method == "formula":
-        raise ValueError(f"no closed-form counter for k={k}")
     return _esu_counts(graph, k)
 
 
-def exact_concentrations(graph: Graph, k: int, method: str = "auto") -> Dict[int, float]:
-    """Exact graphlet concentrations for any supported k (see
-    :func:`exact_counts` for ``method``)."""
-    counts = exact_counts(graph, k, method=method)
+def exact_concentrations(graph: Graph, k: int) -> Dict[int, float]:
+    """Exact graphlet concentrations ``c_i^k = C_i^k / sum_j C_j^k`` for
+    any supported k (see :func:`exact_counts`)."""
+    counts = exact_counts(graph, k)
     total = sum(counts.values())
     if total == 0:
         raise ValueError(f"graph has no connected {k}-node subgraphs")
@@ -66,7 +55,7 @@ def _cached_counts(graph: Graph, k: int):
 
 
 def exact_counts_cached(graph: Graph, k: int) -> Dict[int, int]:
-    """Memoized :func:`exact_counts` (auto method).
+    """Memoized :func:`exact_counts`.
 
     ``Graph`` hashes cheaply and compares structurally, so repeated
     ground-truth requests for the same dataset — the common pattern across
@@ -77,7 +66,7 @@ def exact_counts_cached(graph: Graph, k: int) -> Dict[int, int]:
 
 
 def exact_concentrations_cached(graph: Graph, k: int) -> Dict[int, float]:
-    """Memoized :func:`exact_concentrations` (auto method)."""
+    """Memoized :func:`exact_concentrations`."""
     counts = _cached_counts(graph, k)
     total = sum(counts.values())
     if total == 0:
@@ -94,9 +83,7 @@ __all__ = [
     "exact_counts",
     "exact_counts_cached",
     "exact_concentrations_cached",
-    "exact_four_concentrations",
     "exact_four_counts",
-    "exact_triad_concentrations",
     "exact_triad_counts",
     "global_clustering_coefficient",
     "noninduced_four_counts",

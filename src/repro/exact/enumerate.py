@@ -77,11 +77,3 @@ def exact_counts(graph: Graph, k: int) -> Dict[int, int]:
         counts[classify_nodes(graph, nodes)] += 1
     return counts
 
-
-def exact_concentrations(graph: Graph, k: int) -> Dict[int, float]:
-    """Exact graphlet concentrations ``c_i^k = C_i^k / sum_j C_j^k``."""
-    counts = exact_counts(graph, k)
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError(f"graph has no connected {k}-node subgraphs")
-    return {index: count / total for index, count in counts.items()}

@@ -119,11 +119,3 @@ def exact_four_counts(graph: Graph) -> Dict[int, int]:
             )
     return counts
 
-
-def exact_four_concentrations(graph: Graph) -> Dict[int, float]:
-    """Exact 4-node graphlet concentrations."""
-    counts = exact_four_counts(graph)
-    total = sum(counts.values())
-    if total == 0:
-        raise ValueError("graph has no connected 4-node subgraphs")
-    return {index: count / total for index, count in counts.items()}

@@ -344,15 +344,6 @@ def exact_triad_counts(graph, *, jobs: int = 1) -> Dict[int, int]:
     return triad_census(graph, jobs=jobs).counts()
 
 
-def exact_triad_concentrations(graph, *, jobs: int = 1) -> Dict[int, float]:
-    """Exact 3-node graphlet concentrations (c_1^3, c_2^3)."""
-    counts = exact_triad_counts(graph, jobs=jobs)
-    total = counts[0] + counts[1]
-    if total == 0:
-        raise ValueError("graph has no connected 3-node subgraphs")
-    return {0: counts[0] / total, 1: counts[1] / total}
-
-
 def global_clustering_coefficient(graph, *, jobs: int = 1) -> float:
     """Global clustering coefficient 3T / W = 3*c32 / (2*c32 + 1) (§2.1)."""
     if not isinstance(graph, (Graph, CSRGraph)):

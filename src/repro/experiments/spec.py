@@ -39,6 +39,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.stopping import parse_target
+from ..estimators.adapters import CHAINLESS_METHODS
+from ..estimators.registry import normalize
 from ..graphs.csr import BACKENDS
 from ..graphs.datasets import list_datasets, load_dataset
 from ..graphs.generators import barabasi_albert
@@ -46,15 +48,6 @@ from ..graphs.graph import Graph
 
 #: Recognized per-trial seed derivations (see :func:`seed_stream`).
 SEED_STRATEGIES = ("spawn", "sequential")
-
-#: Built-in methods with no chain-splitting notion (i.i.d./MH baselines
-#: and the oracle; their adapters reject ``chains > 1`` at prepare time).
-#: Validated here so a mis-shaped spec fails at construction instead of
-#: mid-sweep inside a worker process; unknown/custom method names pass
-#: through and fail (or not) at their adapter, as before.
-CHAINLESS_METHODS = frozenset(
-    {"guise", "wedge", "wedge_mhrw", "path_sampling", "hardiman_katzir", "exact"}
-)
 
 
 def resolve_graph(source: str) -> Graph:
@@ -266,7 +259,7 @@ class ExperimentSpec:
         if self.chains != 1:
             chainless = sorted(
                 m for m in self.methods
-                if m.lower().replace("-", "_") in CHAINLESS_METHODS
+                if normalize(m) in CHAINLESS_METHODS
             )
             if chainless:
                 raise ValueError(

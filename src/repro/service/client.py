@@ -17,12 +17,7 @@ from multiprocessing.connection import Client as _connect
 from typing import Iterator, Optional
 
 from ..core.result import Estimate
-from .messages import (
-    EstimateRequest,
-    RequestFailed,
-    RequestTimeout,
-    Snapshot,
-)
+from .messages import EstimateRequest, RequestFailed, Snapshot
 from .server import DEFAULT_AUTHKEY
 
 
@@ -82,15 +77,7 @@ class Client:
         final: Optional[Snapshot] = None
         for snapshot in self.stream(method, request=request, **kwargs):
             final = snapshot
-        if final.timed_out:
-            raise RequestTimeout(
-                f"request {final.request_id} timed out after "
-                f"{final.steps}/{final.budget} steps",
-                snapshot=final,
-            )
-        if final.error is not None:
-            raise RequestFailed(final.error, snapshot=final)
-        return final.estimate
+        return final.outcome()
 
     # ------------------------------------------------------------------
     # Control

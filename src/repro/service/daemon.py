@@ -81,6 +81,7 @@ import random
 import threading
 import time
 from collections import deque
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -90,13 +91,12 @@ from ..core.result import Estimate
 from ..core.session import EstimationConfig
 from ..core.stopping import StopProbe, stopping_record
 from ..estimators import get as get_estimator, normalize, select
-from ..experiments.spec import CHAINLESS_METHODS, resolve_graph
+from ..estimators.adapters import CHAINLESS_METHODS
+from ..experiments.spec import resolve_graph
 from ..graphs.csr import CSRGraph
 from ..graphs.shared import SharedCSRGraph
 from .messages import (
     EstimateRequest,
-    RequestFailed,
-    RequestTimeout,
     ServiceClosed,
     ServiceOverloaded,
     Snapshot,
@@ -136,8 +136,8 @@ class _Part:
 
     __slots__ = ("config", "attempt", "latest", "steps", "final", "dead_steps")
 
-    def __init__(self, config: dict):
-        self.config = config        # EstimationConfig kwargs for the worker
+    def __init__(self, config: EstimationConfig):
+        self.config = config        # the part's run, as the worker prepares it
         self.attempt = 0
         self.latest: Optional[Estimate] = None   # newest partial frame
         self.steps = 0
@@ -149,16 +149,19 @@ class _RequestState:
     """Daemon-side lifecycle of one request."""
 
     __slots__ = (
-        "id", "request", "parts", "snapshots", "done", "final_snapshot",
+        "id", "request", "config", "parts", "snapshots", "done", "final_snapshot",
         "seq", "deadline", "finished", "requeues",
         "selection", "fired", "extra_parts", "extra_steps", "started",
         "budget_returned",
     )
 
-    def __init__(self, request_id: str, request: EstimateRequest, parts):
+    def __init__(
+        self, request_id: str, request: EstimateRequest, config: EstimationConfig
+    ):
         self.id = request_id
         self.request = request
-        self.parts: List[_Part] = parts
+        self.config = config       # request.config with "auto" resolved
+        self.parts: List[_Part] = []
         self.snapshots: queue_module.Queue = queue_module.Queue()
         self.done = threading.Event()
         self.final_snapshot: Optional[Snapshot] = None
@@ -217,17 +220,7 @@ class RequestHandle:
                 f"request {self._state.id} still running after {timeout}s "
                 "(its own deadline, if any, has not expired)"
             )
-        snapshot = self._state.final_snapshot
-        if snapshot.timed_out:
-            raise RequestTimeout(
-                f"request {self._state.id} hit its "
-                f"{self._state.request.timeout_seconds}s deadline after "
-                f"{snapshot.steps}/{snapshot.budget} steps",
-                snapshot=snapshot,
-            )
-        if snapshot.error is not None:
-            raise RequestFailed(snapshot.error, snapshot=snapshot)
-        return snapshot.estimate
+        return self._state.final_snapshot.outcome()
 
     def cancel(self) -> None:
         """Abandon the request (its final snapshot reports an error)."""
@@ -498,35 +491,19 @@ class Daemon:
             raise ServiceClosed("daemon is closed")
         if not self._started:
             self.start()
-        selection = None
-        if normalize(request.method) == "auto":
-            selection = select(
-                self._csr,
-                EstimationConfig(
-                    method="auto",
-                    k=request.k,
-                    budget=request.budget,
-                    target=(
-                        request.target
-                        if request.target is not None
-                        else request.budget
-                    ),
-                    chains=request.chains,
-                ),
-            )
-            request = request.with_overrides(
-                method=selection.method,
-                k=selection.k,
-                chains=selection.chains,
-            )
-        get_estimator(request.method)  # unknown methods fail fast, pre-queue
+        config, selection = request.config, None
+        if normalize(config.method) == "auto":
+            selection = select(self._csr, config)
+            # Workers already hold the CSR substrate: no backend switch.
+            config = replace(selection.apply(config), backend=None)
+        get_estimator(config.method)  # unknown methods fail fast, pre-queue
         if (
             request.fanout
-            and request.chains > 1
-            and normalize(request.method) in CHAINLESS_METHODS
+            and config.chains > 1
+            and normalize(config.method) in CHAINLESS_METHODS
         ):
             raise ValueError(
-                f"method {request.method!r} has no independent-chain "
+                f"method {config.method!r} has no independent-chain "
                 "decomposition; submit it with fanout=False"
             )
         if not self._slots.acquire(blocking=block, timeout=timeout):
@@ -536,8 +513,9 @@ class Daemon:
                 "block=True"
             )
         request_id = f"r{next(self._request_ids)}"
-        state = _RequestState(request_id, request, self._build_parts(request))
+        state = _RequestState(request_id, request, config)
         state.selection = selection
+        self._build_parts(state)
         with self._lock:
             self._requests[request_id] = state
             for index in range(len(state.parts)):
@@ -555,36 +533,28 @@ class Daemon:
         handle = self.submit(EstimateRequest(method=method, **kwargs))
         return handle.result()
 
-    def _build_parts(self, request: EstimateRequest) -> List[_Part]:
-        base = dict(
-            method=request.method,
-            k=request.k,
-            seed_node=request.seed_node,
-            burn_in=request.burn_in,
-            backend=None,  # workers already hold the CSR substrate
+    @staticmethod
+    def _add_part(
+        state: _RequestState, budget: int, seed: Optional[int], chains: int
+    ) -> None:
+        """Append a part running ``state.config`` with its own fixed step
+        budget, seed and chain count.  The part's target is that plain
+        budget (``budget=None`` lets it set the cap): the daemon, not the
+        worker, evaluates the request's stopping rule on pooled frames."""
+        config = replace(
+            state.config, target=int(budget), budget=None, seed=seed, chains=chains
         )
-        if not request.fanout or request.chains == 1:
-            config = dict(
-                base,
-                target=request.budget,
-                seed=request.seed,
-                chains=request.chains,
-            )
-            return [_Part(config)]
+        state.parts.append(_Part(config))
+
+    def _build_parts(self, state: _RequestState) -> None:
+        config = state.config
+        if not state.request.fanout or config.chains == 1:
+            self._add_part(state, config.budget, config.seed, config.chains)
+            return
         # Serial multi-chain seed derivation, chain order == part order.
-        rng = random.Random(request.seed)
-        budgets = split_budget(request.budget, request.chains)
-        return [
-            _Part(
-                dict(
-                    base,
-                    target=budgets[index],
-                    seed=rng.randrange(2**63),
-                    chains=1,
-                )
-            )
-            for index in range(request.chains)
-        ]
+        rng = random.Random(config.seed)
+        for budget in split_budget(config.budget, config.chains):
+            self._add_part(state, budget, rng.randrange(2**63), 1)
 
     def _cancel(self, state: _RequestState) -> None:
         with self._lock:
@@ -751,7 +721,7 @@ class Daemon:
             # pooled chain count is simply how many frames contributed.
             meta["chains"] = chains_done
         else:
-            meta["chains"] = state.request.chains if chains_done == len(
+            meta["chains"] = state.config.chains if chains_done == len(
                 state.parts
             ) else chains_done
         sums, stderr = pool_chains([f.sums for f in frames])
@@ -776,7 +746,7 @@ class Daemon:
             request_id=state.id,
             seq=state.seq,
             steps=0 if estimate is None else int(estimate.steps),
-            budget=state.request.budget + state.extra_steps,
+            budget=state.config.budget + state.extra_steps,
             estimate=estimate,
             parts=len(state.parts),
             parts_done=sum(1 for p in state.parts if p.final is not None),
@@ -797,7 +767,7 @@ class Daemon:
         return StopProbe(
             estimate=estimate,
             steps=int(estimate.steps),
-            budget=state.request.budget + state.extra_steps,
+            budget=state.config.budget + state.extra_steps,
             elapsed=time.monotonic() - state.started,
         )
 
@@ -828,22 +798,22 @@ class Daemon:
         requests (where the extension also buys the between-chain
         stderr the target needs).
         """
-        request = state.request
+        request, config = state.request, state.config
         spec = request.target
         if spec is None or not spec.dynamic:
             return False
         if self._released_budget <= 0:
             return False
-        if state.extra_steps >= 3 * request.budget:
+        if state.extra_steps >= 3 * config.budget:
             return False
-        if normalize(request.method) in CHAINLESS_METHODS:
+        if normalize(config.method) in CHAINLESS_METHODS:
             return False
-        if not request.fanout and request.chains != 1:
+        if not request.fanout and config.chains != 1:
             return False
         pooled = self._pool(state)
         if pooled is None or spec.satisfied(self._probe(state, pooled)):
             return False
-        grant = min(self._released_budget, request.budget)
+        grant = min(self._released_budget, config.budget)
         if grant < 1:
             return False
         self._released_budget -= grant
@@ -852,18 +822,8 @@ class Daemon:
         index = len(state.parts)
         # Extension seeds are a pure function of (request seed, part
         # index), so a rerun of the same traffic extends identically.
-        seed = random.Random(f"extend:{request.seed}:{index}").randrange(2**63)
-        config = dict(
-            method=request.method,
-            k=request.k,
-            seed_node=request.seed_node,
-            burn_in=request.burn_in,
-            backend=None,
-            target=int(grant),
-            seed=seed,
-            chains=1,
-        )
-        state.parts.append(_Part(config))
+        seed = random.Random(f"extend:{config.seed}:{index}").randrange(2**63)
+        self._add_part(state, grant, seed, 1)
         state.extra_parts += 1
         self._pending.append((state.id, index))
         return True

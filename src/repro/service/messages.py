@@ -10,10 +10,11 @@ protocol and the client facade all ship them verbatim, so a snapshot's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..core.result import Estimate
+from ..core.session import EstimationConfig
 from ..core.stopping import StoppingRule, as_stopping_spec, stderr_bound
 
 #: Default number of progressive snapshots per request when the caller
@@ -58,8 +59,21 @@ class RequestTimeout(ServiceError, TimeoutError):
 class EstimateRequest:
     """One estimation query, addressed to a running :class:`Daemon`.
 
-    Parameters mirror :class:`~repro.core.session.EstimationConfig`;
-    the service-specific knobs are:
+    The run fields — ``method``, ``k``, ``budget``, ``chains``, ``seed``,
+    ``seed_node``, ``burn_in`` and ``target`` — are those of
+    :class:`~repro.core.session.EstimationConfig`, which also checks
+    them: construction builds the normalized run description as
+    ``request.config``, and the daemon serves that config.  A
+    ``target`` spec with a step cap overrides ``budget``; an open-ended
+    spec keeps ``budget`` as its cap.  Variance rules (``TargetStderr``,
+    ``CIWidth``) need a between-chain stderr, i.e. ``chains >= 2`` or a
+    pooled fanout — single chains carry none.  Dynamic rules are
+    evaluated daemon-side on every progressive snapshot; when one fires
+    the daemon finalizes with the snapshot that met it, cancels the
+    remaining budget, and *releases* it to the reallocation pool for
+    still-converging requests.
+
+    The service-specific knobs are:
 
     fanout:
         ``False`` (default) runs the request as one streamed session in
@@ -75,18 +89,6 @@ class EstimateRequest:
     timeout_seconds:
         Deadline; on expiry the caller receives the last snapshot
         marked ``timed_out`` instead of hanging.
-    target:
-        Declarative stopping spec — a
-        :class:`~repro.core.stopping.StoppingRule`, an int step budget,
-        or a :func:`~repro.core.stopping.parse_target` string.  Dynamic
-        rules are evaluated daemon-side on every progressive snapshot;
-        when one fires the daemon finalizes with the snapshot that met
-        it, cancels the remaining budget, and *releases* it to the
-        reallocation pool for still-converging requests.  A spec with a
-        step cap overrides ``budget``; an open-ended spec keeps
-        ``budget`` as its cap.  Variance rules (``TargetStderr``,
-        ``CIWidth``) need a between-chain stderr, i.e. ``chains >= 2``
-        or a pooled fanout — single chains carry none.
     """
 
     method: str
@@ -100,6 +102,7 @@ class EstimateRequest:
     snapshot_steps: Optional[int] = None
     timeout_seconds: Optional[float] = None
     target: Union[StoppingRule, int, str, None] = None
+    config: EstimationConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.target is not None:
@@ -108,16 +111,21 @@ class EstimateRequest:
             if cap is not None:
                 object.__setattr__(self, "budget", int(cap))
             object.__setattr__(self, "target", spec)
-        if self.budget <= 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
-        if self.chains < 1:
-            raise ValueError(f"chains must be >= 1, got {self.chains}")
+        config = EstimationConfig(
+            method=self.method,
+            k=self.k,
+            budget=self.budget,
+            target=self.target if self.target is not None else self.budget,
+            seed=self.seed,
+            seed_node=self.seed_node,
+            chains=self.chains,
+            burn_in=self.burn_in,
+        )
+        object.__setattr__(self, "config", config)
         if self.budget < self.chains:
             raise ValueError(
                 f"budget {self.budget} cannot cover {self.chains} chains"
             )
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.snapshot_steps is not None and self.snapshot_steps <= 0:
             raise ValueError("snapshot_steps must be positive when given")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -128,10 +136,6 @@ class EstimateRequest:
         if self.snapshot_steps is not None:
             return self.snapshot_steps
         return max(self.budget // DEFAULT_SNAPSHOTS, 1)
-
-    def with_overrides(self, **changes) -> "EstimateRequest":
-        """A copy with fields replaced (validation re-runs)."""
-        return replace(self, **changes)
 
 
 @dataclass
@@ -169,3 +173,20 @@ class Snapshot:
         """Largest finite per-type stderr of the current estimate
         (:func:`repro.core.stopping.stderr_bound`)."""
         return stderr_bound(self.estimate)
+
+    def outcome(self) -> Optional[Estimate]:
+        """The estimate of a final frame, or the exception it stands for.
+
+        A deadline-hit frame raises :class:`RequestTimeout` and a failed
+        one :class:`RequestFailed`, each carrying this frame as
+        ``.snapshot``; otherwise the pooled estimate is returned.
+        """
+        if self.timed_out:
+            raise RequestTimeout(
+                f"request {self.request_id} hit its deadline after "
+                f"{self.steps}/{self.budget} steps",
+                snapshot=self,
+            )
+        if self.error is not None:
+            raise RequestFailed(self.error, snapshot=self)
+        return self.estimate

@@ -3,12 +3,14 @@
 Each worker attaches the published :class:`SharedCSRGraph` once (O(1),
 zero-copy), then serves task tuples from its private queue:
 
-    (request_id, attempt, part_index, config_kwargs, snapshot_steps)
+    (request_id, attempt, part_index, config, snapshot_steps)
 
-A task opens a streaming estimator session
-(:func:`repro.estimators.prepare`) and drains it in ``snapshot_steps``
-chunks, shipping a ``("partial", ...)`` frame after every chunk but the
-last and a ``("done", ...)`` frame with the finished estimate.  An
+``config`` is the part's :class:`~repro.core.session.EstimationConfig`,
+built daemon-side from the request's resolved config.  A task opens a
+streaming estimator session on it (:func:`repro.estimators.prepare`)
+and drains it in ``snapshot_steps`` chunks, shipping a ``("partial",
+...)`` frame after every chunk but the last and a ``("done", ...)``
+frame with the finished estimate.  An
 in-process ``repro.estimate`` drains the same session in one chunk, and
 the chunking cannot move a bit of the result (pinned by the streamed
 vs. one-shot tests in ``tests/test_estimators_api.py``), which is what
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import traceback
 
-from ..core.session import EstimationConfig
 from ..estimators import prepare
 from ..graphs.csr import CSRGraph
 
@@ -46,8 +47,7 @@ def _drain_control(control, cancelled: set) -> None:
 
 
 def _run_task(graph, task, results, worker_id, control, cancelled) -> None:
-    request_id, attempt, part, config_kwargs, snapshot_steps = task
-    config = EstimationConfig(**config_kwargs)
+    request_id, attempt, part, config, snapshot_steps = task
     session = prepare(graph, config)
     while True:
         session.step(min(snapshot_steps, session.remaining))

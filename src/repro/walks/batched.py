@@ -48,10 +48,6 @@ from ..graphs.csr import CSRGraph
 from ..relgraph.fused import FusedD3Kernel
 from ..relgraph.vectorized import VectorSpace, vector_space
 
-#: Steps per vectorized block when draining the engine incrementally; big
-#: enough to amortize NumPy dispatch, small enough to keep blocks in cache.
-DEFAULT_BLOCK = 1024
-
 
 class BatchFallbackWarning(UserWarning):
     """A multi-chain run silently lost its vectorized engine and degraded
@@ -66,8 +62,6 @@ def batch_support(graph, d: int) -> Tuple[bool, Optional[str]]:
     when unsupported (so callers can warn usefully instead of silently
     degrading to the serial loop).
     """
-    if d < 1:
-        return False, f"d must be >= 1, got {d}"
     if not isinstance(graph, CSRGraph):
         return False, (
             f"the {type(graph).__name__} backend has no vectorized walk "

@@ -14,21 +14,20 @@ code drives walks on G, G(2), and G(d >= 3), against any graph backend —
 Transition kernels dispatch on the backend: :func:`make_walk` always
 returns a serial one-chain walker (identical RNG consumption on every
 backend, so fixed-seed results are backend-independent for d <= 2), while
-:func:`make_engine` upgrades to the vectorized
-:class:`~repro.walks.batched.BatchedWalkEngine` whenever the substrate is
-CSR — any walk dimension, including the d >= 3 swap-frontier kernels —
-falling back to a list of independent serial walkers otherwise.
+:func:`make_engine` builds the vectorized multi-chain
+:class:`~repro.walks.batched.BatchedWalkEngine` on a CSR substrate — any
+walk dimension, including the d >= 3 swap-frontier kernels.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Union
+from typing import Iterator, Optional
 
 import numpy as np
 
 from ..relgraph.spaces import State, WalkSpace
-from .batched import BatchedWalkEngine, batch_capable, check_seed_node
+from .batched import BatchedWalkEngine, check_seed_node
 
 
 class SimpleWalk:
@@ -132,33 +131,21 @@ def make_engine(
     non_backtracking: bool = False,
     rng: Optional[random.Random] = None,
     seed_node: int = 0,
-) -> Union[BatchedWalkEngine, List[SimpleWalk]]:
-    """Backend-dispatching multi-chain factory.
+) -> BatchedWalkEngine:
+    """The vectorized multi-chain engine on G(d) over a CSR ``graph``.
 
-    Returns a :class:`~repro.walks.batched.BatchedWalkEngine` when the
-    backend supports vectorized kernels on G(d) (CSR substrate, any d),
-    otherwise a list of ``chains`` independent serial walkers, each with
-    its own :class:`random.Random` seeded from ``rng`` — so multi-chain
-    estimation works on every backend and merely goes faster on CSR.
+    Its NumPy generator is seeded by one ``randrange(2**63)`` draw from
+    ``rng``.  A graph without vectorized kernels raises ``TypeError``;
+    multi-chain sessions on such a graph run serial per-chain walkers
+    instead (see :func:`~repro.walks.batched.batch_support`).
     """
     rng = rng if rng is not None else random.Random()
-    if batch_capable(graph, space.d):
-        np_rng = np.random.default_rng(rng.randrange(2**63))
-        return BatchedWalkEngine(
-            graph,
-            space.d,
-            chains,
-            np_rng,
-            seed_node=seed_node,
-            non_backtracking=non_backtracking,
-        )
-    return [
-        make_walk(
-            graph,
-            space,
-            non_backtracking=non_backtracking,
-            rng=random.Random(rng.randrange(2**63)),
-            seed_node=seed_node,
-        )
-        for _ in range(chains)
-    ]
+    np_rng = np.random.default_rng(rng.randrange(2**63))
+    return BatchedWalkEngine(
+        graph,
+        space.d,
+        chains,
+        np_rng,
+        seed_node=seed_node,
+        non_backtracking=non_backtracking,
+    )

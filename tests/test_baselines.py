@@ -16,7 +16,6 @@ from repro.exact import (
     exact_concentrations,
     exact_counts,
     global_clustering_coefficient,
-    triangle_count,
     wedge_count,
 )
 from repro.graphs import Graph, RestrictedGraph

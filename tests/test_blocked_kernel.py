@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import CSRGraph, Graph, as_backend
+from repro.graphs import CSRGraph
 from repro.graphs.generators import barabasi_albert, complete_graph, path_graph
 from repro.relgraph.spaces import WalkSpaceError
 from repro.walks import BatchedWalkEngine

@@ -19,7 +19,7 @@ from repro.graphlets import (
     num_graphlets,
     relabel_bitmask,
 )
-from repro.graphs import Graph, load_dataset
+from repro.graphs import load_dataset
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph, star_graph
 
 

@@ -512,5 +512,5 @@ class TestBatchedEngine:
         space = walk_space(2)
         engine = make_engine(csr, space, chains=4, rng=random.Random(0))
         assert isinstance(engine, BatchedWalkEngine)
-        walkers = make_engine(karate, space, chains=4, rng=random.Random(0))
-        assert isinstance(walkers, list) and len(walkers) == 4
+        with pytest.raises(TypeError):
+            make_engine(karate, space, chains=4, rng=random.Random(0))

@@ -112,6 +112,22 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             estimators.register("guise", estimators.get("guise"))
 
+    def test_chainless_table_matches_the_adapters(self, karate):
+        """``CHAINLESS_METHODS`` names exactly the built-in methods whose
+        adapter refuses ``chains > 1``: specs and the service read it."""
+        from repro.estimators.adapters import CHAINLESS_METHODS
+
+        csr = as_backend(karate, "csr")
+        refused = set()
+        for name in estimators.available():
+            config = EstimationConfig(method=name, target=100, chains=2, seed=1)
+            try:
+                estimators.prepare(csr, config)
+            except ValueError as exc:
+                assert "does not support chains" in str(exc), name
+                refused.add(name)
+        assert refused == CHAINLESS_METHODS
+
     def test_k_validation(self, karate):
         with pytest.raises(ValueError, match="supports k in"):
             repro.estimate(karate, "wedge", k=4, budget=100)

@@ -275,17 +275,8 @@ class TestFourCounts:
 
 class TestDispatch:
     def test_formula_vs_esu_methods(self, karate):
-        assert exact_counts(karate, 4, method="formula") == exact_counts(
-            karate, 4, method="esu"
-        )
-
-    def test_formula_unavailable_for_k5(self, karate):
-        with pytest.raises(ValueError):
-            exact_counts(karate, 5, method="formula")
-
-    def test_unknown_method(self, karate):
-        with pytest.raises(ValueError):
-            exact_counts(karate, 3, method="magic")
+        for k in (3, 4):
+            assert exact_counts(karate, k) == esu_counts(karate, k)
 
     def test_concentrations_sum_to_one(self, karate):
         for k in (3, 4, 5):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exact import exact_counts, triangles_per_node
-from repro.graphlets import graphlet_by_name, graphlets
+from repro.graphlets import graphlet_by_name
 from repro.graphlets.catalog import induced_bitmask
 from repro.graphlets.orbits import (
     graphlet_degree_signature_similarity,

@@ -26,11 +26,12 @@ import queue as queue_module
 import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 
 from repro import estimate as in_process_estimate
-from repro.core import TargetStderr
+from repro.core import EstimationConfig, TargetStderr
 from repro.graphs import CSRGraph, barabasi_albert
 from repro.graphs.shared import SEGMENT_PREFIX
 from repro.service import (
@@ -416,16 +417,7 @@ class TestSocket:
 # ----------------------------------------------------------------------
 def test_worker_main_frame_protocol(csr):
     shared = csr.to_shared()
-    config = dict(
-        method="srw1",
-        k=3,
-        target=2000,
-        seed=4,
-        seed_node=0,
-        burn_in=0,
-        backend=None,
-        chains=1,
-    )
+    config = EstimationConfig(method="srw1", k=3, target=2000, seed=4)
     tasks: queue_module.SimpleQueue = queue_module.SimpleQueue()
     results: queue_module.SimpleQueue = queue_module.SimpleQueue()
     control_recv, control_send = multiprocessing.Pipe(duplex=False)
@@ -433,7 +425,7 @@ def test_worker_main_frame_protocol(csr):
         control_send.send("r-cancelled")
         tasks.put(("r-live", 0, 0, config, 500))
         tasks.put(("r-cancelled", 0, 0, config, 500))
-        tasks.put(("r-broken", 0, 0, dict(config, method="srw1", k=99), 500))
+        tasks.put(("r-broken", 0, 0, replace(config, k=99), 500))
         tasks.put(None)
         worker_main(7, shared.handle, tasks, results, control_recv)
 

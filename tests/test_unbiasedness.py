@@ -25,7 +25,7 @@ from repro.core.expanded_chain import enumerate_windows, stationary_weight
 from repro.exact import exact_counts
 from repro.graphlets import classify_bitmask, graphlets, induced_bitmask
 from repro.graphs import Graph
-from repro.graphs.generators import lollipop_graph
+from repro.graphs.generators import lollipop_graph, path_graph, star_graph
 from repro.relgraph import relationship_graph
 
 
@@ -83,10 +83,30 @@ CASES = [
     ("lollipop", 5, 2, True),
 ]
 
+#: Hostile shapes: a hub with degree-1 leaves, a long degree-2 chain, and
+#: a clique with a long tail.  Each leaves some graphlet classes empty, so
+#: their expectation must come out zero.
+HOSTILE = {
+    "star": lambda: star_graph(6),
+    "path": lambda: path_graph(9),
+    "lollipop-tail": lambda: lollipop_graph(4, 8),
+}
+HOSTILE_COMBOS = [
+    (3, 1, False),
+    (3, 1, True),
+    (4, 2, False),
+    (4, 2, True),
+    (4, 3, False),
+    (5, 2, True),
+]
+CASES += [(name, *combo) for name in HOSTILE for combo in HOSTILE_COMBOS]
+
 
 def build(name, figure1_graph):
     if name == "figure1":
         return figure1_graph
+    if name in HOSTILE:
+        return HOSTILE[name]()
     return lollipop_graph(4, 3)  # asymmetric degrees: a stringent check
 
 
@@ -104,6 +124,12 @@ class TestExactUnbiasedness:
             assert math.isclose(
                 estimates[g.index], truth[g.index], rel_tol=1e-9, abs_tol=1e-9
             ), (g.name, estimates[g.index], truth[g.index])
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE))
+    def test_hostile_shapes_leave_classes_empty(self, name):
+        """Each hostile shape exercises the zero-expectation path."""
+        for k in (4, 5):
+            assert 0 in exact_counts(HOSTILE[name](), k).values()
 
     def test_karate_triangle_expectation(self, karate):
         """The same identity on a real graph (d=1, k=3: 45 triangles)."""
