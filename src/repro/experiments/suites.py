@@ -22,6 +22,10 @@ in the ``BENCH_*`` trajectory artifacts commit over commit.
 ``chains=256`` on the CSR backend, tracking the swap-frontier engine's
 throughput commit over commit.
 
+``single-chain`` does the same for the paper's one-crawler setting
+(Algorithm 1, ``chains=1``): SRW1CSSNB at k = 3 and SRW2CSS at k = 4 on
+the CSR backend, one spec (and one ``BENCH_*`` file) per graphlet size.
+
 ``stream-smoke`` is the dynamic-graph trajectory suite: the graded
 graph is a BA graph churned through a seeded
 :class:`~repro.streaming.EdgeStreamSpec` and compacted (the ``stream:``
@@ -109,6 +113,43 @@ def _srw3_speedup() -> Tuple[ExperimentSpec, ...]:
                 "d >= 3 fast-path throughput: vectorized SRW3 (k=4) at "
                 "chains=256 on the CSR backend"
             ),
+        ),
+    )
+
+
+def _single_chain() -> Tuple[ExperimentSpec, ...]:
+    common = dict(
+        graph="ba:2000:6:3",
+        budget=60_000,
+        trials=3,
+        base_seed=29,
+        seed_strategy="spawn",
+        starts="random",
+        chains=1,
+        backend="csr",
+    )
+    return (
+        ExperimentSpec(
+            name="single-chain-k3",
+            k=3,
+            methods=("SRW1CSSNB",),
+            target="triangle",
+            description=(
+                "one-crawler throughput: SRW1CSSNB (k=3) at chains=1 on "
+                "the CSR backend"
+            ),
+            **common,
+        ),
+        ExperimentSpec(
+            name="single-chain-k4",
+            k=4,
+            methods=("SRW2CSS",),
+            target="clique",
+            description=(
+                "one-crawler throughput: SRW2CSS (k=4) at chains=1 on "
+                "the CSR backend"
+            ),
+            **common,
         ),
     )
 
@@ -337,6 +378,7 @@ _SUITES = {
     "autotune-smoke": _autotune_smoke,
     "css-speedup": _css_speedup,
     "srw3-speedup": _srw3_speedup,
+    "single-chain": _single_chain,
     "fig4": _fig4,
     "fig5": _fig5,
     "fig6": _fig6,

@@ -3,17 +3,20 @@ ground truth, count estimation, restricted access."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.core.estimator import MethodSpec, run_estimation
+from repro.core.estimator import MethodSpec, SRWSession, run_estimation
 from repro.exact import exact_concentrations, exact_counts
 from repro.graphlets import graphlet_by_name, graphlets
 from repro.graphs import RestrictedGraph
 from repro.relgraph import relationship_edge_count
+from repro.walks import BatchFallbackWarning
 
 
 class TestMethodSpec:
@@ -232,3 +235,63 @@ class TestRestrictedAccess:
             api, spec, 5_000, rng=random.Random(15), seed_node=0
         )
         assert np.allclose(full.sums, restricted.sums)
+
+
+# (method, k, chains, burn_in) -> (api_calls and fetched_nodes after the
+# one-shot run, the same after a ragged step, and for chains=1 a digest
+# of the caller's rng state after each).  Budgets are small enough that
+# neither run fetches all of karate, so any change in which neighbour
+# lists a run retrieves, or in how many transitions it draws, moves a pin.
+RESTRICTED_PINS = {
+    ("SRW1", 3, 1, 0): (16, 16, 9, 9, "649d13a3d33cdaa8", "15c6cbd80552234e"),
+    ("SRW1", 3, 1, 5): (16, 16, 11, 11, "c2aa33dc5ddff8cc", "bf101b8fff2ef0a1"),
+    ("SRW1", 3, 3, 0): (19, 19, 10, 10, None, None),
+    ("SRW1", 3, 3, 5): (21, 21, 18, 18, None, None),
+    ("SRW1CSSNB", 3, 1, 0): (17, 17, 8, 8, "2fa668fbf2a461b2", "d3c4dbd30902bbe3"),
+    ("SRW1CSSNB", 3, 1, 5): (19, 19, 11, 11, "3a1e38da3bccbccc", "77fb713b026793b6"),
+    ("SRW1CSSNB", 3, 3, 0): (18, 18, 12, 12, None, None),
+    ("SRW1CSSNB", 3, 3, 5): (24, 24, 16, 16, None, None),
+    ("SRW2CSS", 4, 1, 0): (19, 19, 10, 10, "4ff6ea13b27bfcc1", "48d0c666c66977b1"),
+    ("SRW2CSS", 4, 1, 5): (20, 20, 14, 14, "ef45254d6ffdff41", "33b047eb61b4466f"),
+    ("SRW2CSS", 4, 3, 0): (21, 21, 12, 12, None, None),
+    ("SRW2CSS", 4, 3, 5): (24, 24, 20, 20, None, None),
+    ("SRW3", 4, 1, 0): (25, 25, 15, 15, "480f331f424bc631", "15c6cbd80552234e"),
+    ("SRW3", 4, 1, 5): (26, 26, 20, 20, "ca770044099ec6e4", "bf101b8fff2ef0a1"),
+    ("SRW3", 4, 3, 0): (18, 18, 13, 13, None, None),
+    ("SRW3", 4, 3, 5): (22, 22, 17, 17, None, None),
+    ("SRW3CSS", 5, 1, 0): (26, 26, 17, 17, "8be72128fffc0828", "d3c4dbd30902bbe3"),
+    ("SRW3CSS", 5, 1, 5): (26, 26, 21, 21, "e639f134fa938b97", "bc589f182ac87ce2"),
+    ("SRW3CSS", 5, 3, 0): (19, 19, 14, 14, None, None),
+    ("SRW3CSS", 5, 3, 5): (23, 23, 18, 18, None, None),
+}
+
+
+class TestRestrictedAccounting:
+    """Exact crawl cost of fixed-seed runs through the API wrapper: which
+    neighbour lists a run fetches, and how many transitions it draws
+    from the caller's rng, one-shot and after a ragged ``step``."""
+
+    BUDGET, RAGGED, SEED = 30, 13, 7
+
+    def _run(self, karate, method, k, chains, burn_in, n):
+        api = RestrictedGraph(karate, seed_node=0)
+        rng = random.Random(self.SEED)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", BatchFallbackWarning)
+            session = SRWSession(
+                api, MethodSpec.parse(method, k), self.BUDGET, rng=rng,
+                chains=chains, burn_in=burn_in,
+            )
+        session.step(n)
+        state = hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16]
+        return api.api_calls, api.fetched_nodes, state if chains == 1 else None
+
+    @pytest.mark.parametrize("case", sorted(RESTRICTED_PINS), ids=str)
+    def test_pinned_api_calls_and_rng_state(self, karate, case):
+        one_shot = self._run(karate, *case, None)
+        ragged = self._run(karate, *case, self.RAGGED)
+        api, fetched, ragged_api, ragged_fetched, state, ragged_state = (
+            RESTRICTED_PINS[case]
+        )
+        assert one_shot == (api, fetched, state)
+        assert ragged == (ragged_api, ragged_fetched, ragged_state)
