@@ -15,17 +15,17 @@ One run path
 ------------
 :func:`run_estimation` is ``SRWSession(...).result()``: every SRW run —
 one-shot, streamed, served by the daemon — goes through
-:class:`SRWSession`, which has exactly two modes:
+:class:`SRWSession`, and every window of every run is classified and
+re-weighted block-at-a-time by :class:`_VectorizedAccumulator`.  Only
+the source of the walk's states differs:
 
-* **vectorized** (``chains > 1`` on a batch-capable backend, i.e. CSR,
-  any d): the B chains advance in lockstep through the
-  :class:`~repro.walks.batched.BatchedWalkEngine`, and window
-  classification plus re-weighting — basic *and* CSS — run
-  block-at-a-time through :class:`_VectorizedAccumulator`;
-* **serial** (``chains == 1``, or a backend without vectorized kernels):
-  one walker-driven :class:`_SerialChain` per chain, whose
-  :meth:`~_SerialChain.advance` is Algorithm 1's tight per-transition
-  loop.  Multi-chain serial runs warn once
+* on a CSR graph with ``chains > 1``, the B chains advance in lockstep
+  through the :class:`~repro.walks.batched.BatchedWalkEngine`;
+* otherwise (``chains == 1``, the paper's one crawler, or a backend
+  without vectorized kernels) each chain is a serial walker
+  (:func:`~repro.walks.walkers.make_walk`) with its own
+  ``random.Random``, buffered into blocks by :class:`_SerialLanes`.
+  Multi-chain runs of this kind warn once
   (:class:`~repro.walks.batched.BatchFallbackWarning`).
 
 With ``chains=B`` the step budget is split across B independent chains
@@ -37,24 +37,22 @@ result is distributed like one run whose samples came from B chains.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphlets.catalog import classify_bitmask
 from ..graphlets.signatures import classification_table
 from ..relgraph.spaces import walk_space
 from ..walks import windows as windows_mod
-from ..walks.batched import batch_capable, warn_serial_fallback
+from ..graphs.csr import full_access_csr
+from ..walks.batched import batch_support, warn_serial_fallback
 from ..walks.walkers import make_engine, make_walk
 from .alpha import alpha_table
-from .css import css_weight_table, sampling_weight
-from .expanded_chain import nominal_degree
+from .css import css_weight_table
 from .result import Estimate
 from .session import Session
 
@@ -217,116 +215,71 @@ def run_estimation(
     ).result()
 
 
-def _effective_degree_fn(graph, spec: MethodSpec) -> Callable[[Tuple[int, ...]], int]:
-    """The (possibly NB-nominal) G(d)-degree of a state:
-    :meth:`~repro.relgraph.spaces.WalkSpace.degree`."""
-    space_degree = walk_space(spec.d).degree
-    if spec.nb:
-        def effective_degree(state: Tuple[int, ...]) -> int:
-            return nominal_degree(space_degree(graph, state))
-        return effective_degree
-    return functools.partial(space_degree, graph)
+class _SerialLanes:
+    """Serial walkers as a block source for :class:`_VectorizedAccumulator`.
 
-
-class _SerialChain:
-    """One walker-driven chain of Algorithm 1, resumable.
-
-    The caller hands over the walker: anything with a ``state`` and a
-    ``step()`` that returns the next state of a walk on G(d).
-    :class:`SRWSession` gives each chain its own walker;
-    :func:`~repro.core.joint.run_joint_estimation` gives each graphlet
-    size a replay of one shared walk.
-    Construction walks ``burn_in`` discarded transitions and builds the
-    initial window of l states (Algorithm 1 line 3); each
-    :meth:`advance` then runs the loop body — classify and re-weight the
-    current window, then slide it by one transition — for ``n`` more
-    counted transitions, keeping window and sums between calls.
+    One lane per :func:`~repro.walks.walkers.make_walk` walker, each with
+    its own ``random.Random``, behind the batched engine's surface:
+    ``states()`` and ``step_block(t)`` as ``(t, B, d)`` id arrays.  A lane
+    hands out only the states the accumulator counts (rows past its
+    budget repeat its last state), yet draws what Algorithm 1's loop
+    draws.  That loop slides its window after counting it, so for l >= 2
+    it stands one transition further and, for l > 2, has taken that
+    state's G(d) degree; :meth:`settle` catches the lanes up, so a
+    crawl's API calls and the rng's end state are the loop's.
     """
 
-    def __init__(self, graph, spec: MethodSpec, alphas, walker, burn_in: int = 0) -> None:
+    def __init__(self, walkers, graph, spec: MethodSpec, budgets, burn_in: int) -> None:
+        self.walkers = walkers
         self.graph = graph
-        self.spec = spec
-        self.alphas = alphas
-        self.walker = walker
-        self.effective_degree = _effective_degree_fn(graph, spec)
-        self.sums = np.zeros(len(alphas))
-        self.sample_counts = np.zeros(len(alphas), dtype=np.int64)
-        self.valid_samples = 0
-        self.steps = 0  # counted transitions done
-
-        for _ in range(burn_in):
-            walker.step()
-        # The initial window of l states and the multiset of covered nodes.
-        self.window: List[Tuple[int, ...]] = [walker.state]
-        for _ in range(spec.l - 1):
-            self.window.append(walker.step())
-        self.node_multiplicity: Dict[int, int] = {}
-        for state in self.window:
-            for v in state:
-                self.node_multiplicity[v] = self.node_multiplicity.get(v, 0) + 1
-        # Degrees of window states, computed once per state on entry
-        # (reused as the state slides through the middle positions).  Not
-        # needed when the window has no middle (l <= 2) and the basic
-        # estimator is in use.
-        self.need_degrees = spec.l > 2
-        self.window_degrees: List[int] = (
-            [self.effective_degree(s) for s in self.window]
-            if self.need_degrees
-            else [0] * spec.l
+        self.d = spec.d
+        self.left = [burn_in + max(spec.l - 2, 0) + b for b in budgets]
+        self.base = burn_in + spec.l - 1  # the loop's draws before counting
+        self.drawn = [0] * len(walkers)
+        self.held: List[list] = [[] for _ in walkers]  # drawn, not handed out
+        # Only a graph that counts API calls can tell a degree was taken.
+        self.degree = (
+            walk_space(spec.d).degree
+            if spec.l > 2 and hasattr(graph, "api_calls")
+            else None
         )
+        self._states = np.array([w.state for w in walkers], dtype=np.int64)
 
-    def advance(self, n: int) -> None:
-        """Run ``n`` more counted transitions."""
-        spec, alphas, walker = self.spec, self.alphas, self.walker
-        k, d = spec.k, spec.d
-        sums, sample_counts = self.sums, self.sample_counts
-        window, node_multiplicity = self.window, self.node_multiplicity
-        window_degrees, need_degrees = self.window_degrees, self.need_degrees
-        effective_degree = self.effective_degree
-        valid_samples = self.valid_samples
-        neighbor_set = self.graph.neighbor_set
-        for _ in range(n):
-            if len(node_multiplicity) == k:
-                nodes = sorted(node_multiplicity)
-                # Labeled bitmask of the induced subgraph over the sorted nodes.
-                mask = 0
-                bit = 0
-                for i in range(k):
-                    u_adj = neighbor_set(nodes[i])
-                    for j in range(i + 1, k):
-                        if nodes[j] in u_adj:
-                            mask |= 1 << bit
-                        bit += 1
-                type_index = classify_bitmask(mask, k)
-                if spec.css:
-                    p_tilde = sampling_weight(mask, nodes, k, d, effective_degree)
-                    weight = 1.0 / p_tilde
-                else:
-                    # 1 / (alpha_i * pi~_e) with pi~_e = prod of inverse
-                    # middle degrees (Theorem 2); for l = 2 it is empty.
-                    weight = 1.0 / alphas[type_index]
-                    for degree in window_degrees[1:-1]:
-                        weight *= degree
-                sums[type_index] += weight
-                sample_counts[type_index] += 1
-                valid_samples += 1
+    def states(self) -> np.ndarray:
+        """Each lane's last handed-out state, shape ``(B, d)``."""
+        return self._states
 
-            new_state = walker.step()
-            old_state = window.pop(0)
-            window.append(new_state)
-            for v in old_state:
-                remaining = node_multiplicity[v] - 1
-                if remaining:
-                    node_multiplicity[v] = remaining
-                else:
-                    del node_multiplicity[v]
-            for v in new_state:
-                node_multiplicity[v] = node_multiplicity.get(v, 0) + 1
-            if need_degrees:
-                window_degrees.pop(0)
-                window_degrees.append(effective_degree(new_state))
-        self.valid_samples = valid_samples
-        self.steps += n
+    def step_block(self, t: int) -> np.ndarray:
+        """The next ``t`` states of every lane, shape ``(t, B, d)``."""
+        out = np.empty((t, len(self.walkers), self.d), dtype=np.int64)
+        for b, walker in enumerate(self.walkers):
+            n = min(t, self.left[b])
+            if n:
+                rows = self.held[b]
+                fresh = n - len(rows)
+                if fresh > 0:
+                    step = walker.step
+                    rows += [step() for _ in range(fresh)]
+                    self.drawn[b] += fresh
+                out[:n, b] = rows[:n]
+                self.held[b] = rows[n:]
+                self.left[b] -= n
+            out[n:, b] = out[n - 1, b] if n else self._states[b]
+        self._states = out[-1]
+        return out
+
+    def settle(self, counted: int) -> None:
+        """Draw each lane to where the serial loop stands after
+        ``counted`` windows (:func:`split_budget`, the accumulator's
+        order), taking the newest state's degree where it shows."""
+        for b, windows in enumerate(split_budget(counted, len(self.walkers))):
+            walker = self.walkers[b]
+            missing = self.base + windows - self.drawn[b]
+            if missing > 0:
+                self.held[b] += [walker.step() for _ in range(missing)]
+                self.drawn[b] += missing
+            if self.degree is not None:
+                self.degree(self.graph, walker.state)
 
 
 #: Lockstep transitions per engine call in the vectorized accumulator.
@@ -336,9 +289,12 @@ DEFAULT_ACC_BLOCK = 512
 
 
 class _VectorizedAccumulator:
-    """One-pass vectorized window accumulation for batched chains.
+    """One-pass vectorized window accumulation: the one window pipeline
+    of every SRW run.
 
-    Turns blocks of engine transitions into ``t x B`` sliding windows at
+    Its states come from a lockstep source — the batched engine, or
+    serial walkers through :class:`_SerialLanes` — whose blocks of
+    transitions it turns into ``t x B`` sliding windows at
     once (:mod:`repro.walks.windows`): node multisets sort row-wise to
     count distinct nodes, valid windows classify through batched
     ``has_edges`` probes plus the dense
@@ -346,13 +302,15 @@ class _VectorizedAccumulator:
     pairs the window's states leave unproven are probed
     (:func:`~repro.walks.windows.walk_edge_columns`): for d <= 2 the
     k - 1 walk edges span the window, leaving C(k, 2) - (k - 1) probes;
-    for d >= 3 all C(k, 2).  Each accumulator serves one graph version
+    for d >= 3 all C(k, 2).  Probes and degrees go through the CSR form
+    of the graph (:func:`~repro.graphs.csr.full_access_csr`; a CSR graph
+    is its own).  Each accumulator serves one graph version
     (:class:`~repro.streaming.continuous.ContinuousSession` builds one
     per epoch), so every walk edge is an edge of the graph it probes.
     The re-weighting is
 
     * **basic** — Theorem 2's ``1 / alpha_i`` times the middle-state
-      degrees, multiplied in the serial loop's exact order
+      degrees, multiplied in window order
       (``(1/alpha) * d_1 * d_2 …``);
     * **CSS** — Algorithm 3's ``1 / p~(X)`` through the compiled
       :func:`~repro.core.css.css_weight_table` (d >= 3 degrees via the
@@ -363,8 +321,8 @@ class _VectorizedAccumulator:
     order of appearance*, so every cell accumulates its windows in time
     order exactly like a per-chain Python accumulator, and the
     chain-ordered :func:`pool_chains` of the cells is **bit-identical**
-    to the per-chain reference (the test suite's oracle) and independent
-    of how the stream was blocked.  The cells also yield the between-chain
+    to Algorithm 1's per-window loop (the test suite's oracle) and
+    independent of how the stream was blocked.  The cells also yield the between-chain
     standard error.
 
     ``budgets`` must be non-increasing (:func:`split_budget` always
@@ -377,7 +335,9 @@ class _VectorizedAccumulator:
     :meth:`advance` until :attr:`counted` reaches :attr:`total`.
     ``advance`` consumes any number of counted windows — whole blocks of
     rows (at most :data:`DEFAULT_ACC_BLOCK` per engine call), or part of
-    one row (windows within a row count in chain order).
+    one row (windows within a row count in chain order).  A source with
+    a ``settle(counted)`` method (:class:`_SerialLanes`) is told the
+    counted windows after construction and after every advance.
     """
 
     def __init__(
@@ -386,7 +346,7 @@ class _VectorizedAccumulator:
         budgets_arr = np.asarray(budgets, dtype=np.int64)
         if np.any(budgets_arr[1:] > budgets_arr[:-1]):
             raise ValueError("budgets must be non-increasing")
-        self.graph = graph
+        self.graph = full_access_csr(graph)
         self.spec = spec
         self.chains = len(budgets)
         self.budgets = budgets_arr
@@ -426,6 +386,9 @@ class _VectorizedAccumulator:
                 ]
             )
         self._tail = tail
+        self._settle = getattr(engine, "settle", None)
+        if self._settle is not None:
+            self._settle(0)
 
     @property
     def counted(self) -> int:
@@ -471,7 +434,7 @@ class _VectorizedAccumulator:
                 self._process(self._pending, 1, slice(0, n))
                 self._col = n
                 self._counted += n
-                return
+                break
             # Rows keep one width until the next budget boundary.
             boundary = int(self.budgets[self.budgets > self._row].min())
             t = min(boundary - self._row, n // width, DEFAULT_ACC_BLOCK)
@@ -488,6 +451,8 @@ class _VectorizedAccumulator:
             self._row += t
             self._counted += t * width
             n -= t * width
+        if self._settle is not None:
+            self._settle(self._counted)
 
     def _process(self, stream: np.ndarray, t: int, cols: slice) -> None:
         """Accumulate the ``t`` window rows of ``stream`` over ``cols``."""
@@ -540,30 +505,24 @@ class SRWSession(Session):
     """One run of an ``SRW{d}[CSS][NB]`` method — streamed or one-shot.
 
     :func:`run_estimation` is this session's :meth:`result`, so every SRW
-    run goes through one of its two modes, fixed at construction:
+    run goes through it, and through one :class:`_VectorizedAccumulator`
+    fed by one state source, fixed at construction: the lockstep
+    :class:`~repro.walks.batched.BatchedWalkEngine` for ``chains > 1`` on
+    a CSR graph, else one serial walker per chain (:class:`_SerialLanes`).
+    ``chains == 1`` walks with the caller's rng; serial multi-chain runs
+    seed one rng per chain from it and warn once
+    (:class:`~repro.walks.batched.BatchFallbackWarning`).
 
-    * **vectorized** (``chains > 1`` on a batch-capable backend — CSR,
-      basic and CSS, any d): ``step(n)`` drives the lockstep
-      :class:`_VectorizedAccumulator`, whose partial lockstep rows count
-      chains in order.  Its per-(chain, type) cells are
-      blocking-independent, so however the budget is streamed the final
-      sums are the same bits.
-    * **serial** (``chains == 1``, or a backend without vectorized
-      kernels): one :class:`_SerialChain` per chain.  After ``c``
-      consumed units chain ``b`` has run ``split_budget(c, B)[b]``
-      transitions (where a round-robin over the chains would stand), so
-      however the budget is streamed it ends on the one-shot split.
-      Chains are independent, so the order in which one ``step`` feeds
-      them cannot change their sums.  ``chains == 1`` keeps
-      the caller's rng; more chains each seed their own rng from it and
-      warn once (:class:`~repro.walks.batched.BatchFallbackWarning`).
-
-    A mid-run ``snapshot()`` after ``t`` counted transitions of a
-    single-chain session equals a fresh ``budget=t`` run of the same
-    seed (streaming/batch parity); multi-chain snapshots additionally
-    carry the between-chain standard error.  Construction — engine or
-    walkers, burn-in, initial windows — is timed into
-    ``elapsed_seconds`` like the steps that follow.
+    ``step(n)`` advances the accumulator, whose partial lockstep rows
+    count chains in order: after ``c`` consumed units chain ``b`` has run
+    ``split_budget(c, B)[b]`` transitions.  Its per-(chain, type) cells
+    are blocking-independent, so however the budget is streamed the
+    final sums are the same bits.  A mid-run ``snapshot()`` after ``t``
+    counted transitions of a single-chain session equals a fresh
+    ``budget=t`` run of the same seed (streaming/batch parity);
+    multi-chain snapshots additionally carry the between-chain standard
+    error.  Construction — walkers, burn-in, initial windows — is timed
+    into ``elapsed_seconds`` like the steps that follow.
     """
 
     def __init__(
@@ -589,67 +548,45 @@ class SRWSession(Session):
         self._chains = chains
         self._alphas = alpha_table(spec.k, spec.d)
         rng = rng if rng is not None else random.Random()
-        self._vectorized: Optional[_VectorizedAccumulator] = None
-        self._serial: List[_SerialChain] = []
-        if chains > 1 and batch_capable(graph, spec.d):
+        space = walk_space(spec.d)
+        budgets = split_budget(budget, chains)
+        if chains > 1 and batch_support(graph)[0]:
             engine = make_engine(
-                graph,
-                walk_space(spec.d),
-                chains,
-                non_backtracking=spec.nb,
-                rng=rng,
+                graph, space, chains, non_backtracking=spec.nb, rng=rng,
                 seed_node=seed_node,
-            )
-            self._vectorized = _VectorizedAccumulator(
-                graph, spec, self._alphas, split_budget(budget, chains), engine,
-                burn_in,
             )
         else:
             if chains > 1:
-                warn_serial_fallback(graph, spec.d, stacklevel=2)
+                warn_serial_fallback(graph, stacklevel=2)
                 chain_rngs = [random.Random(rng.randrange(2**63)) for _ in range(chains)]
             else:
                 chain_rngs = [rng]
-            space = walk_space(spec.d)
-            self._serial = [
-                _SerialChain(
-                    graph, spec, self._alphas,
-                    make_walk(
-                        graph, space, non_backtracking=spec.nb, rng=chain_rng,
-                        seed_node=seed_node,
-                    ),
-                    burn_in,
+            walkers = [
+                make_walk(
+                    graph, space, non_backtracking=spec.nb, rng=chain_rng,
+                    seed_node=seed_node,
                 )
                 for chain_rng in chain_rngs
             ]
+            engine = _SerialLanes(walkers, graph, spec, budgets, burn_in)
+        self._acc = _VectorizedAccumulator(
+            graph, spec, self._alphas, budgets, engine, burn_in
+        )
         self._elapsed = time.perf_counter() - start
 
     def _advance(self, n: int) -> None:
-        if self._vectorized is not None:
-            self._vectorized.advance(n)
-            return
-        targets = split_budget(self._consumed + n, self._chains)
-        for chain, target in zip(self._serial, targets):
-            chain.advance(target - chain.steps)
+        self._acc.advance(n)
 
     def snapshot(self) -> Estimate:
-        if self._vectorized is not None:
-            acc = self._vectorized
-            chain_sums = acc.chain_sums
-            sample_counts = acc.sample_counts.copy()
-            samples = acc.valid_samples
-        else:
-            chain_sums = [chain.sums for chain in self._serial]
-            sample_counts = np.sum([c.sample_counts for c in self._serial], axis=0)
-            samples = sum(chain.valid_samples for chain in self._serial)
-        sums, stderr = pool_chains(chain_sums)
+        acc = self._acc
+        sums, stderr = pool_chains(acc.chain_sums)
         return Estimate(
             method=self.spec.name,
             k=self.spec.k,
             steps=self.consumed,
-            samples=samples,
+            samples=acc.valid_samples,
             sums=sums,
-            sample_counts=sample_counts,
+            sample_counts=acc.sample_counts.copy(),
             stderr=stderr,
             elapsed_seconds=self._elapsed,
             meta=_srw_meta(self.spec, self._alphas, self.graph, chains=self._chains),

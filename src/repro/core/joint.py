@@ -8,8 +8,8 @@ of length ``l_k = k - d + 1`` — so a single SRW on G(2) can estimate 3-,
 4- and 5-node concentrations at once, amortizing the crawl cost (which,
 under restricted access, is the expensive part).
 
-Each size runs the one serial SRW chain of :mod:`repro.core.estimator`
-over the shared walk, and its windows are start-aligned: size k's window
+Each size feeds the one window pipeline of :mod:`repro.core.estimator`
+from the shared walk, and its windows are start-aligned: size k's window
 t covers walk states t .. t + l_k - 1, exactly as in a standalone run.
 So every size's sums equal, bit for bit, a standalone
 :func:`~repro.core.estimator.run_estimation` of that size at the same
@@ -24,42 +24,67 @@ from __future__ import annotations
 
 import random
 import time
-from types import SimpleNamespace
 from typing import Dict, Optional, Sequence
+
+import numpy as np
 
 from ..relgraph.spaces import walk_space
 from ..walks.walkers import make_walk
 from .alpha import alpha_table
-from .estimator import MethodSpec, _SerialChain, _srw_meta
+from .estimator import (
+    MethodSpec,
+    _SerialLanes,
+    _srw_meta,
+    _VectorizedAccumulator,
+    pool_chains,
+)
 from .result import Estimate
 
-#: Transitions each size's chain runs per round; the shared walk buffers
-#: at most ``l_max + JOINT_BLOCK`` states.
+#: Windows each size counts per round; the shared walk buffers at most
+#: ``l_max + JOINT_BLOCK`` states.
 JOINT_BLOCK = 1024
 
 
-class _SharedWalk:
-    """One walk, handed out in stretches to several readers.
+class _SharedStates:
+    """One serial walk, read by several accumulators at their own pace.
 
-    States are drawn from the walker only when a stretch first needs
-    them and dropped by :meth:`release` once every reader is past.
+    States are drawn from the walk's :class:`_SerialLanes` when a reader
+    first needs them and dropped by :meth:`release` once every reader is
+    past.
     """
 
-    def __init__(self, walker) -> None:
-        self.walker = walker
-        self.states = [walker.state]
-        self.first = 0  # walk index of states[0]
+    def __init__(self, lanes: _SerialLanes) -> None:
+        self.lanes = lanes
+        self.rows = lanes.states()[None].copy()  # (states, 1, d)
+        self.first = 0  # walk index of rows[0]
 
-    def stretch(self, lo: int, hi: int):
-        """A ``step`` function returning walk states ``lo .. hi - 1``."""
-        while self.first + len(self.states) < hi:
-            self.states.append(self.walker.step())
-        return iter(self.states[lo - self.first : hi - self.first]).__next__
+    def get(self, lo: int, n: int) -> np.ndarray:
+        """Walk states ``lo .. lo + n - 1``."""
+        missing = lo + n - (self.first + len(self.rows))
+        if missing > 0:
+            self.rows = np.concatenate([self.rows, self.lanes.step_block(missing)])
+        return self.rows[lo - self.first : lo - self.first + n]
 
     def release(self, index: int) -> None:
         """Drop the states before walk index ``index``."""
-        del self.states[: index - self.first]
+        self.rows = self.rows[index - self.first :]
         self.first = index
+
+
+class _Reader:
+    """One size's state source over the shared walk: the surface
+    :class:`_VectorizedAccumulator` pulls, from walk state 0 on."""
+
+    def __init__(self, walk: _SharedStates) -> None:
+        self.walk = walk
+        self.index = 0  # walk index of the last state handed out
+
+    def states(self) -> np.ndarray:
+        return self.walk.get(self.index, 1)[0]
+
+    def step_block(self, t: int) -> np.ndarray:
+        self.index += t
+        return self.walk.get(self.index - t + 1, t)
 
 
 def run_joint_estimation(
@@ -108,24 +133,23 @@ def run_joint_estimation(
     walker = make_walk(
         graph, walk_space(d), non_backtracking=nb, rng=rng, seed_node=seed_node
     )
-    origin = walker.state
-    shared = _SharedWalk(walker)
-    chains = {}
+    # The walk draws what the longest size's standalone run draws.
+    lanes = _SerialLanes([walker], graph, MethodSpec(sizes[-1], d), [steps], 0)
+    walk = _SharedStates(lanes)
+    accumulators = {}
     for k in sizes:
         spec = MethodSpec(k, d, css=css and k - d + 1 > 2, nb=nb)
-        # Each chain's walker is a replay whose ``step`` is set to each
-        # stretch of the shared walk in turn.
-        replay = SimpleNamespace(state=origin, step=shared.stretch(1, spec.l))
-        chains[k] = _SerialChain(graph, spec, alpha_table(k, d), replay)
-    # After ``done`` counted transitions size k's window starts at walk
-    # state ``done``, so its next ``n`` steps read states l_k + done on.
+        accumulators[k] = _VectorizedAccumulator(
+            graph, spec, alpha_table(k, d), [steps], _Reader(walk), 0
+        )
+    # After ``done`` counted windows every size's next window starts at
+    # walk state ``done``.
     for done in range(0, steps, JOINT_BLOCK):
         n = min(JOINT_BLOCK, steps - done)
-        for chain in chains.values():
-            lo = chain.spec.l + done
-            chain.walker.step = shared.stretch(lo, lo + n)
-            chain.advance(n)
-        shared.release(done + n)
+        for acc in accumulators.values():
+            acc.advance(n)
+        walk.release(done + n)
+    lanes.settle(steps)
     elapsed = time.perf_counter() - start
 
     method = f"SRW{d}" + ("CSS" if css else "") + ("NB" if nb else "")
@@ -134,11 +158,11 @@ def run_joint_estimation(
             method=method,
             k=k,
             steps=steps,
-            samples=chain.valid_samples,
-            sums=chain.sums,
-            sample_counts=chain.sample_counts,
+            samples=acc.valid_samples,
+            sums=pool_chains(acc.chain_sums)[0],
+            sample_counts=acc.sample_counts,
             elapsed_seconds=elapsed,
-            meta={**_srw_meta(chain.spec, chain.alphas, graph), "css": css},
+            meta={**_srw_meta(acc.spec, acc.alpha_arr, graph), "css": css},
         )
-        for k, chain in chains.items()
+        for k, acc in accumulators.items()
     }

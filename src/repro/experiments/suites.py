@@ -118,39 +118,26 @@ def _srw3_speedup() -> Tuple[ExperimentSpec, ...]:
 
 
 def _single_chain() -> Tuple[ExperimentSpec, ...]:
-    common = dict(
-        graph="ba:2000:6:3",
-        budget=60_000,
-        trials=3,
-        base_seed=29,
-        seed_strategy="spawn",
-        starts="random",
-        chains=1,
-        backend="csr",
-    )
-    return (
+    return tuple(
         ExperimentSpec(
-            name="single-chain-k3",
-            k=3,
-            methods=("SRW1CSSNB",),
-            target="triangle",
+            name=f"single-chain-k{k}",
+            graph="ba:2000:6:3",
+            k=k,
+            methods=(method,),
+            budget=60_000,
+            trials=3,
+            base_seed=29,
+            seed_strategy="spawn",
+            starts="random",
+            target=target,
+            chains=1,
+            backend="csr",
             description=(
-                "one-crawler throughput: SRW1CSSNB (k=3) at chains=1 on "
+                f"one-crawler throughput: {method} (k={k}) at chains=1 on "
                 "the CSR backend"
             ),
-            **common,
-        ),
-        ExperimentSpec(
-            name="single-chain-k4",
-            k=4,
-            methods=("SRW2CSS",),
-            target="clique",
-            description=(
-                "one-crawler throughput: SRW2CSS (k=4) at chains=1 on "
-                "the CSR backend"
-            ),
-            **common,
-        ),
+        )
+        for k, method, target in ((3, "SRW1CSSNB", "triangle"), (4, "SRW2CSS", "clique"))
     )
 
 

@@ -57,7 +57,7 @@ class Graph:
         paper's simple-graph assumption.
     """
 
-    __slots__ = ("_adj", "_adj_sets", "_num_edges")
+    __slots__ = ("_adj", "_adj_sets", "_num_edges", "_csr")
 
     def __init__(self, num_nodes: int, edges: Iterable[Edge] = ()) -> None:
         if num_nodes < 0:
@@ -80,6 +80,7 @@ class Graph:
         self._adj: List[List[int]] = [sorted(s) for s in adj_sets]
         self._adj_sets: List[Set[int]] = adj_sets
         self._num_edges = num_edges
+        self._csr = None  # CSR form for vectorized probes, built on first use
 
     # ------------------------------------------------------------------
     # Construction helpers

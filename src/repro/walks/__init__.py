@@ -4,7 +4,6 @@ mixing-time tools."""
 from .batched import (
     BatchedWalkEngine,
     BatchFallbackWarning,
-    batch_capable,
     batch_support,
 )
 from .mhrw import (
@@ -40,7 +39,6 @@ __all__ = [
     "NonBacktrackingWalk",
     "SimpleWalk",
     "as_stream",
-    "batch_capable",
     "distinct_window_nodes",
     "effective_sample_size",
     "induced_bitmasks",

@@ -30,10 +30,10 @@ the estimator (:class:`repro.core.estimator.SRWSession` with
 statistically independent given independent starting draws because every
 lane consumes its own slice of the shared vectorized RNG stream.
 
-:func:`batch_support` reports whether a graph/space combination can ride
-the engine — the only requirement left is the CSR substrate; non-CSR
-backends fall back to independent serial walkers, and the estimator warns
-once (:class:`BatchFallbackWarning`) when a multi-chain run degrades.
+:func:`batch_support` reports whether a graph can ride the engine — the
+only requirement is the CSR substrate; non-CSR backends fall back to
+independent serial walkers, and the estimator warns once
+(:class:`BatchFallbackWarning`) when a multi-chain run degrades.
 """
 
 from __future__ import annotations
@@ -50,17 +50,18 @@ from ..relgraph.vectorized import VectorSpace, vector_space
 
 
 class BatchFallbackWarning(UserWarning):
-    """A multi-chain run silently lost its vectorized engine and degraded
-    to the serial per-chain loop (emitted once per distinct reason *per
+    """A multi-chain run lost its vectorized engine and degraded to
+    serial per-chain walkers (emitted once per distinct reason *per
     invocation* — every ``run_estimation`` call / session warns afresh)."""
 
 
-def batch_support(graph, d: int) -> Tuple[bool, Optional[str]]:
-    """Whether the batched engine can drive walks on G(d) over ``graph``.
+def batch_support(graph) -> Tuple[bool, Optional[str]]:
+    """Whether the batched engine can drive walks over ``graph``.
 
     Returns ``(supported, reason)``; ``reason`` names what is missing
     when unsupported (so callers can warn usefully instead of silently
-    degrading to the serial loop).
+    degrading to serial walkers).  Every walk dimension d has vectorized
+    kernels, so only the substrate matters: it must be CSR.
     """
     if not isinstance(graph, CSRGraph):
         return False, (
@@ -69,12 +70,6 @@ def batch_support(graph, d: int) -> Tuple[bool, Optional[str]]:
             'backend="csr") to batch chains'
         )
     return True, None
-
-
-def batch_capable(graph, d: int) -> bool:
-    """Boolean form of :func:`batch_support` (kept for call sites that
-    only branch)."""
-    return batch_support(graph, d)[0]
 
 
 def check_seed_node(graph, seed_node) -> None:
@@ -95,23 +90,12 @@ def check_seed_node(graph, seed_node) -> None:
         raise ValueError(f"seed_node {seed_node} is out of range{size}")
 
 
-def warn_serial_fallback(
-    graph, d: int, stacklevel: int = 2, registry: Optional[dict] = None
-) -> None:
+def warn_serial_fallback(graph, stacklevel: int = 2) -> None:
     """Emit the :class:`BatchFallbackWarning` for a multi-chain run that
-    cannot ride the batched engine.
-
-    Deduplication is **per invocation**, not per process: ``registry``
-    is the ``__warningregistry__``-style dict that scopes the "default"
-    filter's once-per-location suppression.  Callers that represent one
-    logical invocation spanning several calls (a session warning from
-    multiple internal sites) pass a shared dict; with ``registry=None``
-    every call gets a fresh registry, so a long-lived daemon that runs
-    many estimations is warned about *each* degradation rather than only
-    the first one in the process (plain ``warnings.warn`` would pin the
-    suppression to this module's global ``__warningregistry__``).
-    """
-    supported, reason = batch_support(graph, d)
+    cannot ride the batched engine, with a fresh ``__warningregistry__``
+    per call: a long-lived daemon is warned about *each* degradation,
+    not only the first one in the process."""
+    supported, reason = batch_support(graph)
     if supported:  # pragma: no cover - callers check first
         return
     try:
@@ -124,7 +108,7 @@ def warn_serial_fallback(
         frame.f_code.co_filename,
         frame.f_lineno,
         module=frame.f_globals.get("__name__", "repro"),
-        registry={} if registry is None else registry,
+        registry={},
     )
 
 

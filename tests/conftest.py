@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.graphs import Graph, load_dataset
+from repro.graphs.shared import SEGMENT_PREFIX
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -59,6 +60,30 @@ def deadline():
             signal.signal(signal.SIGALRM, previous)
 
     return limit
+
+
+def own_segments(directory="/dev/shm") -> set:
+    """Names of the shared-memory segments in ``directory`` that this
+    test process created.
+
+    A segment is named ``repro-<pid>-<hex>`` after the process that
+    creates it, and only the test process itself creates any (daemon
+    workers attach).  Counting this pid's names alone keeps a second
+    process using the service on the same host from failing the
+    leak guards.
+    """
+    prefix = f"{SEGMENT_PREFIX}{os.getpid()}-"
+    try:
+        return {f for f in os.listdir(directory) if f.startswith(prefix)}
+    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
+        return set()
+
+
+@pytest.fixture(scope="session")
+def segments():
+    """:func:`own_segments`, for test modules (``conftest`` is not
+    importable by name)."""
+    return own_segments
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,13 @@
 """The slow reference oracle for SRW window accumulation.
 
-Per-chain Python accumulators, fed one state at a time from a batched
-engine: the straightforward reading of Algorithm 1 that the production
+Per-chain Python accumulators, fed one state at a time from a serial
+walker (:func:`serial_python`) or a batched engine
+(:func:`_batched_python`): Algorithm 1's per-window loop, the
+straightforward reading that the production
 :class:`~repro.core.estimator._VectorizedAccumulator` must reproduce
 bit for bit (same windows, same weights, same per-(chain, type) addition
-order).  :func:`full_probe_bitmasks` is the same kind of oracle for
+order, and for a serial walker the same draws and API calls).
+:func:`full_probe_bitmasks` is the same kind of oracle for
 window classification: every label pair probed, nothing taken as proven.
 :func:`row_sort_dedup` is the row-wise sort dedup of window node rows,
 and :func:`rejection_propose` / :func:`rejection_propose_nb` are the
@@ -20,20 +23,20 @@ Test code only; nothing in ``src/`` imports it.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.alpha import alpha_table
 from repro.core.css import css_templates, sampling_weight
-from repro.core.estimator import (
-    MethodSpec,
-    _effective_degree_fn,
-    _VectorizedAccumulator,
-    pool_chains,
-)
+from repro.core.estimator import MethodSpec, _VectorizedAccumulator, pool_chains
+from repro.core.expanded_chain import nominal_degree
 from repro.graphlets.catalog import classify_bitmask
 from repro.graphs import Graph, GraphError
 from repro.graphs.io import _open_text
+from repro.relgraph.spaces import walk_space
+from repro.walks import make_walk
 from repro.walks.windows import label_pairs
 
 
@@ -170,20 +173,30 @@ def rejection_propose_nb(
     return nxt
 
 
+def _effective_degree_fn(graph, spec: MethodSpec) -> Callable[[Tuple[int, ...]], int]:
+    """The (possibly NB-nominal) G(d)-degree of a state:
+    :meth:`~repro.relgraph.spaces.WalkSpace.degree`."""
+    space_degree = walk_space(spec.d).degree
+    if spec.nb:
+        def effective_degree(state: Tuple[int, ...]) -> int:
+            return nominal_degree(space_degree(graph, state))
+        return effective_degree
+    return functools.partial(space_degree, graph)
+
+
 class _ChainAccumulator:
     """Algorithm 1's window/classification pipeline for one chain.
 
-    Mirrors the accumulation of the serial chain
-    (:class:`repro.core.estimator._SerialChain`) but is *fed* states one
-    at a time (``push``) instead of driving a walker itself, which lets
-    :func:`_batched_python` interleave B accumulators over the state
-    blocks of a :class:`~repro.walks.batched.BatchedWalkEngine`.
+    It is *fed* states one at a time (``push``), so :func:`serial_python`
+    can drive it from a serial walker and :func:`_batched_python` can
+    interleave B accumulators over the state blocks of a
+    :class:`~repro.walks.batched.BatchedWalkEngine`.
 
     Feeding protocol: ``push(initial_state)`` once, then one ``push`` per
     walk transition.  The first ``burn_in`` transitions are discarded,
-    the next ``l - 1`` fill the window (uncounted, like the serial loop's
-    window build), and every following transition processes the current
-    window *before* sliding — exactly the serial loop's order — until
+    the next ``l - 1`` fill the window (uncounted: Algorithm 1's initial
+    window), and every following transition processes the current
+    window *before* sliding — Algorithm 1's order — until
     ``budget`` counted transitions are consumed.
     """
 
@@ -304,6 +317,29 @@ class _ChainAccumulator:
         self.valid_samples += 1
 
 
+def serial_python(
+    graph, spec: MethodSpec, budget: int, rng, seed_node: int = 0, burn_in: int = 0
+):
+    """Algorithm 1 as one serial loop: a :func:`~repro.walks.make_walk`
+    walker feeding one :class:`_ChainAccumulator` until ``budget``
+    windows are counted.  Each window is counted when the state after it
+    arrives, so the walker draws — and on a crawl wrapper fetches —
+    exactly what the per-window loop does.  Returns ``(sums,
+    sample_counts, valid_samples)``."""
+    walker = make_walk(
+        graph, walk_space(spec.d), non_backtracking=spec.nb, rng=rng,
+        seed_node=seed_node,
+    )
+    acc = _ChainAccumulator(
+        graph, spec, alpha_table(spec.k, spec.d), _effective_degree_fn(graph, spec),
+        budget, burn_in,
+    )
+    acc.push(walker.state)
+    while not acc.done:
+        acc.push(walker.step())
+    return acc.sums, acc.sample_counts, acc.valid_samples
+
+
 def _batched_python(
     graph, spec: MethodSpec, alphas, budgets: List[int], engine, burn_in: int
 ):
@@ -326,7 +362,7 @@ def _batched_python(
         state = (int(initial[b]),) if d == 1 else tuple(int(x) for x in initial[b])
         acc.push(state)
     # Each chain consumes burn_in discarded transitions, l - 1 window
-    # fills, then its counted budget — same accounting as the serial chain.
+    # fills, then its counted budget — same accounting as serial_python.
     remaining = max(budgets) + burn_in + spec.l - 1
     block_size = 1024
     while remaining > 0 and not all(acc.done for acc in accumulators):

@@ -23,7 +23,7 @@ from repro.graphs import (
 from repro.relgraph.spaces import walk_space
 from repro.walks import (
     BatchedWalkEngine,
-    batch_capable,
+    batch_support,
     make_engine,
     make_walk,
 )
@@ -278,7 +278,7 @@ class TestMultiChain:
         # d >= 3 rides the batched engine on CSR since the swap-frontier
         # kernels landed; the estimates still converge to truth.
         csr = CSRGraph.from_graph(karate)
-        assert batch_capable(csr, 3)
+        assert batch_support(csr)[0]
         truth = truth_array(karate, 4)
         spec = MethodSpec.parse("SRW3", 4)
         result = run_estimation(csr, spec, 40_000, rng=random.Random(4), chains=16)

@@ -20,7 +20,7 @@ from repro.graphs import (
     barabasi_albert,
 )
 from repro.streaming import EdgeStreamSpec
-from repro.walks import batch_capable
+from repro.walks import batch_support
 
 
 def all_pairs(n):
@@ -266,7 +266,7 @@ class TestBackendIntegration:
         # the base arrays and produce the identical estimate.
         csr = CSRGraph.from_graph(karate)
         delta = DeltaCSRGraph(csr)
-        assert batch_capable(delta, 2)
+        assert batch_support(delta)[0]
         spec = MethodSpec.parse("SRW2CSS", 4)
         on_base = run_estimation(csr, spec, 6_000, rng=random.Random(3), chains=8)
         on_delta = run_estimation(delta, spec, 6_000, rng=random.Random(3), chains=8)

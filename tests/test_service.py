@@ -33,7 +33,6 @@ import pytest
 from repro import estimate as in_process_estimate
 from repro.core import EstimationConfig, TargetStderr
 from repro.graphs import CSRGraph, barabasi_albert
-from repro.graphs.shared import SEGMENT_PREFIX
 from repro.service import (
     Client,
     Daemon,
@@ -46,19 +45,12 @@ from repro.service import (
 from repro.service.worker import worker_main
 
 
-def _segments() -> set:
-    try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)}
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
-        return set()
-
-
 @pytest.fixture(scope="module", autouse=True)
-def segment_guard():
+def segment_guard(segments):
     """The whole module must leave ``/dev/shm`` exactly as found."""
-    before = _segments()
+    before = segments()
     yield
-    leaked = _segments() - before
+    leaked = segments() - before
     assert not leaked, f"orphaned shared-memory segments: {sorted(leaked)}"
 
 

@@ -16,30 +16,21 @@ daemon suite; the pre-start tests stay tier-1.
 
 from __future__ import annotations
 
-import os
 
 import numpy as np
 import pytest
 
 from repro import estimate as in_process_estimate
 from repro.graphs import DeltaCSRGraph, GraphError
-from repro.graphs.shared import SEGMENT_PREFIX
 from repro.service import Daemon, EstimateRequest, ServiceClosed
 from repro.streaming import EdgeStreamSpec
 
 
-def _segments() -> set:
-    try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)}
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
-        return set()
-
-
 @pytest.fixture(scope="module", autouse=True)
-def segment_guard():
-    before = _segments()
+def segment_guard(segments):
+    before = segments()
     yield
-    leaked = _segments() - before
+    leaked = segments() - before
     assert not leaked, f"orphaned shared-memory segments: {sorted(leaked)}"
 
 

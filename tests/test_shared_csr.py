@@ -34,19 +34,12 @@ from repro.graphs import (
 from repro.graphs.shared import SEGMENT_PREFIX, published
 
 
-def _segments() -> set:
-    try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)}
-    except FileNotFoundError:  # pragma: no cover - non-tmpfs platforms
-        return set()
-
-
 @pytest.fixture(autouse=True)
-def no_orphaned_segments():
+def no_orphaned_segments(segments):
     """Every test must leave ``/dev/shm`` exactly as it found it."""
-    before = _segments()
+    before = segments()
     yield
-    leaked = _segments() - before
+    leaked = segments() - before
     assert not leaked, f"orphaned shared-memory segments: {sorted(leaked)}"
 
 
@@ -112,12 +105,12 @@ class TestLifecycle:
         shared.unlink()
         shared.unlink()
 
-    def test_context_manager_closes_and_unlinks_owner(self):
+    def test_context_manager_closes_and_unlinks_owner(self, segments):
         csr = CSRGraph.from_graph(load_dataset("karate"))
         with csr.to_shared() as shared:
             name = shared.handle.name
-            assert name in _segments()
-        assert name not in _segments()
+            assert name in segments()
+        assert name not in segments()
         assert shared.closed
 
     def test_to_shared_on_shared_graph_is_identity(self):
@@ -175,12 +168,24 @@ class TestLifecycle:
         assert not isinstance(private, SharedCSRGraph)
 
 
+class TestSegmentGuard:
+    def test_counts_this_process_segments_only(self, segments, tmp_path):
+        """The leak guards see a leaked segment of this process and ignore
+        another process's, including one whose pid this pid prefixes."""
+        pid = os.getpid()
+        own = f"{SEGMENT_PREFIX}{pid}-0badc0de"
+        for name in (own, f"{SEGMENT_PREFIX}{pid + 1}-0badc0de",
+                     f"{SEGMENT_PREFIX}{pid}7-0badc0de", "other-file"):
+            (tmp_path / name).touch()
+        assert segments(tmp_path) == {own}
+
+
 class TestPublished:
-    def test_plain_csr_gets_a_segment_for_the_block(self):
+    def test_plain_csr_gets_a_segment_for_the_block(self, segments):
         csr = CSRGraph.from_graph(load_dataset("karate"))
         with published(csr) as shipped:
             assert isinstance(shipped, SharedCSRGraph) and shipped == csr
-            assert shipped.handle.name in _segments()
+            assert shipped.handle.name in segments()
         assert shipped.closed  # the autouse fixture checks the unlink
 
     def test_list_mmap_and_shared_graphs_pass_unchanged(self, tmp_path):

@@ -2,11 +2,11 @@
 
 Each case runs ``run_estimation`` on karate with a fixed seed and
 compares sha256 digests of ``sums``, ``sample_counts``, ``samples`` and
-``steps`` against ``srw_golden.json``.  The matrix covers both
-``SRWSession`` modes (serial: ``chains=1`` or the list backend;
-vectorized: ``chains=3`` on CSR), burn-in, and a mid-stream
-``snapshot()`` at a ragged step count, so a refactor of the run paths
-cannot move a single bit unnoticed.
+``steps`` against ``srw_golden.json``.  The matrix covers both state
+sources of ``SRWSession`` (serial walkers: ``chains=1`` or the list
+backend; the batched engine: ``chains=3`` on CSR), burn-in, and a
+mid-stream ``snapshot()`` at a ragged step count, so a refactor of the
+run paths cannot move a single bit unnoticed.
 
 The digests are a contract: regenerate them only for a change that is
 *meant* to move the numbers, with::
@@ -32,8 +32,9 @@ from repro.walks import BatchFallbackWarning
 
 GOLDEN = Path(__file__).with_name("srw_golden.json")
 
-# (method, k, step budget): serial SRW3CSS evaluates d = 3 CSS degrees
-# per window in Python, so it gets a smaller budget to keep tier-1 fast.
+# (method, k, step budget): SRW3CSS keeps the smaller budget it was
+# given when its single-chain runs evaluated d = 3 CSS degrees per
+# window in Python; its digests were recorded at that budget.
 METHODS = [
     ("SRW1", 3, 1_201),
     ("SRW1NB", 4, 1_201),
