@@ -133,10 +133,10 @@ class CSSWeightTable:
     --------------------------
     :meth:`weights` reproduces :func:`sampling_weight` *bit for bit*, not
     just to rounding: per template the middle degrees divide in sequence
-    (``1/d_1 / d_2 …``, the serial loop's order, not a ``prod`` of
-    reciprocals) and templates sum in cache order, starting from
-    template 0's weight.  The batched estimator's equality guarantees
-    against the serial path rest on this.
+    (``1/d_1 / d_2 …``, not a ``prod`` of reciprocals) and templates
+    sum in cache order, starting from template 0's weight.  The
+    estimator's equality guarantees against Algorithm 1's per-window
+    loop rest on this.
     """
 
     def __init__(self, k: int, d: int) -> None:

@@ -128,8 +128,8 @@ def split_budget(steps: int, chains: int) -> List[int]:
     The one definition every multi-chain path shares, because two
     invariants hang off it: the split is non-increasing (what lets
     :class:`_VectorizedAccumulator` treat in-budget chains as a column
-    prefix), and ``split_budget(c, B)[b]`` is also where serial chain
-    ``b`` stands after ``c`` consumed units of a streamed
+    prefix), and ``split_budget(c, B)[b]`` is also where chain ``b``
+    stands after ``c`` consumed units of a streamed
     :class:`SRWSession` (what makes any streaming of the budget end on
     the one-shot split).
     """
@@ -269,7 +269,7 @@ class _SerialLanes:
         return out
 
     def settle(self, counted: int) -> None:
-        """Draw each lane to where the serial loop stands after
+        """Draw each lane to where Algorithm 1's loop stands after
         ``counted`` windows (:func:`split_budget`, the accumulator's
         order), taking the newest state's degree where it shows."""
         for b, windows in enumerate(split_budget(counted, len(self.walkers))):
@@ -282,8 +282,11 @@ class _SerialLanes:
                 self.degree(self.graph, walker.state)
 
 
-#: Lockstep transitions per engine call in the vectorized accumulator.
-#: Purely a throughput constant: the per-(chain, type) cells are
+#: Lockstep transitions per engine call in the vectorized accumulator;
+#: a block narrower than 16 chains (one serial chain, say) takes
+#: ``16 // width`` times as many, so each call still spreads the window
+#: pipeline's fixed per-call cost over thousands of windows.  Purely a
+#: throughput constant: the per-(chain, type) cells are
 #: blocking-independent, so any value yields bit-identical sums.
 DEFAULT_ACC_BLOCK = 512
 
@@ -322,8 +325,8 @@ class _VectorizedAccumulator:
     order exactly like a per-chain Python accumulator, and the
     chain-ordered :func:`pool_chains` of the cells is **bit-identical**
     to Algorithm 1's per-window loop (the test suite's oracle) and
-    independent of how the stream was blocked.  The cells also yield the between-chain
-    standard error.
+    independent of how the stream was blocked.  The cells also yield the
+    between-chain standard error.
 
     ``budgets`` must be non-increasing (:func:`split_budget` always
     is): chain ``b``'s counted windows are then exactly the first
@@ -334,10 +337,11 @@ class _VectorizedAccumulator:
     transitions plus the ``l - 2`` window prefill per chain), then call
     :meth:`advance` until :attr:`counted` reaches :attr:`total`.
     ``advance`` consumes any number of counted windows — whole blocks of
-    rows (at most :data:`DEFAULT_ACC_BLOCK` per engine call), or part of
-    one row (windows within a row count in chain order).  A source with
-    a ``settle(counted)`` method (:class:`_SerialLanes`) is told the
-    counted windows after construction and after every advance.
+    rows (at most :data:`DEFAULT_ACC_BLOCK` per engine call, more for
+    narrow blocks), or part of one row (windows within a row count in
+    chain order).  A source with a ``settle(counted)`` method
+    (:class:`_SerialLanes`) is told the counted windows after
+    construction and after every advance.
     """
 
     def __init__(
@@ -373,7 +377,7 @@ class _VectorizedAccumulator:
         # row: window-start states plus l - 2 prefill transitions, so
         # each further transition completes exactly one window row.  (For
         # l = 1 — plain SRW on G(k) — the tail is the *current* state:
-        # the serial loop counts a window before each transition, so the
+        # Algorithm 1 counts a window before each transition, so the
         # window of transition t is the state t starts from.)
         tail = windows_mod.as_stream(engine.states().copy(), self.chains, spec.d)
         if spec.l > 2:
@@ -437,7 +441,10 @@ class _VectorizedAccumulator:
                 break
             # Rows keep one width until the next budget boundary.
             boundary = int(self.budgets[self.budgets > self._row].min())
-            t = min(boundary - self._row, n // width, DEFAULT_ACC_BLOCK)
+            t = min(
+                boundary - self._row, n // width,
+                DEFAULT_ACC_BLOCK * max(1, 16 // width),
+            )
             stream = np.concatenate(
                 [
                     self._tail,
@@ -490,7 +497,7 @@ class _VectorizedAccumulator:
                     windows_mod.state_degrees(self.graph, sub, d, spec.nb), l
                 )[:t].reshape(t * width, l)[valid][:, 1:-1]
                 # Multiply one middle degree at a time, in window order —
-                # the serial loop's exact sequence, so basic sums stay
+                # Algorithm 1's exact sequence, so basic sums stay
                 # bit-identical to the reference accumulators.
                 for j in range(middles.shape[1]):
                     weights = weights * middles[:, j]

@@ -32,8 +32,8 @@ pins exactly that.
 Degrees are exact: ``degrees`` counts the same distinct valid
 ``(swap-out, swap-in)`` pairs :meth:`SubgraphSpace.neighbors
 <repro.relgraph.spaces.SubgraphSpace.neighbors>` enumerates, so the CSS
-weight table evaluated over vectorized degrees is bit-identical to the
-serial ``sampling_weight`` path.
+weight table evaluated over vectorized degrees is bit-identical to
+``sampling_weight`` over the serial spaces' degrees.
 """
 
 from __future__ import annotations

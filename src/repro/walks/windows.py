@@ -37,7 +37,7 @@ and the CSS accumulation paths in :mod:`repro.core.estimator` share it.
 Bitmask convention: for the sorted distinct node list ``n_0 < … <
 n_{k-1}``, bit ``b`` of the mask is the adjacency of the pair
 ``(n_i, n_j)`` with ``(i, j)`` the ``b``-th entry of
-:func:`label_pairs` — identical to the serial loop's bit layout and to
+:func:`label_pairs` — identical to Algorithm 1's per-window bit layout and to
 :func:`repro.graphlets.isomorphism` helpers, so masks feed straight into
 ``classify_bitmask`` / ``css_templates``.
 """
@@ -91,8 +91,8 @@ def distinct_window_nodes(
     ``m = d * l`` node ids its states cover.  Returns ``(valid, uniq)``:
     ``valid`` flags the rows covering exactly k distinct nodes and
     ``uniq`` is the ``(valid.sum(), k)`` array of their sorted distinct
-    nodes — the exact node lists the serial loop derives from its window
-    multiset dict.
+    nodes — the exact node lists Algorithm 1's per-window loop derives
+    from its window's node multiset.
 
     Rows of exactly k entries are sorted column-wise by
     :func:`_sorting_network` on a private copy (``node_rows`` may be a
@@ -204,8 +204,8 @@ def induced_bitmasks(
     C(k, 2) - (k - 1) probes per window; for d >= 3 all C(k, 2).  The
     masks are those of probing every pair: every walk edge is an edge of
     ``graph``.  ``graph`` must expose the vectorized probe (the CSR
-    backend).  Bit order follows :func:`label_pairs`, matching the
-    serial classification loop.
+    backend).  Bit order follows :func:`label_pairs`, matching
+    Algorithm 1's per-window classification.
     """
     bits = _proven_bits(uniq, k, d, node_rows, valid)
     for bit, (i, j) in enumerate(label_pairs(k)):
@@ -231,7 +231,7 @@ def state_degrees(
     position (rows are deduplicated, so the heavily repeated middle states
     of overlapping windows are each counted once); the result equals
     ``len(SubgraphSpace.neighbors(graph, state))`` exactly, which is what
-    keeps vectorized CSS weights bit-identical to the serial path.
+    keeps vectorized CSS weights bit-identical to ``sampling_weight``.
     ``nominal=True`` applies the NB-SRW nominal degree
     ``d' = max(d - 1, 1)`` (§4.2) elementwise, matching
     :func:`repro.core.expanded_chain.nominal_degree`.
