@@ -141,9 +141,9 @@ def pool_chains(
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Pooled per-type sums and their between-chain standard error.
 
-    The one pooling every multi-chain answer goes through: both
-    :class:`SRWSession` modes, continuous sessions and the daemon's
-    fanout parts.  Sums add in chain order with an explicit loop — the
+    The one pooling every multi-chain answer goes through:
+    :class:`SRWSession`, continuous sessions and the daemon's fanout
+    parts.  Sums add in chain order with an explicit loop — the
     addition sequence the bit-identity contracts pin, which
     ``np.sum(axis=0)`` does not promise (over a single type column it
     reduces pairwise).  The standard error is that of the mean across
@@ -381,14 +381,7 @@ class _VectorizedAccumulator:
         # window of transition t is the state t starts from.)
         tail = windows_mod.as_stream(engine.states().copy(), self.chains, spec.d)
         if spec.l > 2:
-            tail = np.concatenate(
-                [
-                    tail,
-                    windows_mod.as_stream(
-                        engine.step_block(spec.l - 2), self.chains, spec.d
-                    ),
-                ]
-            )
+            tail = np.concatenate([tail, self._step(spec.l - 2)])
         self._tail = tail
         self._settle = getattr(engine, "settle", None)
         if self._settle is not None:
@@ -398,6 +391,10 @@ class _VectorizedAccumulator:
     def counted(self) -> int:
         """Counted windows consumed so far (== budget units)."""
         return self._counted
+
+    def _step(self, t: int) -> np.ndarray:
+        """The source's next ``t`` lockstep transitions as stream rows."""
+        return windows_mod.as_stream(self.engine.step_block(t), self.chains, self.spec.d)
 
     def _row_width(self, row: int) -> int:
         """Chains still in budget at window row ``row`` (a column prefix)."""
@@ -419,21 +416,19 @@ class _VectorizedAccumulator:
             self._counted += take
             n -= take
             if self._col == width:
-                self._tail = self._pending[1:]
+                self._tail = self._pending[1:] if l > 1 else self._step(1)
                 self._pending = None
                 self._col = 0
                 self._row += 1
         while n > 0:
             width = self._row_width(self._row)
             if n < width:
-                # Open a partial row: one lockstep transition, first n chains.
-                self._pending = np.concatenate(
-                    [
-                        self._tail,
-                        windows_mod.as_stream(
-                            self.engine.step_block(1), self.chains, self.spec.d
-                        ),
-                    ]
+                # Open a partial row: one lockstep transition, first n
+                # chains.  At l = 1 a row's windows are its tail states, so
+                # the transition waits for the row's end, as in Algorithm 1
+                # each chain steps only after counting its window.
+                self._pending = (
+                    self._tail if l == 1 else np.concatenate([self._tail, self._step(1)])
                 )
                 self._process(self._pending, 1, slice(0, n))
                 self._col = n
@@ -445,14 +440,7 @@ class _VectorizedAccumulator:
                 boundary - self._row, n // width,
                 DEFAULT_ACC_BLOCK * max(1, 16 // width),
             )
-            stream = np.concatenate(
-                [
-                    self._tail,
-                    windows_mod.as_stream(
-                        self.engine.step_block(t), self.chains, self.spec.d
-                    ),
-                ]
-            )
+            stream = np.concatenate([self._tail, self._step(t)])
             self._process(stream, t, slice(0, width))
             self._tail = stream[-max(l - 1, 1) :].copy()
             self._row += t

@@ -22,13 +22,13 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.graphs import Graph, load_dataset
-from repro.graphs.shared import SEGMENT_PREFIX
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
     path_graph,
     star_graph,
 )
+from repro.graphs.shared import SEGMENT_PREFIX
 
 settings.register_profile(
     "ci",

@@ -263,6 +263,11 @@ RESTRICTED_PINS = {
     ("SRW3CSS", 5, 1, 5): (26, 26, 21, 21, "e639f134fa938b97", "bc589f182ac87ce2"),
     ("SRW3CSS", 5, 3, 0): (19, 19, 14, 14, None, None),
     ("SRW3CSS", 5, 3, 5): (23, 23, 18, 18, None, None),
+    # l = 1: a chain steps only after counting its window.
+    ("SRW3", 3, 1, 0): (25, 25, 14, 14, "c0ce70b5f6826ac1", "bc987c33678172d5"),
+    ("SRW3", 3, 1, 5): (26, 26, 19, 19, "2fa668fbf2a461b2", "a0e697e95e5aad09"),
+    ("SRW3", 3, 3, 0): (17, 17, 10, 10, None, None),
+    ("SRW3", 3, 3, 5): (20, 20, 16, 16, None, None),
 }
 
 

@@ -67,7 +67,7 @@ def test_b256_vectorized_equals_oracle(csr, method, k, budget, oracle_fused):
     "method, k",
     [
         ("SRW1", 3), ("SRW1CSSNB", 3), ("SRW1CSS", 5), ("SRW2CSS", 4),
-        ("SRW2NB", 4), ("SRW3", 4), ("SRW3CSS", 5), ("SRW4", 5),
+        ("SRW2NB", 4), ("SRW3", 3), ("SRW3", 4), ("SRW3CSS", 5), ("SRW4", 5),
     ],
 )
 def test_single_chain_equals_serial_loop(method, k, backend, burn_in):

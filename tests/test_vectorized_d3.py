@@ -368,16 +368,17 @@ class TestEstimationParity:
         """Multi-chain d = 3 sessions stream through the vectorized
         accumulator; ragged step sizes must not change the sums."""
         csr = CSRGraph.from_graph(karate)
-        spec = MethodSpec.parse("SRW3", 4)
-        one = run_estimation(csr, spec, 5_003, rng=random.Random(5), chains=3)
-        session = SRWSession(csr, spec, 5_003, rng=random.Random(5), chains=3)
-        while session.step(271):
-            pass
-        streamed = session.result()
-        assert np.array_equal(one.sums, streamed.sums)
-        assert np.array_equal(one.sample_counts, streamed.sample_counts)
-        assert one.samples == streamed.samples
-        assert streamed.stderr is not None
+        for k in (4, 3):  # k = 3: l = 1 windows
+            spec = MethodSpec.parse("SRW3", k)
+            one = run_estimation(csr, spec, 5_003, rng=random.Random(5), chains=3)
+            session = SRWSession(csr, spec, 5_003, rng=random.Random(5), chains=3)
+            while session.step(271):
+                pass
+            streamed = session.result()
+            assert np.array_equal(one.sums, streamed.sums)
+            assert np.array_equal(one.sample_counts, streamed.sample_counts)
+            assert one.samples == streamed.samples
+            assert streamed.stderr is not None
 
     def test_estimate_rides_fast_path_end_to_end(self, karate):
         """repro.estimate(graph, "srw3css", backend="csr", chains=B) —
