@@ -26,7 +26,7 @@ from reference import _batched_python, _batched_vectorized, serial_python
 
 from repro.core.alpha import alpha_table
 from repro.core.estimator import MethodSpec, SRWSession, split_budget
-from repro.graphs import CSRGraph, RestrictedGraph, barabasi_albert, load_dataset
+from repro.graphs import CSRGraph, RestrictedGraph, barabasi_albert
 from repro.walks import BatchedWalkEngine
 
 CHAINS = 256
@@ -70,8 +70,7 @@ def test_b256_vectorized_equals_oracle(csr, method, k, budget, oracle_fused):
         ("SRW2NB", 4), ("SRW3", 3), ("SRW3", 4), ("SRW3CSS", 5), ("SRW4", 5),
     ],
 )
-def test_single_chain_equals_serial_loop(method, k, backend, burn_in):
-    karate = load_dataset("karate")
+def test_single_chain_equals_serial_loop(karate, method, k, backend, burn_in):
     graphs = {
         "list": lambda: karate,
         "csr": lambda: CSRGraph.from_graph(karate),
