@@ -48,7 +48,6 @@ import numpy as np
 from ..graphlets.signatures import classification_table
 from ..relgraph.spaces import walk_space
 from ..walks import windows as windows_mod
-from ..graphs.csr import full_access_csr
 from ..walks.batched import batch_support, warn_serial_fallback
 from ..walks.walkers import make_engine, make_walk
 from .alpha import alpha_table
@@ -229,20 +228,15 @@ class _SerialLanes:
     crawl's API calls and the rng's end state are the loop's.
     """
 
-    def __init__(self, walkers, graph, spec: MethodSpec, budgets, burn_in: int) -> None:
+    def __init__(self, walkers, graph, d: int, l: int, budgets, burn_in: int) -> None:
         self.walkers = walkers
         self.graph = graph
-        self.d = spec.d
-        self.left = [burn_in + max(spec.l - 2, 0) + b for b in budgets]
-        self.base = burn_in + spec.l - 1  # the loop's draws before counting
+        self.d = d
+        self.left = [burn_in + max(l - 2, 0) + b for b in budgets]
+        self.base = burn_in + l - 1  # the loop's draws before counting
         self.drawn = [0] * len(walkers)
         self.held: List[list] = [[] for _ in walkers]  # drawn, not handed out
-        # Only a graph that counts API calls can tell a degree was taken.
-        self.degree = (
-            walk_space(spec.d).degree
-            if spec.l > 2 and hasattr(graph, "api_calls")
-            else None
-        )
+        self.degree = walk_space(d).degree if l > 2 else None
         self._states = np.array([w.state for w in walkers], dtype=np.int64)
 
     def states(self) -> np.ndarray:
@@ -271,7 +265,7 @@ class _SerialLanes:
     def settle(self, counted: int) -> None:
         """Draw each lane to where Algorithm 1's loop stands after
         ``counted`` windows (:func:`split_budget`, the accumulator's
-        order), taking the newest state's degree where it shows."""
+        order), taking the newest state's G(d) degree for l > 2."""
         for b, windows in enumerate(split_budget(counted, len(self.walkers))):
             walker = self.walkers[b]
             missing = self.base + windows - self.drawn[b]
@@ -306,8 +300,8 @@ class _VectorizedAccumulator:
     (:func:`~repro.walks.windows.walk_edge_columns`): for d <= 2 the
     k - 1 walk edges span the window, leaving C(k, 2) - (k - 1) probes;
     for d >= 3 all C(k, 2).  Probes and degrees go through the CSR form
-    of the graph (:func:`~repro.graphs.csr.full_access_csr`; a CSR graph
-    is its own).  Each accumulator serves one graph version
+    of the graph (its ``full_access_csr()``; a CSR graph is its own).
+    Each accumulator serves one graph version
     (:class:`~repro.streaming.continuous.ContinuousSession` builds one
     per epoch), so every walk edge is an edge of the graph it probes.
     The re-weighting is
@@ -350,7 +344,7 @@ class _VectorizedAccumulator:
         budgets_arr = np.asarray(budgets, dtype=np.int64)
         if np.any(budgets_arr[1:] > budgets_arr[:-1]):
             raise ValueError("budgets must be non-increasing")
-        self.graph = full_access_csr(graph)
+        self.graph = graph.full_access_csr()
         self.spec = spec
         self.chains = len(budgets)
         self.budgets = budgets_arr
@@ -563,7 +557,7 @@ class SRWSession(Session):
                 )
                 for chain_rng in chain_rngs
             ]
-            engine = _SerialLanes(walkers, graph, spec, budgets, burn_in)
+            engine = _SerialLanes(walkers, graph, spec.d, spec.l, budgets, burn_in)
         self._acc = _VectorizedAccumulator(
             graph, spec, self._alphas, budgets, engine, burn_in
         )

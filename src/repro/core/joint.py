@@ -73,11 +73,15 @@ class _SharedStates:
 
 class _Reader:
     """One size's state source over the shared walk: the surface
-    :class:`_VectorizedAccumulator` pulls, from walk state 0 on."""
+    :class:`_VectorizedAccumulator` pulls, from walk state 0 on.  The
+    longest size's reader also passes the accumulator's ``settle`` hook
+    on to the walk's lanes, which draw what that size's standalone run
+    draws."""
 
-    def __init__(self, walk: _SharedStates) -> None:
+    def __init__(self, walk: _SharedStates, drives: bool) -> None:
         self.walk = walk
         self.index = 0  # walk index of the last state handed out
+        self.settle = walk.lanes.settle if drives else None
 
     def states(self) -> np.ndarray:
         return self.walk.get(self.index, 1)[0]
@@ -134,13 +138,15 @@ def run_joint_estimation(
         graph, walk_space(d), non_backtracking=nb, rng=rng, seed_node=seed_node
     )
     # The walk draws what the longest size's standalone run draws.
-    lanes = _SerialLanes([walker], graph, MethodSpec(sizes[-1], d), [steps], 0)
-    walk = _SharedStates(lanes)
+    walk = _SharedStates(
+        _SerialLanes([walker], graph, d, sizes[-1] - d + 1, [steps], 0)
+    )
     accumulators = {}
     for k in sizes:
         spec = MethodSpec(k, d, css=css and k - d + 1 > 2, nb=nb)
+        reader = _Reader(walk, drives=k == sizes[-1])
         accumulators[k] = _VectorizedAccumulator(
-            graph, spec, alpha_table(k, d), [steps], _Reader(walk), 0
+            graph, spec, alpha_table(k, d), [steps], reader, 0
         )
     # After ``done`` counted windows every size's next window starts at
     # walk state ``done``.
@@ -149,7 +155,6 @@ def run_joint_estimation(
         for acc in accumulators.values():
             acc.advance(n)
         walk.release(done + n)
-    lanes.settle(steps)
     elapsed = time.perf_counter() - start
 
     method = f"SRW{d}" + ("CSS" if css else "") + ("NB" if nb else "")

@@ -100,6 +100,12 @@ class RestrictedGraph:
         self.neighbors(u)
         return self._graph.has_edge(u, v)
 
+    def full_access_csr(self):
+        """The hidden graph's CSR form, for the vectorized window
+        pipeline's probes.  Probes through it cost no API calls; the
+        walk's own fetches through this wrapper are the crawl's cost."""
+        return self._graph.full_access_csr()
+
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------

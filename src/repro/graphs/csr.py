@@ -36,7 +36,6 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .access import RestrictedGraph
 from .graph import Edge, Graph, GraphError, _coerce_node_id
 from .tables import EdgeTables
 
@@ -182,6 +181,10 @@ class CSRGraph:
     def to_graph(self) -> Graph:
         """Materialize back into the list backend."""
         return Graph(self.num_nodes, self.edges())
+
+    def full_access_csr(self) -> "CSRGraph":
+        """The CSR form the vectorized window pipeline probes: itself."""
+        return self
 
     # ------------------------------------------------------------------
     # Basic accessors (Graph-compatible surface)
@@ -420,20 +423,6 @@ class CSRGraph:
 
 
 BACKENDS = ("list", "csr", "delta", "mmap")
-
-
-def full_access_csr(graph) -> CSRGraph:
-    """The CSR form of ``graph``'s full adjacency, for vectorized probes:
-    a CSR graph's own, a list :class:`Graph`'s built once and kept, a
-    :class:`~repro.graphs.RestrictedGraph`'s hidden graph's (probes
-    through it cost no API calls; the caller accounts for the crawl)."""
-    if isinstance(graph, CSRGraph):
-        return graph
-    if isinstance(graph, RestrictedGraph):
-        return full_access_csr(graph._graph)
-    if graph._csr is None:
-        graph._csr = CSRGraph.from_graph(graph)
-    return graph._csr
 
 
 def as_backend(graph, backend: str, context: Optional[str] = None):

@@ -80,7 +80,6 @@ class Graph:
         self._adj: List[List[int]] = [sorted(s) for s in adj_sets]
         self._adj_sets: List[Set[int]] = adj_sets
         self._num_edges = num_edges
-        self._csr = None  # CSR form for vectorized probes, built on first use
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -133,6 +132,17 @@ class Graph:
             for v in neighbors:
                 if u < v:
                     yield (u, v)
+
+    def full_access_csr(self):
+        """This graph as a :class:`~repro.graphs.CSRGraph`, for the
+        vectorized window pipeline's probes: built on first use and kept
+        (a graph never changes after construction)."""
+        csr = getattr(self, "_csr", None)  # the slot is unset until then
+        if csr is None:
+            from .csr import CSRGraph  # lazy: csr imports this module
+
+            csr = self._csr = CSRGraph.from_graph(self)
+        return csr
 
     def degree(self, v: int) -> int:
         """Degree of node ``v``."""

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.estimator import MethodSpec, SRWSession, run_estimation
+from repro.core.joint import run_joint_estimation
 from repro.exact import exact_concentrations, exact_counts
 from repro.graphlets import graphlet_by_name, graphlets
-from repro.graphs import RestrictedGraph
+from repro.graphs import RestrictedGraph, read_edge_list, write_edge_list
 from repro.relgraph import relationship_edge_count
 from repro.walks import BatchFallbackWarning
 
@@ -235,6 +236,42 @@ class TestRestrictedAccess:
             api, spec, 5_000, rng=random.Random(15), seed_node=0
         )
         assert np.allclose(full.sums, restricted.sums)
+
+
+class TestLoadedGraph:
+    """A graph read from an edge-list file runs every SRW entry point, bit
+    for bit like the same graph built through the constructor."""
+
+    @pytest.fixture
+    def loaded(self, karate, tmp_path):
+        path = tmp_path / "karate.txt"
+        write_edge_list(karate, path)
+        return read_edge_list(path)[0]
+
+    @pytest.mark.parametrize("chains", [1, 3])
+    @pytest.mark.parametrize("restricted", [False, True], ids=["full", "api"])
+    def test_run_estimation(self, loaded, chains, restricted):
+        spec = MethodSpec.parse("SRW2CSS", 4)
+
+        def run(graph):
+            graph = RestrictedGraph(graph) if restricted else graph
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", BatchFallbackWarning)
+                return run_estimation(
+                    graph, spec, 300, rng=random.Random(5), chains=chains
+                )
+
+        got, want = run(loaded), run(loaded.copy())
+        assert np.array_equal(got.sums, want.sums)
+        assert got.api_calls == want.api_calls
+
+    def test_run_joint_estimation(self, loaded):
+        got, want = (
+            run_joint_estimation(g, [3, 4], d=2, steps=300, rng=random.Random(6))
+            for g in (loaded, loaded.copy())
+        )
+        for k in (3, 4):
+            assert np.array_equal(got[k].sums, want[k].sums)
 
 
 # (method, k, chains, burn_in) -> (api_calls and fetched_nodes after the

@@ -141,6 +141,29 @@ class TestStandaloneIdentity:
                 "NB" if nb else ""
             )
 
+    @pytest.mark.parametrize("d, ks", [(2, [3, 4, 5]), (3, [4, 5])])
+    def test_crawl_cost_equals_longest_standalone_run(self, karate, d, ks, monkeypatch):
+        """Over several rounds, a joint crawl fetches the neighbour lists
+        and draws the rng of the longest size's standalone crawl."""
+        from repro.core import joint as joint_mod
+
+        monkeypatch.setattr(joint_mod, "JOINT_BLOCK", 4)
+        steps = 30
+
+        def crawl(run):
+            api, rng = RestrictedGraph(karate, seed_node=0), random.Random(24)
+            run(api, rng)
+            return api.api_calls, api.fetched_nodes, rng.getstate()
+
+        joint = crawl(lambda api, rng: run_joint_estimation(
+            api, ks, d=d, steps=steps, css=True, rng=rng
+        ))
+        alone = crawl(lambda api, rng: run_estimation(
+            api, MethodSpec(ks[-1], d, css=True), steps, rng=rng
+        ))
+        assert joint == alone
+        assert joint[1] < karate.num_nodes  # the pin can still move
+
     def test_steps_past_one_block(self, karate):
         """Sizes advance in rounds over a bounded buffer of the walk; a run
         longer than one round still matches."""
