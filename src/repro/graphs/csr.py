@@ -137,13 +137,11 @@ class CSRGraph:
         degrees = np.asarray(graph.degrees(), dtype=np.int64)
         indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
-        if graph.num_nodes:
-            flat: List[int] = []
-            for v in graph.nodes():
-                flat.extend(graph.neighbors(v))
-            indices = np.asarray(flat, dtype=np.int64)
-        else:
-            indices = np.empty(0, dtype=np.int64)
+        indices = np.fromiter(
+            chain.from_iterable(map(graph.neighbors, graph.nodes())),
+            dtype=np.int64,
+            count=int(indptr[-1]),
+        )
         return cls(indptr, indices)
 
     @classmethod

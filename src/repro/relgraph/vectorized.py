@@ -7,10 +7,9 @@ through.  Three spaces cover every G(d):
 
 * :class:`VectorNodeSpace` (d = 1) and :class:`VectorEdgeSpace` (d = 2)
   lift the paper's O(1) neighbor draws to fancy-indexing gathers over the
-  CSR ``indptr``/``indices`` arrays.  They read the graph arrays once per
-  call, and NB proposals redraw, round by round, only the lanes whose
-  draw was the previous state — the exact RNG consumption of the
-  original batched kernels (``tests/reference.py`` keeps their loops);
+  CSR ``indptr``/``indices`` arrays, read once per engine block.  NB
+  redraws, round by round, only the lanes that drew the previous state:
+  the RNG use of the loops ``tests/reference.py`` keeps;
 * :class:`VectorSubgraphSpace` (d >= 3) vectorizes §5's swap-one-node
   neighbor structure for a whole block of states at once.  One sorted
   pass over the ``d`` CSR rows of each state finds, for every neighbor
@@ -96,12 +95,15 @@ def _swap_table(d: int) -> np.ndarray:
     return table.reshape(-1)
 
 
-def _offsets(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _offsets(deg: np.ndarray, rng) -> np.ndarray:
     """``floor(U * deg)`` per lane, one uniform each."""
-    offsets = (rng.random(deg.size) * deg).astype(np.int64)
-    # Guard against the (measure-zero) U == 1.0 edge of float rounding.
-    np.minimum(offsets, deg - 1, out=offsets)
-    return offsets
+    u = rng.random(deg.size)
+    if not isinstance(rng, np.random.Generator):
+        # A Generator's U < 1 keeps U * deg below deg; a stand-in's 1.0
+        # would read the next row, so clamp it to the double below 1.
+        np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+    u *= deg
+    return u.astype(np.int64)
 
 
 def _ragged_gather(csr, nodes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -150,35 +152,43 @@ class VectorSpace:
 class _RejectionSpace(VectorSpace):
     """d <= 2: uniform neighbor draws over CSR rows, NB by rejection.
 
-    Subclasses supply ``_lanes(csr, states)``, which reads the graph
-    arrays once per call and returns a per-lane draw context plus the
-    lane degrees, and ``_draw(ctx, lanes, rng)``, one proposal for each
-    lane of ``lanes`` (every lane when ``None``).
+    ``propose``/``propose_nb`` write into ``out`` when given and take the
+    graph arrays as ``arrays``, from :meth:`arrays`: the batched engine
+    reads and checks them once per block.  Subclasses supply
+    ``_draw(arrays, states, rng, out)``, one proposal per state, and
+    ``_isolated(state)``, the error for a state without a neighbor.
     """
+
+    def arrays(self, csr, states) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(degrees, indptr, indices)`` of ``csr``; raises
+        :class:`WalkSpaceError` naming the first state without a neighbor."""
+        deg = self.degrees(csr, states)
+        if not (deg > 0).all():
+            raise WalkSpaceError(self._isolated(states[(deg <= 0).nonzero()[0][0]]))
+        return csr.degrees_array, csr.indptr, csr.indices
 
     @staticmethod
     def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a == b if a.ndim == 1 else (a == b).all(axis=1)
 
-    def propose(self, csr, states, rng):
-        return self._draw(self._lanes(csr, states)[0], None, rng)
+    def propose(self, csr, states, rng, out=None, arrays=None):
+        return self._draw(arrays or self.arrays(csr, states), states, rng, out)
 
-    def propose_nb(self, csr, states, prev, rng):
+    def propose_nb(self, csr, states, prev, rng, out=None, arrays=None):
         """Reject-and-redraw: lanes whose proposal equals ``prev`` redraw,
         in ascending lane order, until none is left; only the
-        still-rejected lanes draw each round.  Degree-1 lanes take the
-        forced backtrack."""
-        ctx, deg = self._lanes(csr, states)
-        nxt = self._draw(ctx, None, rng)
-        free = deg > 1  # lanes with an alternative
-        lanes = np.flatnonzero(self._same(nxt, prev) & free)
-        while lanes.size:
-            redraw = self._draw(ctx, lanes, rng)
-            nxt[lanes] = redraw
-            lanes = lanes[self._same(redraw, prev[lanes])]
-        if not free.all():
-            forced = ~free
-            nxt[forced] = prev[forced]
+        still-rejected lanes draw each round.  ``prev`` neighbors
+        ``states``, so a degree-1 lane draws it — the forced backtrack —
+        and never redraws."""
+        arrays = arrays or self.arrays(csr, states)
+        nxt = self._draw(arrays, states, rng, out)
+        lanes = self._same(nxt, prev).nonzero()[0]
+        if lanes.size:
+            lanes = lanes[self.degrees(csr, states[lanes]) > 1]
+            while lanes.size:
+                redraw = self._draw(arrays, states[lanes], rng, None)
+                nxt[lanes] = redraw
+                lanes = lanes[self._same(redraw, prev[lanes])]
         return nxt
 
 
@@ -190,20 +200,15 @@ class VectorNodeSpace(_RejectionSpace):
     def initial(self, csr, rng, starts):
         return np.asarray(starts, dtype=np.int64).copy()
 
-    def _lanes(self, csr, states):
-        deg = csr.degrees_array[states]
-        if not deg.all():
-            # A zero-degree row would clip its offset to -1 and gather
-            # the previous row's last neighbor.
-            bad = int(states[np.flatnonzero(deg == 0)[0]])
-            raise WalkSpaceError(f"node {bad} is isolated: no neighbor to draw")
-        return (deg, csr.indptr[states], csr.indices), deg
+    @staticmethod
+    def _isolated(node) -> str:
+        return f"node {int(node)} is isolated: no neighbor to draw"
 
-    def _draw(self, ctx, lanes, rng):
-        deg, first, indices = ctx
-        if lanes is not None:
-            deg, first = deg[lanes], first[lanes]
-        return indices[first + _offsets(deg, rng)]
+    def _draw(self, arrays, states, rng, out):
+        degs, indptr, indices = arrays
+        off = _offsets(degs[states], rng)
+        off += indptr[states]
+        return indices.take(off, out=out)
 
     def degrees(self, csr, states):
         return csr.degrees_array[states]
@@ -225,43 +230,33 @@ class VectorEdgeSpace(_RejectionSpace):
             raise ValueError("a chain started on an isolated edge of G(2)")
         return states
 
-    def _lanes(self, csr, states):
-        degs = csr.degrees_array
+    @staticmethod
+    def _isolated(edge) -> str:
+        # Both endpoints have degree 1: every proposal is the state itself.
+        edge = tuple(int(x) for x in edge)
+        return f"edge state {edge} has no G(2) neighbors (isolated edge)"
+
+    def _draw(self, arrays, states, rng, out):
+        """Pick an endpoint proportional to its degree, then a uniform
+        neighbor of it; the lanes whose proposal is the state itself
+        draw again, round by round."""
+        degs, indptr, indices = arrays
+        out = np.empty_like(states) if out is None else out
         u, v = states[:, 0], states[:, 1]
         du, dv = degs[u], degs[v]
-        deg = du + dv - 2
-        if not (deg > 0).all():
-            # Both endpoints have degree 1: every proposal is the state
-            # itself, so the rejection loop below would never end.
-            bad = states[np.flatnonzero(deg <= 0)[0]]
-            raise WalkSpaceError(
-                f"edge state {tuple(int(x) for x in bad)} has no G(2) "
-                "neighbors (isolated edge)"
-            )
-        return (u, v, du, dv, csr.indptr, csr.indices), deg
-
-    def _draw(self, ctx, lanes, rng):
-        u, v, du, dv, indptr, indices = ctx
-        if lanes is not None:
-            u, v, du, dv = u[lanes], v[lanes], du[lanes], dv[lanes]
-        out = np.empty((u.size, 2), dtype=np.int64)
-        pending = np.arange(u.size)
-        while pending.size:
-            # Pick an endpoint proportional to its degree, then a uniform
-            # neighbor of it; reject a proposal equal to the state itself.
-            pick_u = rng.random(pending.size) * (du + dv) < du
+        lanes = slice(None)  # every lane, then the ascending lanes still pending
+        while True:
+            pick_u = rng.random(u.size) * (du + dv) < du
             anchor = np.where(pick_u, u, v)
-            other = np.where(pick_u, v, u)
-            w = indices[indptr[anchor] + _offsets(np.where(pick_u, du, dv), rng)]
-            ok = w != other
-            done = pending[ok]
-            a, b = anchor[ok], w[ok]
-            out[done, 0] = np.minimum(a, b)
-            out[done, 1] = np.maximum(a, b)
-            miss = ~ok
-            pending = pending[miss]
+            off = _offsets(np.where(pick_u, du, dv), rng)
+            off += indptr[anchor]
+            w = indices[off]
+            out[lanes, 0], out[lanes, 1] = np.minimum(anchor, w), np.maximum(anchor, w)
+            miss = (w == np.where(pick_u, v, u)).nonzero()[0]
+            if not miss.size:
+                return out
+            lanes = miss if isinstance(lanes, slice) else lanes[miss]
             u, v, du, dv = u[miss], v[miss], du[miss], dv[miss]
-        return out
 
     def degrees(self, csr, states):
         degs = csr.degrees_array

@@ -11,7 +11,9 @@ operations on the CSR ``indptr``/``indices`` arrays —
 
     d = 1 (SRW):   next = indices[indptr[cur] + floor(U * deg[cur])]
 
-— i.e. two gathers and a multiply for the whole batch.  For d = 2 the
+— i.e. two gathers and a multiply for the whole batch, written straight
+into the row of the block's history (:meth:`BatchedWalkEngine.step_block`
+reads the graph arrays once per block).  For d = 2 the
 space vectorizes the paper's §5 two-stage endpoint trick (pick an
 endpoint with probability proportional to its degree, draw a uniform
 neighbor of it, reject proposals equal to the state itself), re-proposing
@@ -212,47 +214,49 @@ class BatchedWalkEngine:
 
     def step(self) -> np.ndarray:
         """Advance every chain by one transition; returns the new states."""
-        cur = self._cur
-        kern = self._fused
-        if kern is not None and kern.ready(self.csr):
-            u = self.rng.random(self.chains)
-            if self.nb and self._prev is not None:
-                nxt = kern.propose_nb(self.csr, cur, self._prev, u)
-            else:
-                nxt = kern.propose(self.csr, cur, u)
-        elif self.nb and self._prev is not None:
-            nxt = self.space.propose_nb(self.csr, cur, self._prev, self.rng)
-        else:
-            nxt = self.space.propose(self.csr, cur, self.rng)
-        self._prev = cur
-        self._cur = nxt
-        self.steps_taken += 1
-        return self._cur
+        return self.step_block(1)[0]
 
     def step_block(self, steps: int) -> np.ndarray:
         """Advance every chain ``steps`` times; returns the state history.
 
         Shape is ``(steps, B)`` for d = 1 and ``(steps, B, d)`` otherwise
         — time-major so consumers can peel off per-chain streams with a
-        stride-1 slice per chain (``block[:, b]``).
+        stride-1 slice per chain (``block[:, b]``).  The returned buffer
+        is the caller's: the engine keeps copies of its last two rows.
 
-        For d >= 3 the whole block runs as one Python-level pass: the
-        ``(steps, B)`` uniform block is drawn up front (C-order, so the
-        draw order matches ``steps`` successive :meth:`step` calls bit
-        for bit) and every transition writes straight into its row of the
-        history buffer.  A mid-block :class:`WalkSpaceError` (stuck
-        state) propagates after committing the transitions that already
-        completed, exactly like the per-step loop.
+        One Python-level pass writes each transition into its row; any
+        split of T transitions into blocks walks the same history.
+
+        * d <= 2: the graph arrays are read, and the starting states
+          checked for a neighbor, once per block.  One check is enough:
+          a walk only moves to neighbors, so a state with a neighbor
+          never steps onto one without.  Each step draws uniforms for
+          every lane, then round by round for the still-rejected lanes;
+          the redraw counts depend on the data, so no ``(steps, B)``
+          block can be drawn up front.
+        * d >= 3: the ``(steps, B)`` uniform block is drawn up front
+          (C-order, so the draw order matches ``steps`` blocks of one bit
+          for bit).  A mid-block :class:`WalkSpaceError` (stuck state)
+          propagates after committing the transitions that already
+          completed.
         """
         if self.d == 1:
             out = np.empty((steps, self.chains), dtype=np.int64)
         else:
             out = np.empty((steps, self.chains, self.d), dtype=np.int64)
-        if self.d < 3 or steps == 0:
-            # Rejection-style kernels (d <= 2) have data-dependent draw
-            # counts; they keep the per-step loop.
-            for t in range(steps):
-                out[t] = self.step()
+        if steps == 0:
+            return out
+        if self.d < 3:
+            csr, rng, space = self.csr, self.rng, self.space
+            cur, prev = self._cur, self._prev
+            arrays = space.arrays(csr, cur)
+            for row in out:
+                if self.nb and prev is not None:
+                    space.propose_nb(csr, cur, prev, rng, out=row, arrays=arrays)
+                else:
+                    space.propose(csr, cur, rng, out=row, arrays=arrays)
+                prev, cur = cur, row
+            self._commit(cur, prev, steps)
             return out
         kern = self._fused
         use_fused = kern is not None and kern.ready(self.csr)
@@ -282,11 +286,14 @@ class BatchedWalkEngine:
                 done = t + 1
         finally:
             if done:
-                # Engine state must not alias the returned buffer.
-                self._prev = None if prev is None else prev.copy()
-                self._cur = cur.copy()
-                self.steps_taken += done
+                self._commit(cur, prev, done)
         return out
+
+    def _commit(self, cur: np.ndarray, prev: Optional[np.ndarray], steps: int) -> None:
+        # Engine state must not alias the returned buffer.
+        self._prev = None if prev is None else prev.copy()
+        self._cur = cur.copy()
+        self.steps_taken += steps
 
     def state_degrees(self) -> np.ndarray:
         """Degree in G(d) of every chain's current state (vectorized)."""

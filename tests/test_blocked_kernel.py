@@ -1,12 +1,14 @@
-"""Blocked step kernels (ISSUE 9): edge shapes, partition invariance,
-and backend fallback.
+"""Blocked step kernels: edge shapes, partition invariance, and
+backend fallback.
 
 :meth:`BatchedWalkEngine.step_block` runs T transitions of all B chains
-per Python-level pass, pre-drawing the ``(T, B)`` uniform block; this
-module pins that blocking is *invisible* — every shape (B = 1, T = 1,
-budgets not divisible by T, degree-1 forced backtracks, mid-block stuck
-states) is bit-identical to per-step stepping and to the per-chain
-Python reference, with and without the fused d = 3 kernel.
+per Python-level pass: for d >= 3 it pre-draws the ``(T, B)`` uniform
+block, for d <= 2 it reads the graph arrays and checks the starting
+states once and draws step by step.  This module pins that blocking is
+*invisible* — every shape (B = 1, T = 1, budgets not divisible by T,
+degree-1 forced backtracks, redraw rounds, mid-block stuck states) is
+bit-identical to per-step stepping, and for d = 3 to the per-chain
+Python reference, with and without the fused kernel.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import CSRGraph
+from repro.graphs import CSRGraph, DeltaCSRGraph, Graph, load_dataset
 from repro.graphs.generators import barabasi_albert, complete_graph, path_graph
 from repro.relgraph.spaces import WalkSpaceError
 from repro.walks import BatchedWalkEngine
 
+from test_rejection_kernels import path_star
 from test_vectorized_d3 import ReferenceEngine, random_graphs
 
 
@@ -173,3 +176,88 @@ class TestBlockParity:
             assert np.array_equal(base.sums, alt.sums)
             assert np.array_equal(base.sample_counts, alt.sample_counts)
             assert base.samples == alt.samples
+
+
+def rejection_engine(csr, d, chains, nb, seed=7, **kwargs):
+    """A d <= 2 engine with one start per chain, spread over the nodes."""
+    kwargs.setdefault("seed_nodes", np.arange(chains) % csr.num_nodes)
+    return BatchedWalkEngine(
+        csr, d, chains, np.random.default_rng(seed), non_backtracking=nb, **kwargs
+    )
+
+
+class TestRejectionBlocks:
+    """The d <= 2 block pass: one graph read and one isolation check per
+    block, each transition written in place, the uniform order exact."""
+
+    GRAPHS = {"path-star": path_star, "karate": lambda: CSRGraph.from_graph(load_dataset("karate"))}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(sorted(GRAPHS)),
+        st.sampled_from([1, 2]),
+        st.booleans(),
+        st.integers(min_value=1, max_value=6),
+        st.lists(st.integers(min_value=0, max_value=7), min_size=1, max_size=6),
+    )
+    def test_any_split_walks_the_one_block_history(self, graph, d, nb, chains, split):
+        """T transitions as ``step_block``/``step`` calls of any sizes
+        (0 means one ``step()``) give the one-block history and leave
+        the generator in the same state."""
+        csr = self.GRAPHS[graph]()
+        whole = rejection_engine(csr, d, chains, nb)
+        pieces = rejection_engine(csr, d, chains, nb)
+        history = []
+        for size in split:
+            if size == 0:
+                history.append(pieces.step()[None].copy())
+            else:
+                history.append(pieces.step_block(size))
+        history = np.concatenate(history, axis=0)
+        assert np.array_equal(whole.step_block(len(history)), history)
+        assert whole.rng.bit_generator.state == pieces.rng.bit_generator.state
+        assert whole.steps_taken == pieces.steps_taken == len(history)
+        assert np.array_equal(whole.states(), pieces.states())
+
+    @pytest.mark.parametrize("nb", [False, True], ids=["srw", "nb"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_returned_block_is_the_callers(self, d, nb):
+        csr = path_star()
+        engine = rejection_engine(csr, d, 5, nb)
+        twin = rejection_engine(csr, d, 5, nb)
+        block = engine.step_block(6)
+        assert np.array_equal(block, twin.step_block(6))
+        block[...] = -1
+        assert np.array_equal(engine.states(), twin.states())
+        assert np.array_equal(engine.step_block(9), twin.step_block(9))
+
+    @pytest.mark.parametrize("nb", [False, True], ids=["srw", "nb"])
+    def test_isolated_start_raises_before_any_draw(self, nb):
+        csr = CSRGraph.from_graph(Graph(5, [(0, 1), (1, 2), (2, 3)]))
+        engine = rejection_engine(csr, 1, 3, nb, initial_states=[0, 4, 2])
+        rng_state = engine.rng.bit_generator.state
+        for _ in range(2):
+            with pytest.raises(WalkSpaceError, match="node 4 is isolated"):
+                engine.step_block(3)
+        assert engine.steps_taken == 0
+        assert np.array_equal(engine.states(), [0, 4, 2])
+        assert engine.rng.bit_generator.state == rng_state
+
+    @pytest.mark.parametrize("nb", [False, True], ids=["srw", "nb"])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_each_block_reads_the_current_graph_version(self, d, nb):
+        """An engine on a delta overlay keeps no graph array across
+        blocks: after ``apply`` it walks what the same engine walks on
+        the compacted graph."""
+        karate = load_dataset("karate")
+        delta = DeltaCSRGraph(CSRGraph.from_graph(karate))
+        engine = rejection_engine(delta, d, 8, nb)
+        reference = rejection_engine(CSRGraph.from_graph(karate), d, 8, nb)
+        assert np.array_equal(engine.step_block(12), reference.step_block(12))
+        n = karate.num_nodes
+        inserts = [(u, (u + 5) % n) for u in range(n) if not karate.has_edge(u, (u + 5) % n)]
+        delta.apply(inserts=inserts)
+        after = engine.step_block(40)
+        reference.csr = delta.compact()
+        assert np.array_equal(after, reference.step_block(40))
+        assert engine.rng.bit_generator.state == reference.rng.bit_generator.state
