@@ -47,6 +47,8 @@ from .spaces import WalkSpaceError
 #: States per block when evaluating degrees of large state tensors (CSS
 #: middle states); bounds the frontier scratch arrays.
 _DEGREE_CHUNK = 8192
+#: The largest double below 1; times any degree it rounds below the degree.
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
 
 def _pair_order(d: int) -> Tuple[Tuple[int, int], ...]:
@@ -95,13 +97,11 @@ def _swap_table(d: int) -> np.ndarray:
     return table.reshape(-1)
 
 
-def _offsets(deg: np.ndarray, rng) -> np.ndarray:
-    """``floor(U * deg)`` per lane, one uniform each."""
+def _offsets(deg: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """``floor(U * deg)`` per lane, one uniform each; ``U == 1.0`` is
+    clamped to :data:`_BELOW_ONE`, so every offset stays in its row."""
     u = rng.random(deg.size)
-    if not isinstance(rng, np.random.Generator):
-        # A Generator's U < 1 keeps U * deg below deg; a stand-in's 1.0
-        # would read the next row, so clamp it to the double below 1.
-        np.minimum(u, np.nextafter(1.0, 0.0), out=u)
+    np.minimum(u, _BELOW_ONE, out=u)
     u *= deg
     return u.astype(np.int64)
 
