@@ -31,7 +31,7 @@ from ..baselines.wedge_mhrw import WedgeMHRWSession
 from ..core.estimator import MethodSpec, SRWSession
 from ..core.result import Estimate
 from ..core.session import EstimationConfig, Session
-from ..exact import exact_counts, exact_counts_cached
+from ..exact import exact_counts_cached
 from ..graphlets.catalog import graphlets
 from .registry import normalize, register
 
@@ -175,10 +175,7 @@ class ExactSession(Session):
 
     def _exact_counts(self):
         if self._counts is None:
-            try:
-                self._counts = exact_counts_cached(self.graph, self.k)
-            except TypeError:  # unhashable graph type: skip the cache
-                self._counts = exact_counts(self.graph, self.k)
+            self._counts = exact_counts_cached(self.graph, self.k)
         return self._counts
 
     def snapshot(self) -> Estimate:

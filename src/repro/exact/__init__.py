@@ -1,5 +1,6 @@
 """Exact counting: ground truth for every estimator in the library."""
 
+from collections.abc import Hashable
 from functools import lru_cache
 from typing import Dict
 
@@ -60,14 +61,18 @@ def exact_counts_cached(graph: Graph, k: int) -> Dict[int, int]:
     ``Graph`` hashes cheaply and compares structurally, so repeated
     ground-truth requests for the same dataset — the common pattern across
     the benchmark suite, where 5-node enumeration costs minutes — hit the
-    cache.  A defensive copy is returned.
+    cache.  A defensive copy is returned.  An unhashable graph (the
+    mutable :class:`~repro.graphs.DeltaCSRGraph`, whose edges change
+    under one identity) is counted uncached.
     """
+    if not isinstance(graph, Hashable):
+        return exact_counts(graph, k)
     return dict(_cached_counts(graph, k))
 
 
 def exact_concentrations_cached(graph: Graph, k: int) -> Dict[int, float]:
     """Memoized :func:`exact_concentrations`."""
-    counts = _cached_counts(graph, k)
+    counts = exact_counts_cached(graph, k)
     total = sum(counts.values())
     if total == 0:
         raise ValueError(f"graph has no connected {k}-node subgraphs")

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..graphs.csr import CSRGraph
-from ..graphs.graph import Graph
 from ..graphs.shared import published
 
 #: Probe budget per vectorized intersection chunk; bounds the scratch
@@ -268,8 +267,8 @@ def triad_census(graph, *, jobs: int = 1, chunk: int = TRI_CHUNK) -> TriadCensus
 
 
 # ----------------------------------------------------------------------
-# Public per-statistic API (CSR fast paths; legacy loops kept as the
-# cross-validation reference and the duck-typed fallback)
+# Public per-statistic API (CSR fast paths; the legacy loop is kept as
+# the cross-validation reference)
 # ----------------------------------------------------------------------
 def _as_csr(graph) -> CSRGraph:
     return graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
@@ -278,8 +277,7 @@ def _as_csr(graph) -> CSRGraph:
 def triangle_count_python(graph) -> int:
     """Legacy pure-Python triangle count (ordered neighbor-intersection,
     compact node-iterator).  The vectorized census is validated against
-    this bit-for-bit; it also serves graphs that only expose the
-    ``nodes``/``neighbors`` protocol."""
+    this bit-for-bit."""
     count = 0
     for u in graph.nodes():
         higher = [v for v in graph.neighbors(u) if v > u]
@@ -291,8 +289,6 @@ def triangle_count_python(graph) -> int:
 
 def triangle_count(graph, *, jobs: int = 1) -> int:
     """Number of triangles (blocked CSR census; see :func:`triad_census`)."""
-    if not isinstance(graph, (Graph, CSRGraph)):
-        return triangle_count_python(graph)
     return triad_census(graph, jobs=jobs).triangles
 
 
@@ -338,17 +334,9 @@ def exact_triad_counts(graph, *, jobs: int = 1) -> Dict[int, int]:
     Index 0 = wedge (open), index 1 = triangle.  Each triangle closes three
     wedges, so induced wedges = total wedges - 3 * triangles.
     """
-    if not isinstance(graph, (Graph, CSRGraph)):
-        triangles = triangle_count_python(graph)
-        return {0: wedge_count(graph) - 3 * triangles, 1: triangles}
     return triad_census(graph, jobs=jobs).counts()
 
 
 def global_clustering_coefficient(graph, *, jobs: int = 1) -> float:
     """Global clustering coefficient 3T / W = 3*c32 / (2*c32 + 1) (§2.1)."""
-    if not isinstance(graph, (Graph, CSRGraph)):
-        wedges = wedge_count(graph)
-        if wedges == 0:
-            raise ValueError("graph has no wedges")
-        return 3 * triangle_count_python(graph) / wedges
     return triad_census(graph, jobs=jobs).clustering_coefficient

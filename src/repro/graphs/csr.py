@@ -262,7 +262,7 @@ class CSRGraph:
             raise self._node_range_error(v)
         lo, hi = self.indptr[u], self.indptr[u + 1]
         i = lo + np.searchsorted(self.indices[lo:hi], v)
-        return i < hi and self.indices[i] == v
+        return bool(i < hi and self.indices[i] == v)
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized adjacency tests: ``out[i] = has_edge(us[i], vs[i])``.

@@ -5,29 +5,35 @@ usable on *edge streams* — the paper's own OSN setting — without giving
 up the vectorized walk kernels.  The design is the classic log-structured
 split (LogBase-style, see PAPERS.md): bulk adjacency stays in the
 immutable CSR ``indptr``/``indices`` arrays of a **base** snapshot, and
-mutations accumulate in a small hot layer —
+mutations accumulate in one small hot layer —
 
 * an append-only edge **log** (``int32`` endpoint arrays plus a boolean
   tombstone bitmap marking deletes) recording every applied operation
   since the last compaction, and
-* a per-node **flip index**: for each touched node, the set of neighbors
-  whose adjacency differs from the base (an inserted-but-absent edge or
-  a deleted-but-present one).  An insert followed by a delete of the
-  same edge cancels out of the index (the log keeps both entries).
+* its index, the sorted directed **delta keys** ``u * (n + 1) + v`` of
+  the edges whose adjacency differs from the base, each with a live flag
+  (an inserted-but-absent edge is live, a deleted-but-present one dead).
+  A key is flipped while the log holds it an odd number of times, so an
+  insert followed by a delete of the same edge cancels out of the keys
+  (the log keeps both entries).  ``apply`` and unpickling fold log rows
+  into the keys with one ``np.unique`` parity count; degrees move by
+  ``np.add.at``.
 
-Reads serve the merged view: ``has_edge``/``has_edges`` answer from the
-base and patch the (few) probes that hit the flip index via one
-``searchsorted`` over the sorted delta keys; ``neighbors`` filters and
-extends only touched rows; degrees are maintained incrementally.  The
-``indptr``/``indices`` *properties* splice the sorted delta keys into
-the base CSR, once per version: one ``searchsorted`` of the delta keys
-into the base's sorted directed keys places every flipped edge, deletes
-drop their base slots and inserts are ``np.insert``-ed in place — O(m)
-copies plus O(delta log m), no sort.  So every vectorized consumer —
+The ``indptr``/``indices`` *properties* splice the delta keys into the
+base CSR, once per version: one ``searchsorted`` of the delta keys into
+the base's sorted directed keys places every flipped edge, deletes drop
+their base slots and inserts are ``np.insert``-ed in place — O(m) copies
+plus O(delta log m), no sort.  Every scalar read (``neighbors``,
+``has_edge``, ``edges``, ...) is the inherited :class:`CSRGraph` method
+on that merged view, and so is every vectorized consumer —
 :mod:`repro.relgraph.vectorized`, :mod:`repro.walks.windows`, the
-batched engine — runs unchanged on a mutating graph.
+batched engine — which runs unchanged on a mutating graph.  Only
+``has_edges`` answers from the base's lookup tables and patches the
+probes that hit a delta key with one ``searchsorted``: building tables
+for each version's merged view would cost O(m) per batch, and a stream
+makes a version per batch.
 
-``compact()`` turns that spliced view into a fresh immutable
+``compact()`` turns the spliced view into a fresh immutable
 :class:`CSRGraph` (bit-identical to rebuilding from scratch over the
 live edge set) and rebases the overlay on it; ``version`` increments
 monotonically on every ``apply`` and every effective ``compact``, which
@@ -38,18 +44,22 @@ their refresh / republish logic on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
 
 from .graph import Edge, GraphError
 from .csr import CSRGraph, _edge_array, _probe_ids
 
-#: Initial capacity of the append-only log arrays (doubled on overflow).
-_LOG_INITIAL_CAPACITY = 16
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
-_EMPTY_BOOL = np.empty(0, dtype=bool)
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+_EMPTY_I64 = _frozen(np.empty(0, dtype=np.int64))
+_EMPTY_BOOL = _frozen(np.empty(0, dtype=bool))
+_EMPTY_LOG = (_frozen(np.empty(0, dtype=np.int32)),) * 2 + (_EMPTY_BOOL,)
 
 
 def _canonical_pairs(pairs: Iterable[Edge], n: int, label: str) -> np.ndarray:
@@ -85,21 +95,13 @@ class DeltaCSRGraph(CSRGraph):
     kernels gather from) answer for the *current* merged view, so the
     overlay is a drop-in ``backend="csr"``-compatible substrate
     (``isinstance(delta, CSRGraph)`` holds and ``batch_support`` passes).
+    The overlay is mutable, hence unhashable: a graph-keyed cache must
+    not return a previous version's answer.
     """
 
-    __slots__ = (
-        "base",
-        "version",
-        "_log_u",
-        "_log_v",
-        "_log_del",
-        "_log_len",
-        "_flipped",
-        "_row_cache",
-        "_dkeys",
-        "_dalive",
-        "_mat",
-    )
+    __slots__ = ("base", "version", "_log", "_dkeys", "_dalive", "_mat")
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, base) -> None:
         base = CSRGraph.from_graph(base) if not isinstance(base, CSRGraph) else base
@@ -110,8 +112,12 @@ class DeltaCSRGraph(CSRGraph):
                 "DeltaCSRGraph logs endpoints as int32; "
                 f"num_nodes={base.num_nodes} does not fit"
             )
-        self.base = base
         self.version = 0
+        self._rebase(base)
+
+    def _rebase(self, base: CSRGraph) -> None:
+        """Serve ``base`` with an empty log (construction and compaction)."""
+        self.base = base
         # Parent slots (CSRGraph.__init__ is bypassed: ``indptr``/``indices``
         # are read-only properties here, so the parent constructor's
         # assignments would not apply).
@@ -119,19 +125,12 @@ class DeltaCSRGraph(CSRGraph):
         self._num_edges = base.num_edges
         self._nset_cache: dict = {}
         self._tables = None
-        # Append-only operation log (int32 endpoints + tombstone bitmap).
-        self._log_u = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
-        self._log_v = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
-        self._log_del = np.zeros(_LOG_INITIAL_CAPACITY, dtype=bool)
-        self._log_len = 0
-        # node -> set of neighbors whose adjacency differs from the base.
-        self._flipped: Dict[int, Set[int]] = {}
-        self._row_cache: Dict[int, np.ndarray] = {}
-        # Sorted directed delta keys (u * (n + 1) + v) + live flags, for
-        # patching vectorized has_edges probes.
+        # Append-only operation log: (u, v, deleted), read-only arrays.
+        self._log: Tuple[np.ndarray, np.ndarray, np.ndarray] = _EMPTY_LOG
+        # Sorted directed delta keys (u * (n + 1) + v) + live flags.
         self._dkeys = _EMPTY_I64
         self._dalive = _EMPTY_BOOL
-        # Cached merged (indptr, indices); version 0 merged == base.
+        # Cached merged (indptr, indices); an empty log's view is the base.
         self._mat: Tuple[np.ndarray, np.ndarray] = (base.indptr, base.indices)
 
     # ------------------------------------------------------------------
@@ -175,64 +174,41 @@ class DeltaCSRGraph(CSRGraph):
             if not np.all(present):
                 u, v = (int(x) for x in dels[~present][0])
                 raise GraphError(f"cannot delete ({u}, {v}): no such edge")
-        for u, v in dels:
-            self._apply_one(int(u), int(v), True)
-        for u, v in ins:
-            self._apply_one(int(u), int(v), False)
-        self._rebuild_delta_keys()
-        self._mat = None
-        self._tables = None
+        pairs = np.concatenate([dels, ins])
+        deleted = np.arange(len(pairs)) < len(dels)
+        self._fold(pairs[:, 0], pairs[:, 1], deleted)
         self.version += 1
         return self.version
 
-    def _apply_one(self, u: int, v: int, is_delete: bool) -> None:
-        if self._log_len == self._log_u.size:
-            cap = self._log_u.size * 2
-            for name in ("_log_u", "_log_v", "_log_del"):
-                old = getattr(self, name)
-                grown = np.zeros(cap, dtype=old.dtype)
-                grown[: old.size] = old
-                setattr(self, name, grown)
-        i = self._log_len
-        self._log_u[i] = u
-        self._log_v[i] = v
-        self._log_del[i] = is_delete
-        self._log_len = i + 1
-        for a, b in ((u, v), (v, u)):
-            flip = self._flipped.get(a)
-            if flip is None:
-                flip = self._flipped[a] = set()
-            if b in flip:  # cancels a prior logged op on this edge
-                flip.discard(b)
-                if not flip:
-                    del self._flipped[a]
-            else:
-                flip.add(b)
-            self._row_cache.pop(a, None)
-            self._nset_cache.pop(a, None)
-        step = -1 if is_delete else 1
-        self._degrees[u] += step
-        self._degrees[v] += step
-        self._num_edges += step
-
-    def _rebuild_delta_keys(self) -> None:
-        if not self._flipped:
-            self._dkeys = _EMPTY_I64
-            self._dalive = _EMPTY_BOOL
-            return
-        us: List[int] = []
-        vs: List[int] = []
-        for a, nbrs in self._flipped.items():
-            us.extend([a] * len(nbrs))
-            vs.extend(nbrs)
-        ua = np.asarray(us, dtype=np.int64)
-        va = np.asarray(vs, dtype=np.int64)
-        keys = ua * (self.base.num_nodes + 1) + va
-        order = np.argsort(keys)  # keys are unique
-        self._dkeys = keys[order]
+    def _fold(self, u: np.ndarray, v: np.ndarray, deleted: np.ndarray) -> None:
+        """Append log rows ``(u, v, deleted)`` and fold them into the hot
+        layer.  A directed key is flipped while the log holds it an odd
+        number of times: the current delta keys (each held an odd number
+        of times) plus both directions of the new rows, kept where their
+        count is odd.  Shared by :meth:`apply` and unpickling."""
+        u = u.astype(np.int64)
+        v = v.astype(np.int64)
+        self._log = tuple(
+            _frozen(np.concatenate([old, new.astype(old.dtype)]))
+            for old, new in zip(self._log, (u, v, deleted))
+        )
+        stride = self.base.num_nodes + 1
+        keys, counts = np.unique(
+            np.concatenate([self._dkeys, u * stride + v, v * stride + u]),
+            return_counts=True,
+        )
+        self._dkeys = keys[counts % 2 == 1]
         # A flipped edge absent from the base is a live insert; one present
         # in the base is a (dead) delete.
-        self._dalive = ~self.base.has_edges(ua[order], va[order])
+        self._dalive = ~self.base.has_edges(self._dkeys // stride, self._dkeys % stride)
+        step = np.where(deleted, -1, 1)
+        np.add.at(self._degrees, u, step)
+        np.add.at(self._degrees, v, step)
+        self._num_edges += int(step.sum())
+        for node in np.union1d(u, v).tolist():
+            self._nset_cache.pop(node, None)
+        self._mat = None
+        self._tables = None
 
     # ------------------------------------------------------------------
     # Compaction
@@ -248,23 +224,10 @@ class DeltaCSRGraph(CSRGraph):
         overlay (no operations logged since the last compaction) is a
         no-op that returns the current base unchanged.
         """
-        if self._log_len == 0:
+        if not self.delta_edges:
             return self.base
         fresh = CSRGraph(*self._merged())
-        self.base = fresh
-        self._degrees = fresh.degrees_array.copy()
-        self._num_edges = fresh.num_edges
-        self._nset_cache = {}
-        self._tables = None
-        self._log_u = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
-        self._log_v = np.empty(_LOG_INITIAL_CAPACITY, dtype=np.int32)
-        self._log_del = np.zeros(_LOG_INITIAL_CAPACITY, dtype=bool)
-        self._log_len = 0
-        self._flipped = {}
-        self._row_cache = {}
-        self._dkeys = _EMPTY_I64
-        self._dalive = _EMPTY_BOOL
-        self._mat = (fresh.indptr, fresh.indices)
+        self._rebase(fresh)
         self.version += 1
         return fresh
 
@@ -277,7 +240,7 @@ class DeltaCSRGraph(CSRGraph):
         mat = self._mat
         if mat is None:
             base = self.base
-            if not self._flipped:
+            if not self._dkeys.size:
                 mat = (base.indptr, base.indices)
             else:
                 dkeys, alive = self._dkeys, self._dalive
@@ -313,49 +276,20 @@ class DeltaCSRGraph(CSRGraph):
     @property
     def delta_edges(self) -> int:
         """Operations logged since the last compaction."""
-        return self._log_len
+        return self._log[0].size
 
     @property
     def log(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The append-only log as ``(u, v, deleted)`` read-only views."""
-        out = (
-            self._log_u[: self._log_len],
-            self._log_v[: self._log_len],
-            self._log_del[: self._log_len],
-        )
-        for arr in out:
-            arr.flags.writeable = False
-        return out
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted merged neighbor row of ``v`` (cached for touched rows)."""
-        flip = self._flipped.get(v)
-        if not flip:
-            return self.base.neighbors(v)
-        row = self._row_cache.get(v)
-        if row is None:
-            base_row = self.base.neighbors(v)
-            flip_arr = np.fromiter(flip, dtype=np.int64, count=len(flip))
-            kept = base_row[~np.isin(base_row, flip_arr)]
-            added = flip_arr[~np.isin(flip_arr, base_row)]
-            row = np.sort(np.concatenate([kept, added]))
-            row.flags.writeable = False
-            self._row_cache[v] = row
-        return row
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Adjacency test on the merged view (base answer, flip-patched)."""
-        flip = self._flipped.get(u)
-        if flip is not None and v in flip:
-            return not self.base.has_edge(u, v)
-        return self.base.has_edge(u, v)
+        """The append-only log as read-only ``(u, v, deleted)`` arrays."""
+        return self._log
 
     def has_edges(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized merged-view adjacency: base answers, delta-patched.
 
         One extra ``searchsorted`` over the (tiny) sorted delta-key array
         patches exactly the probes that hit a flipped edge — O(delta)
-        extra work per batch, independent of graph size.
+        extra work per batch, independent of graph size, where tables
+        over each version's merged view would cost O(m) to build.
         """
         us, vs = _probe_ids(us, vs)
         out = self.base.has_edges(us, vs)  # fresh and contiguous: patched in place
@@ -370,24 +304,22 @@ class DeltaCSRGraph(CSRGraph):
         return out
 
     def __reduce__(self):
-        # Base, log and version define the overlay; the flip index, the
-        # degrees and the merged view are replayed from the log.
-        return (_restore, (self.base, *self.log, self.version))
+        # Base, log and version define the overlay; the delta keys, the
+        # degrees and the merged view are folded again from the log.
+        return (_restore, (self.base, *self._log, self.version))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DeltaCSRGraph(num_nodes={self.num_nodes}, "
             f"num_edges={self.num_edges}, version={self.version}, "
-            f"pending={self._log_len})"
+            f"pending={self.delta_edges})"
         )
 
 
 def _restore(base, log_u, log_v, log_del, version) -> DeltaCSRGraph:
-    """Unpickle a :class:`DeltaCSRGraph`: replay its log onto its base."""
+    """Unpickle a :class:`DeltaCSRGraph`: fold its log onto its base."""
     graph = DeltaCSRGraph(base)
-    for u, v, is_delete in zip(log_u.tolist(), log_v.tolist(), log_del.tolist()):
-        graph._apply_one(u, v, is_delete)
-    graph._rebuild_delta_keys()
-    graph._mat = None
+    if log_u.size:
+        graph._fold(log_u, log_v, log_del)
     graph.version = version
     return graph

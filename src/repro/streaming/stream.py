@@ -76,7 +76,10 @@ class EdgeStreamSpec:
 
     def edge_batches(self) -> Tuple[EdgeBatch, ...]:
         """Materialize every batch (deterministic; pure function of self)."""
-        base = self.base_graph()
+        return self._batches_over(self.base_graph())
+
+    def _batches_over(self, base: CSRGraph) -> Tuple[EdgeBatch, ...]:
+        """:meth:`edge_batches` over an already built :meth:`base_graph`."""
         n = base.num_nodes
         if n < 2 and self.inserts_per_batch:
             raise ValueError("cannot insert edges into a graph with < 2 nodes")
@@ -127,8 +130,9 @@ class EdgeStreamSpec:
 
     def replay(self) -> DeltaCSRGraph:
         """Apply every batch to a fresh overlay on the base graph."""
-        delta = DeltaCSRGraph(self.base_graph())
-        for batch in self.edge_batches():
+        base = self.base_graph()
+        delta = DeltaCSRGraph(base)
+        for batch in self._batches_over(base):
             delta.apply(inserts=batch.inserts, deletes=batch.deletes)
         return delta
 

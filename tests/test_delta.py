@@ -3,6 +3,7 @@ bit-identity, batch validation, and backend integration."""
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -10,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core import MethodSpec, run_estimation
+from repro.exact import (
+    exact_concentrations,
+    exact_concentrations_cached,
+    exact_counts,
+    exact_counts_cached,
+)
 from repro.graphs import (
     CSRGraph,
     DeltaCSRGraph,
@@ -92,7 +100,12 @@ class TestReadParity:
             deletes = [e for e in batch if e in live]
             delta.apply(inserts=inserts, deletes=deletes)
             live = (live - set(deletes)) | set(inserts)
-            assert_reads_match(delta, rebuild(n, live))
+            reference = rebuild(n, live)
+            assert_reads_match(delta, reference)
+            # Unpickling folds the whole log at once, where the live
+            # overlay folded it batch by batch: an edge inserted in one
+            # batch and deleted in a later one must cancel either way.
+            assert_reads_match(pickle.loads(pickle.dumps(delta)), reference)
 
     @settings(max_examples=30)
     @given(churn_scenarios())
@@ -119,7 +132,7 @@ class TestReadParity:
         delta.apply(deletes=[(2, 3)])
         assert not delta.has_edge(2, 3)
         assert delta.num_edges == 1
-        # The log keeps both operations; the flip index cancels them.
+        # The log keeps both operations; the delta keys cancel them.
         assert delta.delta_edges == 2
         reference = CSRGraph.from_graph(Graph(4, [(0, 1)]))
         assert np.array_equal(delta.compact().indices, reference.indices)
@@ -148,7 +161,7 @@ class TestSplice:
             assert np.array_equal(delta.degrees_array, reference.degrees_array)
             assert list(delta.edges()) == list(reference.edges())
         # The full undo cancels every flip: the view is the base again.
-        assert not delta._flipped and delta._dkeys.size == 0
+        assert delta._dkeys.size == 0
         assert delta.indices is delta.base.indices
         assert delta.indptr is delta.base.indptr
 
@@ -271,6 +284,20 @@ class TestBackendIntegration:
         on_base = run_estimation(csr, spec, 6_000, rng=random.Random(3), chains=8)
         on_delta = run_estimation(delta, spec, 6_000, rng=random.Random(3), chains=8)
         assert np.array_equal(on_base.concentrations, on_delta.concentrations)
+
+    def test_exact_truth_follows_mutation(self):
+        # A batch that keeps the edge count must not serve the previous
+        # version's cached ground truth.
+        delta = DeltaCSRGraph(barabasi_albert(60, 3, seed=1))
+        before = exact_counts_cached(delta, 3)
+        delta.apply(inserts=[(0, 1)], deletes=[(0, 3)])
+        after = exact_counts(delta, 3)
+        assert after != before
+        assert exact_counts_cached(delta, 3) == after
+        truth = exact_concentrations(delta, 3)
+        assert exact_concentrations_cached(delta, 3) == truth
+        estimate = repro.estimate(delta, "exact", k=3)
+        assert estimate.concentrations.tolist() == [truth[0], truth[1]]
 
     def test_estimation_after_churn_matches_compacted(self):
         # After updates, walking the overlay == walking the compacted

@@ -33,7 +33,7 @@ from repro.exact import (
     wedge_count,
 )
 from repro.exact.enumerate import exact_counts as esu_counts
-from repro.graphs import Graph
+from repro.graphs import Graph, GraphError, RestrictedGraph
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -152,6 +152,13 @@ class TestTriads:
     def test_no_wedges_raises(self):
         with pytest.raises(ValueError):
             global_clustering_coefficient(Graph(3, [(0, 1)]))
+
+    @pytest.mark.parametrize(
+        "statistic", [triangle_count, exact_triad_counts, global_clustering_coefficient]
+    )
+    def test_restricted_graph_names_access_cause(self, karate, statistic):
+        with pytest.raises(GraphError, match="full adjacency access is required"):
+            statistic(RestrictedGraph(karate, seed_node=0))
 
 
 class TestTriadCensus:

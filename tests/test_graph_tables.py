@@ -326,7 +326,8 @@ class TestPickle:
             assert back.base == delta.base
             assert np.array_equal(back.indptr, delta.indptr)
             assert np.array_equal(back.indices, delta.indices)
-            assert back._flipped == delta._flipped
+            assert np.array_equal(back._dkeys, delta._dkeys)
+            assert np.array_equal(back._dalive, delta._dalive)
             assert back.apply(inserts=[UNDONE]) == 3
             assert back.has_edge(*UNDONE) and not delta.has_edge(*UNDONE)
 

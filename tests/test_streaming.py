@@ -45,6 +45,21 @@ class TestEdgeStream:
         assert np.array_equal(replayed.indptr, churned.indptr)
         assert np.array_equal(replayed.indices, churned.indices)
 
+    def test_replay_builds_base_once(self, monkeypatch):
+        builds = []
+        build = EdgeStreamSpec.base_graph
+
+        def counting(spec):
+            builds.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(EdgeStreamSpec, "base_graph", counting)
+        spec = EdgeStreamSpec(**SMOKE)
+        spec.replay()
+        assert len(builds) == 1
+        spec.churned_graph()
+        assert len(builds) == 2
+
     def test_net_edge_count_conserved(self):
         spec = EdgeStreamSpec(**SMOKE)  # equal churn in and out
         assert spec.churned_graph().num_edges == spec.base_graph().num_edges
