@@ -478,8 +478,10 @@ def cmd_monitor(args) -> int:
             deletes_per_batch=args.deletes if args.deletes is not None else args.churn,
             seed=args.stream_seed,
         )
+        base = stream.base_graph()
+        batches = stream._batches_over(base)
         session = ContinuousSession(
-            stream.base_graph(),
+            base,
             method,
             k=args.k,
             chains=args.chains,
@@ -510,7 +512,7 @@ def cmd_monitor(args) -> int:
         file=sys.stderr,
     )
     _line(session.refresh(), 0, " (warm-up)")
-    for batch in stream.edge_batches():
+    for batch in batches:
         report = session.apply_updates(inserts=batch.inserts, deletes=batch.deletes)
         delta = f" (+{report.inserts}/-{report.deletes})"
         _line(session.refresh(), len(report.touched), delta)

@@ -10,10 +10,11 @@ walk spaces, estimators and baselines only call ``neighbors`` /
 
 Why a second backend
 --------------------
-The list backend keeps one Python list **and** one Python set per node:
-flexible, O(1) adjacency tests, but pointer-chasing and several hundred
-bytes per edge.  CSR packs the same information into two contiguous
-arrays (8–16 bytes per directed edge), which
+The list backend reads one Python list **and** one Python set per node
+(built from its CSR arrays on first scalar use): flexible, O(1) adjacency
+tests, but pointer-chasing and several hundred bytes per edge.  CSR packs
+the same information into two contiguous arrays (8–16 bytes per directed
+edge), which
 
 * makes uniform neighbor draws a pair of array loads (``indices[indptr[v]
   + j]``) that vectorize across many chains at once (see
@@ -31,8 +32,9 @@ neighbor lists (all d <= 2 methods); see ``tests/test_csr.py``.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,21 +53,64 @@ def _edge_array(edges: Iterable[Edge], label: str) -> np.ndarray:
 
     Node ids must be integers, as for :class:`Graph`: the batch's dtype
     rejects floats, strings and ``None``, and a scan of element types
-    catches bools, which NumPy folds silently into an int array.
+    catches bools, which NumPy folds silently into an int array.  A
+    rejected batch is walked pair by pair, so the :class:`GraphError`
+    names its first bad pair.
     """
     seq = edges if isinstance(edges, np.ndarray) else list(edges)
-    arr = np.asarray(seq)
-    if arr.size == 0:
+    if not len(seq):
         return np.empty((0, 2), dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise GraphError(f"{label} must be (u, v) pairs")
-    if arr.dtype.kind not in "iu" or (
-        arr is not seq and not _BOOL_TYPES.isdisjoint(map(type, chain.from_iterable(seq)))
+    try:
+        arr = np.asarray(seq)
+    except ValueError:  # ragged: some pair is not two scalars
+        arr = None
+    if (
+        arr is None
+        or arr.shape[1:] != (2,)
+        or arr.dtype.kind not in "iu"
+        or (arr is not seq and not _BOOL_TYPES.isdisjoint(map(type, chain.from_iterable(seq))))
     ):
-        for u, v in seq:  # raises GraphError naming the first bad edge
+        for pair in seq:
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise GraphError(f"{label} must be (u, v) pairs, got {pair!r}") from None
             _coerce_node_id(u, (u, v))
             _coerce_node_id(v, (u, v))
-    return arr.astype(np.int64, copy=False)
+    try:
+        return arr.astype(np.int64, copy=False)
+    except OverflowError:  # Python ints beyond int64
+        raise GraphError(f"{label} has node ids beyond the int64 range") from None
+
+
+def _build(num_nodes: int, edges: Iterable[Edge]) -> "CSRGraph":
+    """The one edge-to-CSR build (every :class:`Graph`, hence every CSR
+    constructor): validate, sort the directed keys ``u * n + v`` of both
+    orientations once, drop repeats.  Errors name the first offending
+    edge in input order: id types, then self-loops, then ids outside
+    ``[0, num_nodes)``.  The arrays are read-only, as a :class:`Graph`
+    shares them with :meth:`CSRGraph.from_graph`'s callers."""
+    n = operator.index(num_nodes)
+    if n < 0:
+        raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
+    pairs = _edge_array(edges, "edges")
+    u, v = pairs[:, 0], pairs[:, 1]
+    loops = u == v
+    if loops.any():
+        i = int(np.argmax(loops))
+        raise GraphError(f"self-loop ({u[i]}, {v[i]}) not allowed in a simple graph")
+    # Negative ids wrap to huge unsigned values: one test per bound.
+    outside = (pairs.view(np.uint64) >= n).any(axis=1)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise GraphError(f"edge ({u[i]}, {v[i]}) out of range for num_nodes={n}")
+    keys = np.concatenate((u * n + v, v * n + u))
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) > 0]  # sorted: a repeat differs by 0
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    indices = keys % n
+    indptr.flags.writeable = indices.flags.writeable = False
+    return CSRGraph(indptr, indices)
 
 
 def _probe_ids(us, vs) -> Tuple[np.ndarray, np.ndarray]:
@@ -125,60 +170,37 @@ class CSRGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
-        """Convert a list-backend :class:`Graph` (rows are already sorted)."""
+        """The CSR form of a list-backend :class:`Graph`: the arrays the
+        graph was built on (``graph.full_access_csr()``), not a copy."""
         if isinstance(graph, CSRGraph):
             return graph
-        if not hasattr(graph, "degrees"):
+        if not isinstance(graph, Graph):
             raise GraphError(
                 f"cannot build a CSRGraph from {type(graph).__name__}: full "
                 "adjacency access is required, but a RestrictedGraph only "
                 "exposes crawled neighborhoods"
             )
-        degrees = np.asarray(graph.degrees(), dtype=np.int64)
-        indptr = np.zeros(graph.num_nodes + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        indices = np.fromiter(
-            chain.from_iterable(map(graph.neighbors, graph.nodes())),
-            dtype=np.int64,
-            count=int(indptr[-1]),
-        )
-        return cls(indptr, indices)
+        return graph.full_access_csr()
 
     @classmethod
     def from_edges(
         cls, edges: Iterable[Edge], num_nodes: Optional[int] = None
     ) -> "CSRGraph":
-        """Build directly from an edge iterable (deduplicated, validated).
-
-        Vectorized: both edge orientations are stacked, lexsorted and
-        deduplicated in NumPy, so construction is O(m log m) with small
-        constants rather than millions of Python-level set inserts.
-        """
-        pairs = _edge_array(edges, "edges")
-        if pairs.size == 0:
-            n = int(num_nodes) if num_nodes is not None else 0
-            return cls(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))
-        if num_nodes is None:
-            num_nodes = int(pairs.max()) + 1
-        n = int(num_nodes)
-        if np.any(pairs < 0) or np.any(pairs >= n):
-            raise GraphError(f"edge endpoint out of range for num_nodes={n}")
-        if np.any(pairs[:, 0] == pairs[:, 1]):
-            raise GraphError("self-loops not allowed in a simple graph")
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        keep = np.ones(src.size, dtype=bool)
-        keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-        src, dst = src[keep], dst[keep]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-        return cls(indptr, dst)
+        """Build directly from an edge iterable (deduplicated, validated),
+        through :meth:`Graph.from_edges`' build: one NumPy sort, no
+        per-edge Python work."""
+        return Graph.from_edges(edges, num_nodes).full_access_csr()
 
     def to_graph(self) -> Graph:
         """Materialize back into the list backend."""
-        return Graph(self.num_nodes, self.edges())
+        return Graph(self.num_nodes, self._edge_pairs())
+
+    def _edge_pairs(self) -> np.ndarray:
+        """Every edge once, as ``(u, v)`` rows with ``u < v``, sorted."""
+        indices = self.indices
+        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees_array)
+        upper = rows < indices
+        return np.column_stack((rows[upper], indices[upper]))
 
     def full_access_csr(self) -> "CSRGraph":
         """The CSR form the vectorized window pipeline probes: itself."""
@@ -304,40 +326,9 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Derived quantities used by the estimators
     # ------------------------------------------------------------------
-    def induced_edges(self, nodes: Sequence[int]) -> List[Edge]:
-        """Edges of the subgraph induced by ``nodes`` (as pairs of node ids)."""
-        node_list = list(nodes)
-        found = []
-        for i, u in enumerate(node_list):
-            for v in node_list[i + 1 :]:
-                if self.has_edge(u, v):
-                    found.append((u, v) if u < v else (v, u))
-        return found
-
-    def induced_edge_count(self, nodes: Sequence[int]) -> int:
-        """Number of edges in the subgraph induced by ``nodes``."""
-        node_list = list(nodes)
-        count = 0
-        for i, u in enumerate(node_list):
-            count += sum(1 for v in node_list[i + 1 :] if self.has_edge(u, v))
-        return count
-
-    def is_connected_subset(self, nodes: Sequence[int]) -> bool:
-        """Whether the subgraph induced by ``nodes`` is connected."""
-        node_list = list(nodes)
-        if not node_list:
-            return False
-        node_set = set(node_list)
-        stack = [node_list[0]]
-        seen = {node_list[0]}
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors(u):
-                v = int(v)
-                if v in node_set and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(node_set)
+    induced_edges = Graph.induced_edges
+    induced_edge_count = Graph.induced_edge_count
+    is_connected_subset = Graph.is_connected_subset
 
     def edge_relationship_count(self) -> int:
         """``|R(2)|`` — number of edges of the 2-node relationship graph G(2)."""
@@ -426,7 +417,8 @@ BACKENDS = ("list", "csr", "delta", "mmap")
 def as_backend(graph, backend: str, context: Optional[str] = None):
     """Convert ``graph`` to the named storage backend.
 
-    ``"list"`` is the seed :class:`Graph` (lists + sets); ``"csr"`` is
+    ``"list"`` is the seed :class:`Graph` (lists + sets over the CSR
+    arrays); ``"csr"`` is
     :class:`CSRGraph`; ``"delta"`` is the mutable
     :class:`~repro.graphs.delta.DeltaCSRGraph` overlay for edge-stream
     workloads; ``"mmap"`` is the disk-backed

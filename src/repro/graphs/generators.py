@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .graph import Graph, GraphError
 
 
@@ -127,21 +129,25 @@ def barabasi_albert(n: int, m: int, seed: Optional[int] = None) -> Graph:
     """
     if m < 1 or n <= m:
         raise GraphError(f"need 1 <= m < n, got m={m}, n={n}")
-    rng = _rng(seed)
-    edges: List[Tuple[int, int]] = [(i, m) for i in range(m)]
+    getrandbits = _rng(seed).getrandbits
+    # The flat edge list: entries 2i and 2i + 1 are edge i's endpoints,
+    # so a uniform entry is a degree-proportional node.
     repeated: List[int] = []
-    for u, v in edges:
-        repeated.append(u)
-        repeated.append(v)
+    for i in range(m):
+        repeated += (i, m)
     for new_node in range(m + 1, n):
+        # rng.choice(repeated), inlined: draw bit_length bits until the
+        # index is in range.
+        size = len(repeated)
+        bits = size.bit_length()
         targets: Set[int] = set()
         while len(targets) < m:
-            targets.add(rng.choice(repeated))
+            r = getrandbits(bits)
+            if r < size:
+                targets.add(repeated[r])
         for t in targets:
-            edges.append((t, new_node))
-            repeated.append(t)
-            repeated.append(new_node)
-    return Graph(n, edges)
+            repeated += (t, new_node)
+    return Graph(n, np.array(repeated, dtype=np.int64).reshape(-1, 2))
 
 
 def watts_strogatz(n: int, k: int, p: float, seed: Optional[int] = None) -> Graph:

@@ -1,22 +1,29 @@
 """Core undirected simple graph type.
 
-The whole library operates on :class:`Graph` — an immutable-after-build,
-adjacency-list representation of a simple undirected graph with contiguous
-integer node ids ``0 .. n-1``.  Two parallel adjacency structures are kept:
+The whole library operates on :class:`Graph` — an immutable simple
+undirected graph with contiguous integer node ids ``0 .. n-1``.  Arrays
+come first: construction validates the edges and builds the sorted CSR
+arrays with one NumPy sort (:mod:`repro.graphs.csr`); they are the graph
+(``full_access_csr()``) and answer whole-graph queries.  Scalar reads
+use Python views built from them on first use, then kept:
 
-* sorted Python lists (``neighbors``) — cheap uniform sampling by index and
-  deterministic iteration order, and
-* hash sets (``has_edge``) — O(1) adjacency tests, which dominate graphlet
-  classification (each k-node sample needs up to C(k, 2) adjacency probes).
+* sorted Python lists (``neighbors``, ``degree``) — cheap uniform
+  sampling by index and deterministic iteration order, and
+* hash sets (``neighbor_set``, ``has_edge``) — O(1) adjacency tests,
+  which dominate graphlet classification (each k-node sample needs up
+  to C(k, 2) adjacency probes).
 
-The memory overhead of the duplicate structure is acceptable at the scales
-this reproduction targets (up to a few million edges).
+A graph only the CSR kernels walk never builds them; a pickle carries
+the edges only.
 """
 
 from __future__ import annotations
 
 import numbers
+import weakref
 from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 Edge = Tuple[int, int]
 
@@ -43,6 +50,20 @@ def _coerce_node_id(node, edge) -> int:
     return int(node)
 
 
+class _FirstUse:
+    """A view's slot until the first read indexes it: that read builds the
+    view into the slot, so later reads index the real list unchecked."""
+
+    __slots__ = ("_graph", "_build")
+
+    def __init__(self, graph: "Graph", build) -> None:
+        self._graph = weakref.ref(graph)  # no cycle: a dropped graph frees at once
+        self._build = build
+
+    def __getitem__(self, v):
+        return self._build(self._graph())[v]
+
+
 class Graph:
     """A simple undirected graph with nodes ``0 .. num_nodes - 1``.
 
@@ -52,34 +73,20 @@ class Graph:
         Number of nodes.  Nodes are always the contiguous integers
         ``0 .. num_nodes - 1``; isolated nodes are allowed.
     edges:
-        Iterable of ``(u, v)`` pairs.  Self-loops are rejected; duplicate
-        edges (in either orientation) are silently collapsed, matching the
-        paper's simple-graph assumption.
+        Iterable of ``(u, v)`` pairs, or an ``(m, 2)`` integer array.
+        Self-loops are rejected; duplicate edges (in either orientation)
+        are silently collapsed, matching the paper's simple-graph
+        assumption.
     """
 
-    __slots__ = ("_adj", "_adj_sets", "_num_edges", "_csr")
+    __slots__ = ("_csr", "_adj", "_adj_sets", "__weakref__")
 
     def __init__(self, num_nodes: int, edges: Iterable[Edge] = ()) -> None:
-        if num_nodes < 0:
-            raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
-        adj_sets: List[Set[int]] = [set() for _ in range(num_nodes)]
-        num_edges = 0
-        for u, v in edges:
-            if type(u) is not int or type(v) is not int:
-                u, v = _coerce_node_id(u, (u, v)), _coerce_node_id(v, (u, v))
-            if u == v:
-                raise GraphError(f"self-loop ({u}, {v}) not allowed in a simple graph")
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise GraphError(
-                    f"edge ({u}, {v}) out of range for num_nodes={num_nodes}"
-                )
-            if v not in adj_sets[u]:
-                adj_sets[u].add(v)
-                adj_sets[v].add(u)
-                num_edges += 1
-        self._adj: List[List[int]] = [sorted(s) for s in adj_sets]
-        self._adj_sets: List[Set[int]] = adj_sets
-        self._num_edges = num_edges
+        from .csr import _build  # lazy: csr imports this module
+
+        self._csr = _build(num_nodes, edges)
+        self._adj = _FirstUse(self, Graph._lists)
+        self._adj_sets = _FirstUse(self, Graph._sets)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -90,13 +97,12 @@ class Graph:
 
         If ``num_nodes`` is omitted it is inferred as ``max node id + 1``.
         """
-        edge_list = [
-            (_coerce_node_id(u, (u, v)), _coerce_node_id(v, (u, v)))
-            for u, v in edges
-        ]
+        from .csr import _edge_array  # lazy: csr imports this module
+
+        pairs = _edge_array(edges, "edges")
         if num_nodes is None:
-            num_nodes = 1 + max((max(u, v) for u, v in edge_list), default=-1)
-        return cls(num_nodes, edge_list)
+            num_nodes = max(int(pairs.max()) + 1, 0) if pairs.size else 0
+        return cls(num_nodes, pairs)
 
     @classmethod
     def from_adjacency(cls, adjacency: Sequence[Iterable[int]]) -> "Graph":
@@ -109,40 +115,48 @@ class Graph:
         ]
         return cls(len(adjacency), edges)
 
+    def _lists(self) -> List[List[int]]:
+        """Build the sorted neighbor lists from the CSR rows (first use)."""
+        # One int object per node id, shared by every row that holds it:
+        # 2m fresh ints would cost allocations and cache misses.
+        ids = np.arange(self.num_nodes, dtype=object)
+        flat, bounds = ids[self._csr.indices].tolist(), self._csr.indptr.tolist()
+        adj = self._adj = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        return adj
+
+    def _sets(self) -> List[Set[int]]:
+        """Build the neighbor sets from the neighbor lists (first use)."""
+        adj = self._lists() if isinstance(self._adj, _FirstUse) else self._adj
+        sets = self._adj_sets = [set(row) for row in adj]
+        return sets
+
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
         """Number of nodes (including isolated ones)."""
-        return len(self._adj)
+        return self._csr.indptr.size - 1
 
     @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
-        return self._num_edges
+        return self._csr.num_edges
 
     def nodes(self) -> range:
         """All node ids as a range."""
-        return range(len(self._adj))
+        return range(self.num_nodes)
 
     def edges(self) -> Iterator[Edge]:
         """Iterate edges as ``(u, v)`` with ``u < v``, sorted."""
-        for u, neighbors in enumerate(self._adj):
-            for v in neighbors:
-                if u < v:
-                    yield (u, v)
+        pairs, ids = self._csr._edge_pairs(), np.arange(self.num_nodes, dtype=object)
+        return zip(ids[pairs[:, 0]].tolist(), ids[pairs[:, 1]].tolist())
 
     def full_access_csr(self):
-        """This graph as a :class:`~repro.graphs.CSRGraph`, for the
-        vectorized window pipeline's probes: built on first use and kept
-        (a graph never changes after construction)."""
-        csr = getattr(self, "_csr", None)  # the slot is unset until then
-        if csr is None:
-            from .csr import CSRGraph  # lazy: csr imports this module
-
-            csr = self._csr = CSRGraph.from_graph(self)
-        return csr
+        """This graph as a :class:`~repro.graphs.CSRGraph`: the arrays it
+        was built on, shared (read-only), for the vectorized window
+        pipeline's probes and :meth:`CSRGraph.from_graph`."""
+        return self._csr
 
     def degree(self, v: int) -> int:
         """Degree of node ``v``."""
@@ -150,7 +164,7 @@ class Graph:
 
     def degrees(self) -> List[int]:
         """Degree of every node, indexed by node id."""
-        return [len(neighbors) for neighbors in self._adj]
+        return self._csr.degrees()
 
     def neighbors(self, v: int) -> List[int]:
         """Sorted neighbor list of ``v``.
@@ -170,17 +184,18 @@ class Graph:
 
     def max_degree(self) -> int:
         """Largest degree in the graph (0 for the empty graph)."""
-        return max((len(n) for n in self._adj), default=0)
+        return self._csr.max_degree()
 
     # ------------------------------------------------------------------
-    # Derived quantities used by the estimators
+    # Derived quantities used by the estimators (CSRGraph shares the
+    # induced-subgraph probes: they only read neighbor_set)
     # ------------------------------------------------------------------
     def induced_edges(self, nodes: Sequence[int]) -> List[Edge]:
         """Edges of the subgraph induced by ``nodes`` (as pairs of node ids)."""
         node_list = list(nodes)
         found = []
         for i, u in enumerate(node_list):
-            u_set = self._adj_sets[u]
+            u_set = self.neighbor_set(u)
             for v in node_list[i + 1 :]:
                 if v in u_set:
                     found.append((u, v) if u < v else (v, u))
@@ -191,7 +206,7 @@ class Graph:
         node_list = list(nodes)
         count = 0
         for i, u in enumerate(node_list):
-            u_set = self._adj_sets[u]
+            u_set = self.neighbor_set(u)
             count += sum(1 for v in node_list[i + 1 :] if v in u_set)
         return count
 
@@ -205,7 +220,7 @@ class Graph:
         seen = {node_list[0]}
         while stack:
             u = stack.pop()
-            for v in self._adj_sets[u]:
+            for v in self.neighbor_set(u):
                 if v in node_set and v not in seen:
                     seen.add(v)
                     stack.append(v)
@@ -218,7 +233,7 @@ class Graph:
         ``|R(2)| = (1/2) * sum over edges (u,v) of (d_u + d_v - 2)``
         (equivalently ``sum over nodes of C(d_v, 2)``).
         """
-        return sum(d * (d - 1) // 2 for d in self.degrees())
+        return self._csr.edge_relationship_count()
 
     # ------------------------------------------------------------------
     # Dunder / misc
@@ -229,11 +244,16 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj
+        return self._csr == other._csr
 
     def __hash__(self) -> int:
         return hash((self.num_nodes, self.num_edges))
 
+    def __reduce__(self):
+        # The edges only: the Python lists and sets are rebuilt on first
+        # scalar use after unpickling.
+        return (type(self), (self.num_nodes, self._csr._edge_pairs()))
+
     def copy(self) -> "Graph":
         """Deep copy (new adjacency storage)."""
-        return Graph(self.num_nodes, self.edges())
+        return Graph(self.num_nodes, self._csr._edge_pairs())

@@ -65,29 +65,9 @@ def read_edge_list(path: PathLike) -> Tuple[Graph, Dict[int, int]]:
     order = np.argsort(first_pos, kind="stable")
     rank = np.empty(uniq.size, dtype=np.int64)
     rank[order] = np.arange(uniq.size, dtype=np.int64)
-    mapped_u = rank[np.searchsorted(uniq, u)]
-    mapped_v = rank[np.searchsorted(uniq, v)]
     mapping = {int(old): new for new, old in enumerate(uniq[order].tolist())}
-
-    n = uniq.size
-    src = np.concatenate([mapped_u, mapped_v])
-    dst = np.concatenate([mapped_v, mapped_u])
-    sort = np.lexsort((dst, src))
-    src, dst = src[sort], dst[sort]
-    keep = np.ones(src.size, dtype=bool)
-    keep[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    src, dst = src[keep], dst[keep]
-    counts = np.bincount(src, minlength=n)
-
-    # Materialize the Graph directly (constructor-equivalent state:
-    # sorted adjacency lists + sets + edge count) without the per-edge
-    # Python set inserts of Graph.__init__.
-    graph = Graph.__new__(Graph)
-    adj = [row.tolist() for row in np.split(dst, np.cumsum(counts)[:-1])]
-    graph._adj = adj
-    graph._adj_sets = [set(row) for row in adj]
-    graph._num_edges = src.size // 2
-    return graph, mapping
+    pairs = rank[np.searchsorted(uniq, flat)].reshape(-1, 2)
+    return Graph(uniq.size, pairs), mapping
 
 
 def write_edge_list(graph: Graph, path: PathLike, header: bool = True) -> None:

@@ -18,12 +18,18 @@ padded to each chunk's largest count, the oracle for
 :func:`iter_edge_list` / :func:`read_edge_list_per_line` are the
 per-line edge-list loader, the oracle for the chunked numpy parser of
 :func:`repro.graphs.read_edge_list`.
+:func:`barabasi_albert_edges` is the per-draw ``rng.choice`` loop of
+Barabási–Albert growth, the oracle for
+:func:`repro.graphs.barabasi_albert`; :func:`adjacency_lists` is the
+per-edge set build of sorted neighbor lists, the oracle for the NumPy
+build behind :class:`~repro.graphs.Graph`.
 Test code only; nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
 
 import functools
+import random
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -431,3 +437,33 @@ def read_edge_list_per_line(path) -> Tuple[Graph, Dict[int, int]]:
                 mapping[x] = len(mapping)
         edges.append((mapping[u], mapping[v]))
     return Graph(len(mapping), edges), mapping
+
+
+def barabasi_albert_edges(n: int, m: int, seed) -> List[Tuple[int, int]]:
+    """Barabási–Albert edges in generation order: a star on ``m + 1``
+    nodes, then ``m`` distinct ``rng.choice`` draws from the
+    repeated-endpoint list per new node."""
+    rng = random.Random(seed)
+    edges = [(i, m) for i in range(m)]
+    repeated: List[int] = []
+    for u, v in edges:
+        repeated.append(u)
+        repeated.append(v)
+    for new_node in range(m + 1, n):
+        targets = set()
+        while len(targets) < m:
+            targets.add(rng.choice(repeated))
+        for t in targets:
+            edges.append((t, new_node))
+            repeated.append(t)
+            repeated.append(new_node)
+    return edges
+
+
+def adjacency_lists(num_nodes: int, edges) -> List[List[int]]:
+    """Sorted, deduplicated neighbor lists, one set insert per edge."""
+    sets = [set() for _ in range(num_nodes)]
+    for u, v in edges:
+        sets[u].add(v)
+        sets[v].add(u)
+    return [sorted(s) for s in sets]

@@ -4,6 +4,7 @@ batched multi-chain walk engine."""
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.core import MethodSpec, run_estimation
 from repro.exact import exact_concentrations
 from repro.graphs import (
     CSRGraph,
+    DeltaCSRGraph,
     Graph,
     GraphError,
     as_backend,
@@ -116,6 +118,19 @@ class TestStructuralParity:
             np.array([[0, 3], [1, 2]], dtype=np.uint16),
         ):
             assert CSRGraph.from_edges(edges, num_nodes=4) == expected
+
+    @pytest.mark.parametrize("bad", [(0, [1]), (1, 2, 3), (2,)], ids=["nested", "triple", "single"])
+    @pytest.mark.parametrize("entry", ["Graph", "CSRGraph.from_edges", "DeltaCSRGraph.apply"])
+    def test_ragged_pair_named(self, entry, bad):
+        """Regression: a pair that is not two scalars raised NumPy's bare
+        ``setting an array element with a sequence``."""
+        build = {
+            "Graph": lambda edges: Graph(3, edges),
+            "CSRGraph.from_edges": lambda edges: CSRGraph.from_edges(edges, num_nodes=3),
+            "DeltaCSRGraph.apply": lambda edges: DeltaCSRGraph(Graph(3)).apply(inserts=edges),
+        }[entry]
+        with pytest.raises(GraphError, match=re.escape(repr(bad))):
+            build([(0, 1), bad])
 
     def test_round_trip_and_derived(self):
         g = load_dataset("karate")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.graphs import GraphError, is_connected
@@ -22,6 +23,8 @@ from repro.graphs.generators import (
     watts_strogatz,
 )
 from repro.exact import global_clustering_coefficient
+
+from reference import adjacency_lists, barabasi_albert_edges
 
 
 class TestDeterministicClassics:
@@ -97,6 +100,20 @@ class TestRandomModels:
     def test_barabasi_albert_invalid(self):
         with pytest.raises(GraphError):
             barabasi_albert(3, 3)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    @pytest.mark.parametrize("n", ["m+1", 50, 2000])
+    def test_barabasi_albert_matches_choice_loop(self, n, m, seed):
+        # The inlined getrandbits draw must be rng.choice's, draw for draw.
+        n = m + 1 if n == "m+1" else n
+        g = barabasi_albert(n, m, seed=seed)
+        expected = adjacency_lists(n, barabasi_albert_edges(n, m, seed))
+        assert list(g.edges()) == [(u, v) for u, row in enumerate(expected) for v in row if u < v]
+        csr = g.full_access_csr()
+        assert csr.indptr.tolist() == np.cumsum([0] + [len(row) for row in expected]).tolist()
+        assert csr.indices.tolist() == [v for row in expected for v in row]
+        assert [g.neighbors(v) for v in g.nodes()] == expected
 
     def test_barabasi_albert_hub_emerges(self):
         g = barabasi_albert(300, 2, seed=5)

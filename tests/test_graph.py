@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Graph, GraphError
+from repro.graphs import CSRGraph, Graph, GraphError, barabasi_albert, read_edge_list
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph
+
+from reference import adjacency_lists
 
 
 def random_edge_lists(max_nodes: int = 12):
@@ -103,7 +108,8 @@ class TestConstruction:
         h = g.copy()
         assert g == h
         assert g is not h
-        assert g._adj is not h._adj
+        assert not np.shares_memory(g.full_access_csr().indices, h.full_access_csr().indices)
+        assert g.neighbors(0) is not h.neighbors(0)
 
 
 class TestAccessors:
@@ -185,3 +191,71 @@ class TestDerivedQuantities:
         n, edges = data
         g = Graph(n, edges)
         assert sum(g.degrees()) == 2 * g.num_edges
+
+
+class TestArrayFirst:
+    """A Graph is its CSR arrays; the Python lists and sets come later."""
+
+    # Duplicates in both orientations, out of order; every node appears,
+    # first seen in id order, so read_edge_list keeps the ids.
+    EDGES = [(0, 1), (1, 2), (2, 0), (1, 0), (3, 1), (2, 4), (4, 2), (3, 4), (1, 3)]
+
+    @given(random_edge_lists())
+    @settings(max_examples=50, deadline=None)
+    def test_lists_match_per_edge_build(self, data):
+        n, edges = data
+        assert [Graph(n, edges).neighbors(v) for v in range(n)] == adjacency_lists(n, edges)
+
+    def test_every_builder_gives_identical_arrays(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in self.EDGES))
+        graphs = [
+            Graph(5, self.EDGES),
+            Graph(5, (edge for edge in self.EDGES)),
+            Graph(5, np.array(self.EDGES)),
+            Graph.from_edges(self.EDGES),
+            read_edge_list(path)[0],
+        ]
+        csrs = [g.full_access_csr() for g in graphs] + [CSRGraph.from_edges(self.EDGES)]
+        expected = adjacency_lists(5, self.EDGES)
+        for csr in csrs:
+            assert csr.indptr.tolist() == [0, 2, 5, 8, 10, 12]
+            assert csr.indices.tolist() == [v for row in expected for v in row]
+        for g in graphs:
+            assert [g.neighbors(v) for v in g.nodes()] == expected
+
+    def test_from_graph_shares_the_arrays(self):
+        g = barabasi_albert(60, 3, seed=1)
+        csr = CSRGraph.from_graph(g)
+        assert csr is g.full_access_csr()
+        assert not csr.indices.flags.writeable and not csr.indptr.flags.writeable
+        assert CSRGraph.from_graph(g) is csr
+
+    @staticmethod
+    def built(g):
+        """Which Python views exist (an unbuilt view's slot holds a placeholder)."""
+        return type(g._adj) is list, type(g._adj_sets) is list
+
+    def test_views_are_built_on_first_scalar_use(self):
+        g = barabasi_albert(60, 3, seed=1)
+        g.degrees(), list(g.edges()), g.max_degree(), g.edge_relationship_count()
+        assert self.built(g) == (False, False)
+        assert g.neighbors(5) == g.full_access_csr().neighbors(5).tolist()
+        assert self.built(g) == (True, False)
+        assert g.has_edge(5, g.neighbors(5)[0])
+        assert self.built(g) == (True, True)
+        h = barabasi_albert(60, 3, seed=1)
+        assert h.neighbor_set(5) == set(g.neighbors(5))  # sets build the lists too
+        assert self.built(h) == (True, True)
+
+    def test_pickle_carries_the_edges_only(self):
+        g = barabasi_albert(60, 3, seed=1)
+        before = pickle.dumps(g)
+        g.neighbors(0), g.has_edge(0, 1)  # build the lists and sets
+        after = pickle.dumps(g)
+        assert before == after
+        for blob in (before, after):
+            h = pickle.loads(blob)
+            assert h == g
+            assert self.built(h) == (False, False)
+            assert [h.neighbors(v) for v in h.nodes()] == [g.neighbors(v) for v in g.nodes()]

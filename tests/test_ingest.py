@@ -214,7 +214,10 @@ class TestReadEdgeListRouting:
         chunk_graph, chunk_map = read_edge_list(source)
         assert chunk_graph == legacy_graph
         assert chunk_map == legacy_map
-        assert chunk_graph._adj == legacy_graph._adj  # byte-identical order
+        # byte-identical order
+        assert list(map(chunk_graph.neighbors, chunk_graph.nodes())) == list(
+            map(legacy_graph.neighbors, legacy_graph.nodes())
+        )
 
     def test_malformed_raises_both_routes(self, tmp_path):
         source = _write(tmp_path / "m.txt", "1 2\n42\n")

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.graphs import DeltaCSRGraph, Graph, GraphError, barabasi_albert
 from repro.streaming import ContinuousSession, EdgeStreamSpec, StreamError
 
@@ -59,6 +60,21 @@ class TestEdgeStream:
         assert len(builds) == 1
         spec.churned_graph()
         assert len(builds) == 2
+
+    def test_monitor_builds_base_once(self, monkeypatch, capsys):
+        builds = []
+        build = EdgeStreamSpec.base_graph
+
+        def counting(spec):
+            builds.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(EdgeStreamSpec, "base_graph", counting)
+        argv = ["monitor", "--source", SMOKE["graph"], "--batches", "2", "--churn", "4",
+                "--chains", "2", "--refresh-steps", "200"]
+        assert main(argv) == 0
+        assert len(builds) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 3  # warm-up + 2 batches
 
     def test_net_edge_count_conserved(self):
         spec = EdgeStreamSpec(**SMOKE)  # equal churn in and out
