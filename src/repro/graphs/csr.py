@@ -100,13 +100,15 @@ def _build(num_nodes: int, edges: Iterable[Edge]) -> "CSRGraph":
         i = int(np.argmax(loops))
         raise GraphError(f"self-loop ({u[i]}, {v[i]}) not allowed in a simple graph")
     # Negative ids wrap to huge unsigned values: one test per bound.
-    outside = (pairs.view(np.uint64) >= n).any(axis=1)
+    outside = pairs.view(np.uint64) >= n
     if outside.any():
-        i = int(np.argmax(outside))
+        i = int(np.argmax(outside.any(axis=1)))
         raise GraphError(f"edge ({u[i]}, {v[i]}) out of range for num_nodes={n}")
     keys = np.concatenate((u * n + v, v * n + u))
     keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) > 0]  # sorted: a repeat differs by 0
+    first = np.ones(keys.size, dtype=bool)  # sorted: a repeat equals its predecessor
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    keys = keys[first]
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     indices = keys % n
     indptr.flags.writeable = indices.flags.writeable = False

@@ -117,8 +117,7 @@ class Graph:
 
     def _lists(self) -> List[List[int]]:
         """Build the sorted neighbor lists from the CSR rows (first use)."""
-        # One int object per node id, shared by every row that holds it:
-        # 2m fresh ints would cost allocations and cache misses.
+        # One shared int object per node id, not 2m fresh ones: less memory, fewer misses.
         ids = np.arange(self.num_nodes, dtype=object)
         flat, bounds = ids[self._csr.indices].tolist(), self._csr.indptr.tolist()
         adj = self._adj = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -126,8 +125,7 @@ class Graph:
 
     def _sets(self) -> List[Set[int]]:
         """Build the neighbor sets from the neighbor lists (first use)."""
-        adj = self._lists() if isinstance(self._adj, _FirstUse) else self._adj
-        sets = self._adj_sets = [set(row) for row in adj]
+        sets = self._adj_sets = [set(self.neighbors(v)) for v in self.nodes()]
         return sets
 
     # ------------------------------------------------------------------
