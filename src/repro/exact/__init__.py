@@ -18,7 +18,6 @@ from .triads import (
     global_clustering_coefficient,
     triad_census,
     triangle_count,
-    triangle_count_python,
     triangles_per_edge,
     triangles_per_node,
     wedge_count,
@@ -94,7 +93,6 @@ __all__ = [
     "noninduced_four_counts",
     "triad_census",
     "triangle_count",
-    "triangle_count_python",
     "triangles_per_edge",
     "triangles_per_node",
     "wedge_count",

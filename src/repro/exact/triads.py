@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..graphs.csr import CSRGraph
+from ..graphs.csr import CSRGraph, sorted_unique
 from ..graphs.shared import published
 
 #: Probe budget per vectorized intersection chunk; bounds the scratch
@@ -179,7 +179,7 @@ def _work_blocks(work: np.ndarray, num_blocks: int) -> List[Tuple[int, int]]:
     total = int(csum[-1])
     targets = (np.arange(1, num_blocks, dtype=np.int64) * total) // num_blocks
     cuts = np.searchsorted(csum, targets, side="left")
-    bounds = np.unique(np.concatenate([[0], cuts, [work.size]]))
+    bounds = sorted_unique(np.concatenate([[0], cuts, [work.size]]))
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
@@ -231,7 +231,7 @@ def triad_census(graph, *, jobs: int = 1, chunk: int = TRI_CHUNK) -> TriadCensus
     ``jobs > 1`` fans work-balanced canonical-edge blocks over a process
     pool; results are integers summed in deterministic block order, so
     ``jobs=N`` is exactly ``jobs=1`` — verified in the test suite
-    together with the legacy Python reference.
+    together with a pure-Python reference count.
     """
     csr = _as_csr(graph)
     degs = csr.degrees_array
@@ -267,24 +267,10 @@ def triad_census(graph, *, jobs: int = 1, chunk: int = TRI_CHUNK) -> TriadCensus
 
 
 # ----------------------------------------------------------------------
-# Public per-statistic API (CSR fast paths; the legacy loop is kept as
-# the cross-validation reference)
+# Public per-statistic API (CSR fast paths)
 # ----------------------------------------------------------------------
 def _as_csr(graph) -> CSRGraph:
     return graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-
-
-def triangle_count_python(graph) -> int:
-    """Legacy pure-Python triangle count (ordered neighbor-intersection,
-    compact node-iterator).  The vectorized census is validated against
-    this bit-for-bit."""
-    count = 0
-    for u in graph.nodes():
-        higher = [v for v in graph.neighbors(u) if v > u]
-        for i, v in enumerate(higher):
-            v_set = graph.neighbor_set(v)
-            count += sum(1 for w in higher[i + 1 :] if w in v_set)
-    return count
 
 
 def triangle_count(graph, *, jobs: int = 1) -> int:

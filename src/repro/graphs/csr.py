@@ -47,6 +47,24 @@ _NEIGHBOR_SET_CACHE_CAP = 1 << 16
 
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
+#: Rows per block of :meth:`CSRGraph.edges`: bounds what one step of the
+#: iterator reads of a disk-backed graph.
+_EDGE_BLOCK_ROWS = 1 << 12
+
+
+def sorted_unique(values) -> np.ndarray:
+    """The sorted distinct values of ``values``, flattened, like a plain
+    ``np.unique(values)``, but by one sort and a mask: NumPy 2's plain
+    ``np.unique`` hashes, which is many times slower on integer keys."""
+    return _drop_repeats(np.sort(values, axis=None))
+
+
+def _drop_repeats(keys: np.ndarray) -> np.ndarray:
+    """A sorted 1-D array without its repeats."""
+    first = np.ones(keys.size, dtype=bool)  # sorted: a repeat equals its predecessor
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
+
 
 def _edge_array(edges: Iterable[Edge], label: str) -> np.ndarray:
     """A batch of ``(u, v)`` pairs as an ``(m, 2)`` ``int64`` array.
@@ -105,10 +123,8 @@ def _build(num_nodes: int, edges: Iterable[Edge]) -> "CSRGraph":
         i = int(np.argmax(outside.any(axis=1)))
         raise GraphError(f"edge ({u[i]}, {v[i]}) out of range for num_nodes={n}")
     keys = np.concatenate((u * n + v, v * n + u))
-    keys.sort()
-    first = np.ones(keys.size, dtype=bool)  # sorted: a repeat equals its predecessor
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    keys = keys[first]
+    keys.sort()  # in place: a build's largest array is not copied
+    keys = _drop_repeats(keys)
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     indices = keys % n
     indptr.flags.writeable = indices.flags.writeable = False
@@ -197,12 +213,18 @@ class CSRGraph:
         """Materialize back into the list backend."""
         return Graph(self.num_nodes, self._edge_pairs())
 
+    def _edge_block(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The edges of rows ``lo`` to ``hi`` once, as sorted ``(u, v)``
+        columns with ``u < v``."""
+        indptr = self.indptr
+        cols = np.asarray(self.indices[indptr[lo] : indptr[hi]])
+        rows = np.repeat(np.arange(lo, hi, dtype=np.int64), self.degrees_array[lo:hi])
+        upper = rows < cols
+        return rows[upper], cols[upper]
+
     def _edge_pairs(self) -> np.ndarray:
         """Every edge once, as ``(u, v)`` rows with ``u < v``, sorted."""
-        indices = self.indices
-        rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees_array)
-        upper = rows < indices
-        return np.column_stack((rows[upper], indices[upper]))
+        return np.column_stack(self._edge_block(0, self.num_nodes))
 
     def full_access_csr(self) -> "CSRGraph":
         """The CSR form the vectorized window pipeline probes: itself."""
@@ -226,12 +248,18 @@ class CSRGraph:
         return range(self.num_nodes)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate edges as ``(u, v)`` with ``u < v``, sorted."""
-        indptr, indices = self.indptr, self.indices
-        for u in range(self.num_nodes):
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if u < v:
-                    yield (u, int(v))
+        """Iterate edges as ``(u, v)`` Python ints with ``u < v``, sorted.
+        Lazy: a block of rows is read at a time."""
+        return chain.from_iterable(
+            map(self._edge_tuples, range(0, self.num_nodes, _EDGE_BLOCK_ROWS))
+        )
+
+    def _edge_tuples(self, lo: int) -> Iterator[Edge]:
+        """The edges of the row block at ``lo``.  A row's edges share one
+        int object for ``u``, which keeps a materialized edge list small."""
+        hi = min(lo + _EDGE_BLOCK_ROWS, self.num_nodes)
+        rows, cols = self._edge_block(lo, hi)
+        return zip(np.arange(lo, hi, dtype=object)[rows - lo].tolist(), cols.tolist())
 
     def degree(self, v: int) -> int:
         """Degree of node ``v``."""

@@ -49,7 +49,7 @@ from typing import Iterable, Tuple
 import numpy as np
 
 from .graph import Edge, GraphError
-from .csr import CSRGraph, _edge_array, _probe_ids
+from .csr import CSRGraph, _edge_array, _probe_ids, sorted_unique
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -155,7 +155,7 @@ class DeltaCSRGraph(CSRGraph):
         ins_keys = ins[:, 0] * stride + ins[:, 1]
         del_keys = dels[:, 0] * stride + dels[:, 1]
         for keys, label in ((ins_keys, "inserts"), (del_keys, "deletes")):
-            if np.unique(keys).size != keys.size:
+            if sorted_unique(keys).size != keys.size:
                 raise GraphError(f"{label} batch contains duplicate edges")
         clash = np.intersect1d(ins_keys, del_keys)
         if clash.size:

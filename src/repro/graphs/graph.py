@@ -147,8 +147,7 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate edges as ``(u, v)`` with ``u < v``, sorted."""
-        pairs, ids = self._csr._edge_pairs(), np.arange(self.num_nodes, dtype=object)
-        return zip(ids[pairs[:, 0]].tolist(), ids[pairs[:, 1]].tolist())
+        return self._csr.edges()
 
     def full_access_csr(self):
         """This graph as a :class:`~repro.graphs.CSRGraph`: the arrays it

@@ -57,6 +57,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from .csr import sorted_unique
 from .graph import GraphError
 from .mmap import write_array, write_header
 
@@ -477,10 +478,10 @@ def ingest_edge_list(
                     bitmap[u] = True
                     bitmap[v] = True
                 else:
-                    node_chunks.append(np.unique(np.concatenate([u, v])))
+                    node_chunks.append(sorted_unique(np.concatenate([u, v])))
                     node_words += node_chunks[-1].size
                     if node_words > compact_cap and len(node_chunks) > 1:
-                        node_chunks = [np.unique(np.concatenate(node_chunks))]
+                        node_chunks = [sorted_unique(np.concatenate(node_chunks))]
                         node_words = node_chunks[0].size
         for run_path in runs.paths:
             run_path.unlink()
@@ -497,7 +498,7 @@ def ingest_edge_list(
 
         else:
             if node_chunks:
-                nodes = np.unique(np.concatenate(node_chunks))
+                nodes = sorted_unique(np.concatenate(node_chunks))
             else:
                 nodes = np.empty(0, dtype=np.int64)
             n = int(nodes.size)

@@ -26,15 +26,18 @@ A request becomes one or more **parts**:
   answer is bit-identical to the *serial* multi-chain reference while
   the chains actually run in parallel across workers.
 
-Dispatch is pull-based: the collector thread hands exactly one part to
-an idle worker at a time over that worker's private queue, so a dead
-worker can forfeit at most one part.  Worker death is detected by the
-collector, the in-flight part is requeued with a bumped ``attempt``
-counter (stale frames from the dead incarnation are dropped — execution
-stays at-most-once per chain seed, so results remain deterministic), and
-a replacement worker is spawned.  Requests carry optional deadlines
-(the final snapshot is the last progressive answer, flagged
-``timed_out``) and an optional declarative stopping ``target``
+Each worker talks to the daemon over one private duplex connection:
+tasks, cancels and pills go in on it, frames come out on it, and no lock
+or queue is shared between workers.  Dispatch is pull-based: the
+collector thread hands exactly one part to an idle worker at a time, so
+a dead worker can forfeit at most one part.  A worker's death reads as
+end-of-file on its connection, after every frame it sent has been
+routed; the collector then requeues the in-flight part with a bumped
+``attempt`` counter (stale frames from the dead incarnation are dropped
+— execution stays at-most-once per chain seed, so results remain
+deterministic) and spawns a replacement worker.  Requests carry
+optional deadlines (the final snapshot is the last progressive answer,
+flagged ``timed_out``) and an optional declarative stopping ``target``
 (:mod:`repro.core.stopping`), evaluated on every progressive snapshot;
 ``method="auto"`` resolves through :mod:`repro.estimators.selector`
 before parts are built.  A request that early-stops or is cancelled
@@ -82,6 +85,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import replace
+from multiprocessing.connection import Connection, wait
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -103,8 +107,8 @@ from .messages import (
 )
 from .worker import worker_main
 
-#: How long the collector sleeps waiting for worker frames before doing
-#: its liveness / deadline sweep (seconds).
+#: How long the collector waits for worker frames before doing its
+#: deadline sweep and stop check (seconds).
 _POLL_SECONDS = 0.02
 
 #: Grace period for workers to drain their shutdown pill before being
@@ -119,16 +123,14 @@ def _default_workers() -> int:
 class _Worker:
     """Daemon-side bookkeeping for one worker process."""
 
-    __slots__ = ("id", "process", "tasks", "control", "idle", "inflight", "retired")
+    __slots__ = ("process", "conn", "idle", "inflight", "retired")
 
-    def __init__(self, wid, process, tasks, control):
-        self.id = wid
+    def __init__(self, process, conn):
         self.process = process
-        self.tasks = tasks          # daemon -> worker task queue
-        self.control = control      # daemon -> worker cancel pipe (send end)
-        self.idle = False           # becomes True on the worker's "ready"
+        self.conn = conn            # the daemon's end of the worker's pipe
+        self.idle = True            # tasks wait in the pipe until it attaches
         self.inflight: Optional[Tuple[str, int, int]] = None  # (rid, part, attempt)
-        self.retired = False
+        self.retired = False        # pilled by a republish: no new tasks
 
 
 class _Part:
@@ -267,8 +269,7 @@ class Daemon:
         self._max_pending = max_pending
         self._ctx = multiprocessing.get_context(start_method)
         self._shared: Optional[SharedCSRGraph] = None
-        self._results = None
-        self._workers: Dict[int, _Worker] = {}
+        self._workers: Dict[Connection, _Worker] = {}
         self._worker_ids = itertools.count()
         self._request_ids = itertools.count(1)
         self._requests: Dict[str, _RequestState] = {}
@@ -303,7 +304,6 @@ class Daemon:
             return self
         self._shared = self._csr.to_shared()
         atexit.register(self._atexit_cleanup)
-        self._results = self._ctx.Queue()
         for _ in range(self._num_workers):
             self._spawn_worker()
         self._collector = threading.Thread(
@@ -313,30 +313,24 @@ class Daemon:
         self._started = True
         return self
 
-    def _spawn_worker(self) -> _Worker:
-        wid = next(self._worker_ids)
-        tasks = self._ctx.SimpleQueue()
-        control_recv, control_send = self._ctx.Pipe(duplex=False)
+    def _spawn_worker(self) -> None:
+        conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
-            args=(wid, self._shared.handle, tasks, self._results, control_recv),
-            name=f"repro-service-worker-{wid}",
+            args=(self._shared.handle, child_conn),
+            name=f"repro-service-worker-{next(self._worker_ids)}",
             daemon=True,
         )
         process.start()
-        control_recv.close()  # the worker holds the receiving end now
-        worker = _Worker(wid, process, tasks, control_send)
-        self._workers[wid] = worker
-        return worker
+        # The worker holds the only other end now, so its death (or a
+        # frame it was killed halfway through) reads as end-of-file.
+        child_conn.close()
+        self._workers[conn] = _Worker(process, conn)
 
     def worker_pids(self) -> List[int]:
-        """PIDs of live workers (fault-injection tests kill these)."""
+        """PIDs of the serving pool (fault-injection tests kill these)."""
         with self._lock:
-            return [
-                w.process.pid
-                for w in self._workers.values()
-                if not w.retired and w.process.is_alive()
-            ]
+            return [w.process.pid for w in self._workers.values() if not w.retired]
 
     def stats(self) -> dict:
         """Small introspection dict (also served over ``ping``)."""
@@ -402,8 +396,8 @@ class Daemon:
         Old workers get a poison pill after their current part: a busy
         worker finishes the part it holds against the old (unlinked but
         still mapped) segment, then exits.  A retired worker that dies
-        mid-part is caught by :meth:`_reap_dead_workers`, which requeues
-        the part for the new pool without respawning the old one.
+        mid-part is caught by :meth:`_reap`, which requeues the part for
+        the new pool without respawning the old one.
         """
         old_shared, old_owned = self._shared, self._owns_segment
         self._shared = csr.to_shared()
@@ -413,10 +407,7 @@ class Daemon:
                 continue
             worker.retired = True
             worker.idle = False
-            try:
-                worker.tasks.put(None)
-            except Exception:  # pragma: no cover - dying worker queue
-                pass
+            self._send(worker, None)
         for _ in range(self._num_workers):
             self._spawn_worker()
         if old_shared is not None and old_owned:
@@ -439,21 +430,15 @@ class Daemon:
         if self._collector is not None:
             self._collector.join(timeout=_SHUTDOWN_GRACE + 3)
         for worker in self._workers.values():
-            if worker.retired:
-                continue
-            try:
-                worker.tasks.put(None)
-            except Exception:
-                pass
+            if not worker.retired:
+                self._send(worker, None)
         deadline = time.monotonic() + _SHUTDOWN_GRACE
         for worker in self._workers.values():
             worker.process.join(timeout=max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=1.0)
-        if self._results is not None:
-            self._results.close()
-            self._results.cancel_join_thread()
+            worker.conn.close()
         if self._owns_segment:
             self._shared.close()
             self._shared.unlink()
@@ -564,43 +549,36 @@ class Daemon:
                 )
 
     # ------------------------------------------------------------------
-    # Collector: routing, liveness, deadlines (single thread)
+    # Collector: routing, worker deaths, deadlines (single thread)
     # ------------------------------------------------------------------
     def _collect(self) -> None:
         while not self._stop.is_set():
-            frame = None
-            try:
-                frame = self._results.get(timeout=_POLL_SECONDS)
-            except (queue_module.Empty, OSError, EOFError, ValueError):
-                pass
             with self._lock:
-                if frame is not None:
-                    self._route(frame)
-                    # Drain whatever else already arrived in this tick.
-                    while True:
-                        try:
-                            self._route(self._results.get_nowait())
-                        except (queue_module.Empty, OSError, EOFError, ValueError):
-                            break
-                self._reap_dead_workers()
+                conns = list(self._workers)
+            readable = wait(conns, timeout=_POLL_SECONDS)
+            with self._lock:
+                for conn in readable:
+                    worker = self._workers[conn]
+                    try:
+                        while conn.poll():
+                            self._route(worker, conn.recv())
+                    except (EOFError, OSError):
+                        self._reap(worker)
                 self._enforce_deadlines()
                 self._dispatch()
 
-    def _route(self, frame) -> None:
-        kind, wid = frame[0], frame[1]
-        worker = self._workers.get(wid)
-        if kind == "ready":
-            if worker is not None and not worker.retired:
-                worker.idle = True
-            return
-        if kind == "stopped":
-            if worker is not None:
-                worker.retired = True
-                worker.idle = False
-            return
-        request_id, attempt, part_index = frame[2], frame[3], frame[4]
-        if kind in ("done", "error", "skipped") and worker is not None:
-            worker.idle = True
+    def _send(self, worker: _Worker, message) -> None:
+        """Send on a worker's pipe (lock held); a dead worker's broken
+        pipe is left for the collector, which reads its end-of-file."""
+        try:
+            worker.conn.send(message)
+        except OSError:
+            pass
+
+    def _route(self, worker: _Worker, frame) -> None:
+        kind, request_id, attempt, part_index = frame[:4]
+        if kind != "partial":
+            worker.idle = not worker.retired
             worker.inflight = None
         state = self._requests.get(request_id)
         if state is None or state.finished:
@@ -609,13 +587,13 @@ class Daemon:
         if attempt != part.attempt:
             return  # stale frame from a pre-requeue incarnation
         if kind == "partial":
-            part.latest = frame[5]
-            part.steps = frame[5].steps
+            part.latest = frame[4]
+            part.steps = frame[4].steps
             self._emit_progress(state)
         elif kind == "done":
-            part.final = frame[5]
-            part.latest = frame[5]
-            part.steps = frame[5].steps
+            part.final = frame[4]
+            part.latest = frame[4]
+            part.steps = frame[4].steps
             if all(p.final is not None for p in state.parts):
                 if self._maybe_extend(state):
                     self._emit_progress(state)
@@ -624,43 +602,36 @@ class Daemon:
             else:
                 self._emit_progress(state)
         elif kind == "error":
-            self._finalize(state, error=frame[5])
+            self._finalize(state, error=frame[4])
 
-    def _reap_dead_workers(self) -> None:
-        # A retired worker (pilled by a republish) still holds its
-        # in-flight part until it finishes or dies; if it dies, the part
-        # must be requeued for the new pool — but the old pool must not
-        # be respawned.
-        dead = [
-            w
-            for w in self._workers.values()
-            if not w.process.is_alive()
-            and (not w.retired or w.inflight is not None)
-        ]
-        for worker in dead:
-            was_retired = worker.retired
-            worker.retired = True
-            worker.idle = False
-            if worker.inflight is not None:
-                request_id, part_index, attempt = worker.inflight
-                worker.inflight = None
-                state = self._requests.get(request_id)
-                if state is not None and not state.finished:
-                    part = state.parts[part_index]
-                    if part.attempt == attempt and part.final is None:
-                        # Forget the dead incarnation's partial progress so
-                        # the retry replays the identical chain from step 0
-                        # (at-most-once per chain seed).  Its walked steps
-                        # stay on the books as spent compute, so a later
-                        # release cannot bank them as unused budget.
-                        part.dead_steps += part.steps
-                        part.attempt += 1
-                        part.latest = None
-                        part.steps = 0
-                        state.requeues += 1
-                        self._pending.appendleft((request_id, part_index))
-            if not was_retired and not self._stop.is_set() and not self._closed:
-                self._spawn_worker()
+    def _reap(self, worker: _Worker) -> None:
+        """Forget a worker whose pipe hit end-of-file (lock held).
+
+        Every frame it sent has been routed by now.  A part it still
+        held is requeued; a retired worker (pilled by a republish) is not
+        respawned, since its pool has been replaced.
+        """
+        worker.conn.close()
+        del self._workers[worker.conn]
+        if worker.inflight is not None:
+            request_id, part_index, attempt = worker.inflight
+            state = self._requests.get(request_id)
+            if state is not None and not state.finished:
+                part = state.parts[part_index]
+                if part.attempt == attempt and part.final is None:
+                    # Forget the dead incarnation's partial progress so
+                    # the retry replays the identical chain from step 0
+                    # (at-most-once per chain seed).  Its walked steps
+                    # stay on the books as spent compute, so a later
+                    # release cannot bank them as unused budget.
+                    part.dead_steps += part.steps
+                    part.attempt += 1
+                    part.latest = None
+                    part.steps = 0
+                    state.requeues += 1
+                    self._pending.appendleft((request_id, part_index))
+        if not worker.retired and not self._stop.is_set() and not self._closed:
+            self._spawn_worker()
 
     def _enforce_deadlines(self) -> None:
         now = time.monotonic()
@@ -673,11 +644,7 @@ class Daemon:
                 self._finalize(state, timed_out=True)
 
     def _dispatch(self) -> None:
-        idle = [
-            w
-            for w in self._workers.values()
-            if w.idle and not w.retired and w.process.is_alive()
-        ]
+        idle = [w for w in self._workers.values() if w.idle]
         while idle and self._pending:
             request_id, part_index = self._pending.popleft()
             state = self._requests.get(request_id)
@@ -687,14 +654,15 @@ class Daemon:
             worker = idle.pop()
             worker.idle = False
             worker.inflight = (request_id, part_index, part.attempt)
-            worker.tasks.put(
+            self._send(
+                worker,
                 (
                     request_id,
                     part.attempt,
                     part_index,
                     part.config,
                     state.request.effective_snapshot_steps(),
-                )
+                ),
             )
 
     # ------------------------------------------------------------------
@@ -884,14 +852,11 @@ class Daemon:
         state.final_snapshot = snapshot
         state.snapshots.put(snapshot)
         state.done.set()
-        # Cancel whatever is still queued or running for this request.
-        if any(p.final is None for p in state.parts):
-            for worker in self._workers.values():
-                if not worker.retired:
-                    try:
-                        worker.control.send(state.id)
-                    except (OSError, BrokenPipeError):
-                        pass
+        # Stop the workers still running a part of this request; its
+        # queued parts are skipped at dispatch.
+        for worker in self._workers.values():
+            if worker.inflight is not None and worker.inflight[0] == state.id:
+                self._send(worker, state.id)
         try:
             self._slots.release()
         except ValueError:  # pragma: no cover - defensive double-release

@@ -3,7 +3,7 @@
 Everything that crosses a process or socket boundary lives here:
 :class:`EstimateRequest` (what a caller wants), :class:`Snapshot` (the
 any-time answer stream), and the service's exception hierarchy.  All of
-them are plain picklable objects — the daemon's queues, the Unix-socket
+them are plain picklable objects — the daemon's worker pipes, the Unix-socket
 protocol and the client facade all ship them verbatim, so a snapshot's
 :class:`~repro.core.result.Estimate` arrives bit-exact (no JSON detour).
 """

@@ -48,6 +48,7 @@ from ..core.estimator import (
 from ..core.result import Estimate
 from ..core.session import Session
 from ..core.stopping import as_stopping_spec
+from ..graphs.csr import sorted_unique
 from ..graphs.delta import DeltaCSRGraph
 from ..relgraph.spaces import WalkSpaceError, walk_space
 from ..walks.batched import BatchedWalkEngine
@@ -258,7 +259,7 @@ class ContinuousSession(Session):
             return UpdateReport(
                 version=version, touched=(), inserts=len(ins), deletes=len(dels)
             )
-        endpoints = np.unique(np.asarray(ins + dels, dtype=np.int64))
+        endpoints = sorted_unique(np.asarray(ins + dels, dtype=np.int64))
         hit = np.isin(self._carried, endpoints)
         if self._carried.ndim == 2:
             hit = hit.any(axis=1)

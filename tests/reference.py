@@ -23,6 +23,10 @@ Barabási–Albert growth, the oracle for
 :func:`repro.graphs.barabasi_albert`; :func:`adjacency_lists` is the
 per-edge set build of sorted neighbor lists, the oracle for the NumPy
 build behind :class:`~repro.graphs.Graph`.
+:func:`csr_edges_per_edge` is the per-edge walk over CSR rows, the oracle
+for the row-block :meth:`repro.graphs.CSRGraph.edges`, and
+:func:`triangle_count_python` the ordered neighbor-intersection triangle
+count, the oracle for :func:`repro.exact.triad_census`.
 Test code only; nothing in ``src/`` imports it.
 """
 
@@ -467,3 +471,25 @@ def adjacency_lists(num_nodes: int, edges) -> List[List[int]]:
         sets[u].add(v)
         sets[v].add(u)
     return [sorted(s) for s in sets]
+
+
+def csr_edges_per_edge(graph) -> Iterator[Tuple[int, int]]:
+    """Every edge once as ``(u, v)`` with ``u < v``, sorted, one CSR
+    entry at a time."""
+    indptr, indices = graph.indptr, graph.indices
+    for u in range(graph.num_nodes):
+        for v in indices[indptr[u] : indptr[u + 1]]:
+            if u < v:
+                yield (u, int(v))
+
+
+def triangle_count_python(graph) -> int:
+    """Triangles by ordered neighbor intersection (compact node-iterator):
+    each triangle counted once, at its smallest node."""
+    count = 0
+    for u in graph.nodes():
+        higher = [v for v in graph.neighbors(u) if v > u]
+        for i, v in enumerate(higher):
+            v_set = graph.neighbor_set(v)
+            count += sum(1 for w in higher[i + 1 :] if w in v_set)
+    return count

@@ -22,6 +22,7 @@ from repro.graphs import (
     barabasi_albert,
     load_dataset,
 )
+from repro.graphs.csr import sorted_unique
 from repro.relgraph.spaces import walk_space
 from repro.walks import (
     BatchedWalkEngine,
@@ -29,6 +30,8 @@ from repro.walks import (
     make_engine,
     make_walk,
 )
+
+from reference import csr_edges_per_edge
 
 
 def random_graphs():
@@ -206,6 +209,49 @@ class TestStructuralParity:
         iso = CSRGraph.from_graph(Graph(3, [(0, 1)]))
         assert iso.degree(2) == 0
         assert list(iso.neighbors(2)) == []
+
+
+class TestEdgesAndUnique:
+    """``edges()`` (row blocks, every backend) and ``sorted_unique``
+    against their one-at-a-time oracles."""
+
+    @pytest.mark.parametrize("backend", ["list", "csr", "delta", "mmap"])
+    @pytest.mark.parametrize("n, m", [(1, 1), (30, 2), (9000, 3)])
+    def test_edges_match_the_per_edge_walk(self, tmp_path, backend, n, m):
+        from repro.graphs import MmapCSRGraph
+
+        graph = barabasi_albert(n, m, seed=5) if n > m else Graph(n)
+        csr = CSRGraph.from_graph(graph)
+        if backend == "csr":
+            graph = csr
+        elif backend == "delta":
+            graph = DeltaCSRGraph(csr)
+            if csr.num_edges:  # one pending delete and one pending insert
+                absent = next((0, v) for v in range(1, n) if not csr.has_edge(0, v))
+                graph.apply(inserts=[absent], deletes=[next(csr.edges())])
+        elif backend == "mmap":
+            csr.save(tmp_path / "g")
+            graph = MmapCSRGraph.load(tmp_path / "g")
+        got = list(graph.edges())
+        assert got == list(csr_edges_per_edge(graph.full_access_csr()))
+        assert len(got) == graph.num_edges
+        assert all(type(u) is int and type(v) is int for u, v in got)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [3],
+            [5, 5, 5],
+            [[4, 1], [1, 9], [9, 4]],
+            np.random.default_rng(0).integers(-50, 50, size=(40, 3)),
+            np.random.default_rng(1).integers(0, 1 << 40, size=20_000),
+        ],
+    )
+    def test_sorted_unique_is_plain_np_unique(self, values):
+        want = np.unique(np.asarray(values, dtype=np.int64))
+        got = sorted_unique(np.asarray(values, dtype=np.int64))
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 class TestEstimationParity:

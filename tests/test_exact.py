@@ -27,7 +27,6 @@ from repro.exact import (
     noninduced_four_counts,
     triad_census,
     triangle_count,
-    triangle_count_python,
     triangles_per_edge,
     triangles_per_node,
     wedge_count,
@@ -40,6 +39,8 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
+
+from reference import triangle_count_python
 
 
 def random_graphs():
