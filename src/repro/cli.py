@@ -564,18 +564,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=BACKENDS,
-        help="graph storage backend (csr enables vectorized multi-chain "
-        "walks for every G(d), including SRW3/SRW4/PSRW; delta wraps the graph in an updatable overlay with the same "
+        help="graph backend, which picks the walker family (list: Python "
+        "scalar views and one serial walker per chain; csr: the batched "
+        "multi-chain engine for every G(d), including SRW3/SRW4/PSRW; "
+        "delta wraps the graph in an updatable overlay with the same "
         "fast paths; mmap serves the CSR arrays from disk-backed "
-        "memory maps — same results bit-for-bit, bounded RAM)",
+        "memory maps — same results as csr bit-for-bit, bounded RAM)",
     )
     p.add_argument(
         "--chains",
         type=int,
         default=1,
         help="independent walk chains to split the step budget over "
-        "(without --backend csr the chains run serially and a "
-        "fallback warning is printed once)",
+        "(on a list graph, the bundled datasets' default, each chain "
+        "runs its own serial walker and a fallback warning is printed "
+        "once; --backend csr batches them)",
     )
     _add_target_arguments(p)
     p.set_defaults(func=cmd_estimate)

@@ -66,8 +66,13 @@ class EstimationConfig:
     seed_node:
         Walk/crawl starting node, where applicable.
     backend:
-        Storage backend conversion applied before the run (``None`` keeps
-        the graph as passed; see :func:`repro.graphs.as_backend`).
+        Backend conversion applied before the run (``None`` keeps the
+        graph as passed; see :func:`repro.graphs.as_backend`).  Every
+        in-memory graph stores the same CSR arrays, so the backend picks
+        the walker family: ``"list"`` is a :class:`~repro.graphs.Graph`,
+        with Python scalar views and one serial walker per chain;
+        ``"csr"`` is a plain :class:`~repro.graphs.CSRGraph`, whose chains
+        run on the batched engine.
     chains:
         Independent chains the budget is split over (SRW family).
     burn_in:

@@ -233,7 +233,7 @@ def triad_census(graph, *, jobs: int = 1, chunk: int = TRI_CHUNK) -> TriadCensus
     ``jobs=N`` is exactly ``jobs=1`` — verified in the test suite
     together with a pure-Python reference count.
     """
-    csr = _as_csr(graph)
+    csr = CSRGraph.from_graph(graph)
     degs = csr.degrees_array
     wedges = int((degs * (degs - 1) // 2).sum())
     indptr = np.asarray(csr.indptr, dtype=np.int64)
@@ -269,10 +269,6 @@ def triad_census(graph, *, jobs: int = 1, chunk: int = TRI_CHUNK) -> TriadCensus
 # ----------------------------------------------------------------------
 # Public per-statistic API (CSR fast paths)
 # ----------------------------------------------------------------------
-def _as_csr(graph) -> CSRGraph:
-    return graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
-
-
 def triangle_count(graph, *, jobs: int = 1) -> int:
     """Number of triangles (blocked CSR census; see :func:`triad_census`)."""
     return triad_census(graph, jobs=jobs).triangles
@@ -286,13 +282,13 @@ def triangles_per_edge(graph) -> np.ndarray:
     directed-edge order as the fused walk kernel's triangle table.  Each
     undirected edge appears twice, so the array sums to ``6 * triangles``.
     """
-    csr = _as_csr(graph)
+    csr = CSRGraph.from_graph(graph)
     return edge_triangle_counts(csr.indptr, csr.indices)
 
 
 def triangles_per_node(graph) -> List[int]:
     """Number of triangles incident to each node."""
-    csr = _as_csr(graph)
+    csr = CSRGraph.from_graph(graph)
     tri = edge_triangle_counts(csr.indptr, csr.indices)
     n = csr.num_nodes
     if tri.size == 0:
@@ -307,11 +303,7 @@ def triangles_per_node(graph) -> List[int]:
 def wedge_count(graph) -> int:
     """Total number of wedges (paths of length 2, closed or open):
     ``sum_v C(d_v, 2)``."""
-    degs = getattr(graph, "degrees_array", None)
-    if degs is not None:
-        degs = np.asarray(degs, dtype=np.int64)
-        return int((degs * (degs - 1) // 2).sum())
-    return sum(d * (d - 1) // 2 for d in graph.degrees())
+    return CSRGraph.from_graph(graph).edge_relationship_count()
 
 
 def exact_triad_counts(graph, *, jobs: int = 1) -> Dict[int, int]:

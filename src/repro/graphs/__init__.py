@@ -1,7 +1,7 @@
 """Graph substrate: core graph type, generators, I/O, access models."""
 
 from .access import AccessViolation, RestrictedGraph
-from .csr import BACKENDS, CSRGraph, as_backend
+from .csr import BACKENDS, CSRGraph, Edge, GraphError, as_backend
 from .delta import DeltaCSRGraph
 from .ingest import IngestReport, ingest_edge_list
 from .mmap import MmapCSRGraph, is_mmap_dir, save_csr, to_mmap
@@ -36,7 +36,7 @@ from .generators import (
     star_graph,
     watts_strogatz,
 )
-from .graph import Edge, Graph, GraphError
+from .graph import Graph
 from .stats import (
     GraphSummary,
     average_degree,

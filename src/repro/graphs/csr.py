@@ -1,45 +1,72 @@
-"""CSR (compressed sparse row) graph backend.
+"""CSR (compressed sparse row) graph storage.
 
-:class:`CSRGraph` stores the adjacency structure of a simple undirected
-graph in two NumPy arrays — ``indptr`` (length ``n + 1``) and ``indices``
-(length ``2m``, each row sorted ascending) — the classic CSR layout used by
-scientific sparse-matrix kernels and by locality-aware graph systems.  It
-is a drop-in *read-only* replacement for :class:`~repro.graphs.Graph`: the
-walk spaces, estimators and baselines only call ``neighbors`` /
-``neighbor_set`` / ``degree`` / ``has_edge``, all of which CSR provides.
+:class:`CSRGraph` is the one in-memory storage class of the library: a
+simple undirected graph with node ids ``0 .. n-1`` held in two NumPy
+arrays — ``indptr`` (length ``n + 1``) and ``indices`` (length ``2m``,
+each row sorted ascending) — the classic CSR layout used by scientific
+sparse-matrix kernels and by locality-aware graph systems.  Every
+full-access graph is one: the list :class:`~repro.graphs.Graph`
+subclasses it, as do the delta, disk and shared-memory forms
+(:mod:`repro.graphs.delta`, :mod:`repro.graphs.mmap`,
+:mod:`repro.graphs.shared`).  Only the crawl wrapper
+:class:`~repro.graphs.RestrictedGraph` is not.  All of them answer the
+whole-graph and vectorized reads (``num_edges``, ``edges``,
+``degrees_array``, ``has_edges``, ...) from the same arrays.
 
-Why a second backend
---------------------
-The list backend reads one Python list **and** one Python set per node
-(built from its CSR arrays on first scalar use): flexible, O(1) adjacency
-tests, but pointer-chasing and several hundred bytes per edge.  CSR packs
-the same information into two contiguous arrays (8–16 bytes per directed
-edge), which
+Two walker families
+-------------------
+The backend name (:func:`as_backend`, the CLI's ``--backend`` flag)
+therefore chooses how a graph is *walked*, not how it is stored:
 
-* makes uniform neighbor draws a pair of array loads (``indices[indptr[v]
-  + j]``) that vectorize across many chains at once (see
-  :mod:`repro.walks.batched`), and
-* turns adjacency tests into O(log deg) binary searches on the sorted row
-  (``has_edge``), trading a constant factor for an order of magnitude less
-  memory traffic.
+* ``"list"`` — a :class:`~repro.graphs.Graph`: Python scalar views
+  (sorted neighbor lists and hash sets, built from the arrays on first
+  scalar use) and one serial walker per chain, each drawing from its own
+  ``random.Random``;
+* ``"csr"`` — a plain :class:`CSRGraph` (or a delta, disk or shared
+  form): array rows for scalar reads, O(log deg) binary-search
+  ``has_edge``, and the batched engine (:mod:`repro.walks.batched`) for
+  multi-chain runs, whose uniform neighbor draws are array loads
+  (``indices[indptr[v] + j]``) across all chains at once.
 
-Backend selection is by construction — build the graph you want and pass
-it anywhere a ``Graph`` is accepted; :func:`as_backend` converts by name
-(the CLI's ``--backend`` flag).  Sampling results are identical between
-backends for a fixed seed whenever the walk only draws from sorted
-neighbor lists (all d <= 2 methods); see ``tests/test_csr.py``.
+A single-chain run draws the same walk on both for a fixed seed; a
+multi-chain run does not, as the serial walkers and the batched engine
+draw from different generators (``tests/srw_golden.json`` pins both).
 """
 
 from __future__ import annotations
 
+import numbers
 import operator
 from itertools import chain
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graph import Edge, Graph, GraphError, _coerce_node_id
 from .tables import EdgeTables
+
+Edge = Tuple[int, int]
+
+
+class GraphError(ValueError):
+    """Raised for structurally invalid graph operations or inputs."""
+
+
+def _coerce_node_id(node, edge) -> int:
+    """Validate one endpoint of an edge and return it as a plain ``int``.
+
+    Anything that is not an integer (floats, strings, ``None``, ...) — or
+    is a ``bool``, which would silently alias node 0/1 — raises
+    :class:`GraphError` *here*, with the offending edge in the message,
+    instead of surfacing later as an opaque ``TypeError`` inside
+    ``sorted()`` or a set operation.  NumPy integer scalars are accepted
+    and normalized to native ``int`` so adjacency storage stays uniform.
+    """
+    if isinstance(node, bool) or not isinstance(node, numbers.Integral):
+        raise GraphError(
+            f"node ids must be integers, got {node!r} "
+            f"({type(node).__name__}) in edge {edge!r}"
+        )
+    return int(node)
 
 #: Cache cap for memoized ``neighbor_set`` rows (hot hub nodes dominate
 #: random-walk classification probes; a bounded cache keeps memory flat).
@@ -101,13 +128,22 @@ def _edge_array(edges: Iterable[Edge], label: str) -> np.ndarray:
         raise GraphError(f"{label} has node ids beyond the int64 range") from None
 
 
-def _build(num_nodes: int, edges: Iterable[Edge]) -> "CSRGraph":
-    """The one edge-to-CSR build (every :class:`Graph`, hence every CSR
-    constructor): validate, sort the directed keys ``u * n + v`` of both
-    orientations once, drop repeats.  Errors name the first offending
-    edge in input order: id types, then self-loops, then ids outside
-    ``[0, num_nodes)``.  The arrays are read-only, as a :class:`Graph`
-    shares them with :meth:`CSRGraph.from_graph`'s callers."""
+def _sized_edges(edges: Iterable[Edge], num_nodes: Optional[int]) -> Tuple[int, np.ndarray]:
+    """``(num_nodes, pairs)`` for the ``from_edges`` constructors: the
+    node count is ``max id + 1`` when omitted."""
+    pairs = _edge_array(edges, "edges")
+    if num_nodes is None:
+        num_nodes = max(int(pairs.max()) + 1, 0) if pairs.size else 0
+    return num_nodes, pairs
+
+
+def _build(num_nodes: int, edges: Iterable[Edge]) -> Tuple[np.ndarray, np.ndarray]:
+    """The one edge-to-CSR build behind every edge-list constructor:
+    validate, sort the directed keys ``u * n + v`` of both orientations
+    once, drop repeats; returns ``(indptr, indices)``.  Errors name the
+    first offending edge in input order: id types, then self-loops, then
+    ids outside ``[0, num_nodes)``.  The arrays are read-only, as a list
+    :class:`~repro.graphs.Graph` shares them with its plain CSR form."""
     n = operator.index(num_nodes)
     if n < 0:
         raise GraphError(f"num_nodes must be non-negative, got {num_nodes}")
@@ -128,7 +164,18 @@ def _build(num_nodes: int, edges: Iterable[Edge]) -> "CSRGraph":
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     indices = keys % n
     indptr.flags.writeable = indices.flags.writeable = False
-    return CSRGraph(indptr, indices)
+    return indptr, indices
+
+
+def _rebuild(cls, indptr: np.ndarray, indices: np.ndarray) -> "CSRGraph":
+    """A ``cls`` over CSR arrays the caller owns, with no edge sort: the
+    one path of unpickling, :meth:`CSRGraph.copy` and
+    :meth:`CSRGraph.to_graph`.  The arrays become read-only; a list
+    :class:`~repro.graphs.Graph` starts with unbuilt scalar views."""
+    indptr.flags.writeable = indices.flags.writeable = False
+    graph = cls.__new__(cls)
+    CSRGraph.__init__(graph, indptr, indices)
+    return graph
 
 
 def _probe_ids(us, vs) -> Tuple[np.ndarray, np.ndarray]:
@@ -143,10 +190,10 @@ def _probe_ids(us, vs) -> Tuple[np.ndarray, np.ndarray]:
 
 
 class CSRGraph:
-    """Immutable CSR view of a simple undirected graph.
+    """An immutable simple undirected graph stored as CSR arrays.
 
-    Build with :meth:`from_graph` (the common path: convert a loaded
-    :class:`Graph` once, walk many times) or :meth:`from_edges`.  The
+    Build with :meth:`from_edges`, or take the plain CSR form of a list
+    :class:`~repro.graphs.Graph` with :meth:`from_graph`.  The
     constructor takes pre-validated CSR arrays and is mostly internal.
 
     Parameters
@@ -187,12 +234,11 @@ class CSRGraph:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(cls, graph: Graph) -> "CSRGraph":
-        """The CSR form of a list-backend :class:`Graph`: the arrays the
-        graph was built on (``graph.full_access_csr()``), not a copy."""
-        if isinstance(graph, CSRGraph):
-            return graph
-        if not isinstance(graph, Graph):
+    def from_graph(cls, graph) -> "CSRGraph":
+        """``graph.full_access_csr()``: a list :class:`~repro.graphs.Graph`'s
+        plain CSR form over the arrays it was built on (not a copy), any
+        other CSR graph itself."""
+        if not isinstance(graph, CSRGraph):
             raise GraphError(
                 f"cannot build a CSRGraph from {type(graph).__name__}: full "
                 "adjacency access is required, but a RestrictedGraph only "
@@ -204,14 +250,19 @@ class CSRGraph:
     def from_edges(
         cls, edges: Iterable[Edge], num_nodes: Optional[int] = None
     ) -> "CSRGraph":
-        """Build directly from an edge iterable (deduplicated, validated),
-        through :meth:`Graph.from_edges`' build: one NumPy sort, no
-        per-edge Python work."""
-        return Graph.from_edges(edges, num_nodes).full_access_csr()
+        """Build from an edge iterable (deduplicated, validated) with one
+        NumPy sort and no per-edge Python work.  ``num_nodes`` defaults to
+        ``max node id + 1``."""
+        return CSRGraph(*_build(*_sized_edges(edges, num_nodes)))
 
-    def to_graph(self) -> Graph:
-        """Materialize back into the list backend."""
-        return Graph(self.num_nodes, self._edge_pairs())
+    def to_graph(self):
+        """This graph as a list :class:`~repro.graphs.Graph` (itself if it
+        is one) over a copy of its arrays."""
+        from .graph import Graph  # lazy: graph subclasses this module's class
+
+        if isinstance(self, Graph):
+            return self
+        return _rebuild(Graph, np.array(self.indptr), np.array(self.indices))
 
     def _edge_block(self, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
         """The edges of rows ``lo`` to ``hi`` once, as sorted ``(u, v)``
@@ -222,16 +273,12 @@ class CSRGraph:
         upper = rows < cols
         return rows[upper], cols[upper]
 
-    def _edge_pairs(self) -> np.ndarray:
-        """Every edge once, as ``(u, v)`` rows with ``u < v``, sorted."""
-        return np.column_stack(self._edge_block(0, self.num_nodes))
-
     def full_access_csr(self) -> "CSRGraph":
         """The CSR form the vectorized window pipeline probes: itself."""
         return self
 
     # ------------------------------------------------------------------
-    # Basic accessors (Graph-compatible surface)
+    # Basic accessors
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
@@ -278,16 +325,18 @@ class CSRGraph:
         """Sorted neighbor row of ``v`` as an array view (do not mutate).
 
         Supports ``len``, indexing and iteration — everything the walk
-        spaces do with the list backend's neighbor lists.
+        spaces do with a list :class:`~repro.graphs.Graph`'s neighbor
+        lists.
         """
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
     def neighbor_set(self, v: int) -> frozenset:
         """Neighbor set of ``v`` (memoized; bounded cache).
 
-        The set backend keeps these permanently; CSR materializes them on
-        demand for the d >= 3 walk spaces and graphlet classification,
-        caching the most recently touched rows (walks revisit hubs).
+        A list :class:`~repro.graphs.Graph` keeps these permanently; here
+        they are made on demand for the d >= 3 walk spaces and graphlet
+        classification, caching the most recently touched rows (walks
+        revisit hubs).
         """
         cached = self._nset_cache.get(v)
         if cached is None:
@@ -338,10 +387,13 @@ class CSRGraph:
         return self._edge_tables().has_edges(us, vs).reshape(shape)
 
     def _edge_tables(self) -> EdgeTables:
-        """This graph's derived lookup tables (built once, then cached)."""
-        tables = self._tables
+        """This graph's derived lookup tables, built once and kept by its
+        :meth:`full_access_csr` form: a list Graph and its plain CSR form
+        share one build."""
+        owner = self.full_access_csr()
+        tables = owner._tables
         if tables is None:
-            tables = self._tables = EdgeTables(self.indptr, self.indices, self._degrees)
+            tables = owner._tables = EdgeTables(owner.indptr, owner.indices, owner._degrees)
         return tables
 
     def _directed_keys(self) -> np.ndarray:
@@ -356,12 +408,49 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Derived quantities used by the estimators
     # ------------------------------------------------------------------
-    induced_edges = Graph.induced_edges
-    induced_edge_count = Graph.induced_edge_count
-    is_connected_subset = Graph.is_connected_subset
+    def induced_edges(self, nodes: Sequence[int]) -> List[Edge]:
+        """Edges of the subgraph induced by ``nodes`` (as pairs of node ids)."""
+        node_list = list(nodes)
+        found = []
+        for i, u in enumerate(node_list):
+            u_set = self.neighbor_set(u)
+            for v in node_list[i + 1 :]:
+                if v in u_set:
+                    found.append((u, v) if u < v else (v, u))
+        return found
+
+    def induced_edge_count(self, nodes: Sequence[int]) -> int:
+        """Number of edges in the subgraph induced by ``nodes``."""
+        node_list = list(nodes)
+        count = 0
+        for i, u in enumerate(node_list):
+            u_set = self.neighbor_set(u)
+            count += sum(1 for v in node_list[i + 1 :] if v in u_set)
+        return count
+
+    def is_connected_subset(self, nodes: Sequence[int]) -> bool:
+        """Whether the subgraph induced by ``nodes`` is connected."""
+        node_list = list(nodes)
+        if not node_list:
+            return False
+        node_set = set(node_list)
+        stack = [node_list[0]]
+        seen = {node_list[0]}
+        while stack:
+            u = stack.pop()
+            for v in self.neighbor_set(u):
+                if v in node_set and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen) == len(node_set)
 
     def edge_relationship_count(self) -> int:
-        """``|R(2)|`` — number of edges of the 2-node relationship graph G(2)."""
+        """``|R(2)|`` — number of edges of the 2-node relationship graph G(2).
+
+        Two edges of ``G`` are adjacent in G(2) iff they share an endpoint, so
+        ``|R(2)| = (1/2) * sum over edges (u,v) of (d_u + d_v - 2)``
+        (equivalently ``sum over nodes of C(d_v, 2)``).
+        """
         d = self._degrees
         return int((d * (d - 1) // 2).sum())
 
@@ -369,7 +458,7 @@ class CSRGraph:
     # Dunder / misc
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CSRGraph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
+        return f"{type(self).__name__}(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CSRGraph):
@@ -383,13 +472,13 @@ class CSRGraph:
         return hash((self.num_nodes, self.num_edges))
 
     def __reduce__(self):
-        # The defining arrays only: degrees, the neighbor-set cache and
-        # the lookup tables are rebuilt on demand after unpickling.
-        return (type(self), (self.indptr, self.indices))
+        # The defining arrays only: degrees, the scalar views and caches
+        # and the lookup tables are rebuilt on demand after unpickling.
+        return (_rebuild, (type(self), self.indptr, self.indices))
 
     def copy(self) -> "CSRGraph":
-        """Deep copy (new array storage)."""
-        return CSRGraph(self.indptr.copy(), self.indices.copy())
+        """Deep copy of the same type (new array storage)."""
+        return _rebuild(type(self), self.indptr.copy(), self.indices.copy())
 
     # ------------------------------------------------------------------
     # Shared-memory publication (see repro.graphs.shared)
@@ -445,18 +534,19 @@ BACKENDS = ("list", "csr", "delta", "mmap")
 
 
 def as_backend(graph, backend: str, context: Optional[str] = None):
-    """Convert ``graph`` to the named storage backend.
+    """Convert ``graph`` to the named backend.
 
-    ``"list"`` is the seed :class:`Graph` (lists + sets over the CSR
-    arrays); ``"csr"`` is
-    :class:`CSRGraph`; ``"delta"`` is the mutable
+    ``"list"`` is a :class:`~repro.graphs.Graph` (Python scalar views,
+    one serial walker per chain), built from a copy of a CSR graph's
+    arrays; ``"csr"`` is the graph's plain :class:`CSRGraph` form (the
+    batched engine for multi-chain runs), sharing a Graph's arrays;
+    ``"delta"`` is the mutable
     :class:`~repro.graphs.delta.DeltaCSRGraph` overlay for edge-stream
     workloads; ``"mmap"`` is the disk-backed
     :class:`~repro.graphs.mmap.MmapCSRGraph` (an in-RAM graph is spilled
     to a process-lifetime temp directory).  A graph already in the
-    requested backend is returned
-    unchanged — identity, not a copy (a ``DeltaCSRGraph`` counts as
-    ``"csr"``: it serves the full CSR read surface).  ``context`` names
+    requested backend is returned unchanged — identity, not a copy (a
+    delta, disk or shared graph counts as ``"csr"``).  ``context`` names
     the call site requesting the conversion so failures (e.g. a
     :class:`RestrictedGraph` asked to become CSR) point at the flag to
     change rather than at library internals.
@@ -465,7 +555,7 @@ def as_backend(graph, backend: str, context: Optional[str] = None):
         return graph.to_graph() if isinstance(graph, CSRGraph) else graph
     if backend == "csr":
         if isinstance(graph, CSRGraph):
-            return graph
+            return graph.full_access_csr()
         try:
             return CSRGraph.from_graph(graph)
         except GraphError as exc:
@@ -481,7 +571,7 @@ def as_backend(graph, backend: str, context: Optional[str] = None):
         if isinstance(graph, DeltaCSRGraph):
             return graph
         try:
-            return DeltaCSRGraph(CSRGraph.from_graph(graph))
+            return DeltaCSRGraph(graph)
         except GraphError as exc:
             site = context or 'as_backend(graph, "delta")'
             raise GraphError(f"{site}: {exc}") from None

@@ -48,8 +48,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from .graph import Edge, GraphError
-from .csr import CSRGraph, _edge_array, _probe_ids, sorted_unique
+from .csr import CSRGraph, Edge, GraphError, _edge_array, _probe_ids, sorted_unique
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -85,9 +84,10 @@ class DeltaCSRGraph(CSRGraph):
     Parameters
     ----------
     base:
-        Any full-access graph; converted to :class:`CSRGraph` once.  A
-        ``DeltaCSRGraph`` input is snapshotted at its current merged
-        view (the new overlay starts with an empty log at version 0).
+        Any full-access graph; its :meth:`CSRGraph.from_graph` form is
+        the base.  A ``DeltaCSRGraph`` input is snapshotted at its
+        current merged view (the new overlay starts with an empty log at
+        version 0).
 
     The node set is fixed at construction — only edges churn.  All
     :class:`CSRGraph` read methods (including the vectorized
@@ -104,7 +104,7 @@ class DeltaCSRGraph(CSRGraph):
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, base) -> None:
-        base = CSRGraph.from_graph(base) if not isinstance(base, CSRGraph) else base
+        base = CSRGraph.from_graph(base)
         if isinstance(base, DeltaCSRGraph):
             base = CSRGraph(base.indptr.copy(), base.indices.copy())
         if base.num_nodes >= np.iinfo(np.int32).max:
@@ -302,6 +302,10 @@ class DeltaCSRGraph(CSRGraph):
             if np.any(hit):
                 out.reshape(-1)[hit] = self._dalive[pos[hit]]
         return out
+
+    def copy(self) -> CSRGraph:
+        """A plain :class:`CSRGraph` over a private copy of the merged view."""
+        return CSRGraph(self.indptr.copy(), self.indices.copy())
 
     def __reduce__(self):
         # Base, log and version define the overlay; the delta keys, the

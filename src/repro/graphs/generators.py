@@ -15,7 +15,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .graph import Graph, GraphError
+from .csr import GraphError
+from .graph import Graph
 
 
 def _rng(seed: Optional[int]) -> random.Random:

@@ -57,8 +57,7 @@ from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .csr import sorted_unique
-from .graph import GraphError
+from .csr import GraphError, sorted_unique
 from .mmap import write_array, write_header
 
 PathLike = Union[str, Path]

@@ -52,8 +52,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .csr import CSRGraph
-from .graph import GraphError
+from .csr import CSRGraph, GraphError
 
 PathLike = Union[str, Path]
 
@@ -333,7 +332,7 @@ def to_mmap(graph, directory: Optional[PathLike] = None) -> MmapCSRGraph:
     """
     if isinstance(graph, MmapCSRGraph) and directory is None:
         return graph
-    csr = graph if isinstance(graph, CSRGraph) else CSRGraph.from_graph(graph)
+    csr = CSRGraph.from_graph(graph)
     if directory is None:
         directory = tempfile.mkdtemp(prefix="repro-mmap-")
         _TEMP_DIRS.append(directory)

@@ -71,8 +71,8 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .csr import CSRGraph
-from .graph import GraphError
+from .csr import CSRGraph, GraphError
+from .graph import Graph
 from .mmap import MmapCSRGraph
 
 #: Prefix of every segment this module creates; the test suite (and the
@@ -275,12 +275,13 @@ def published(graph) -> Iterator:
 
     A :class:`SharedCSRGraph` or :class:`~repro.graphs.mmap.MmapCSRGraph`
     is yielded unchanged: its pickle re-attaches by reference, and the
-    caller keeps ownership.  Any other CSR graph is copied into a fresh
-    segment that is closed and unlinked on exit.  Anything else (a list
-    :class:`~repro.graphs.graph.Graph`) is yielded unchanged.
+    caller keeps ownership.  A list :class:`~repro.graphs.graph.Graph`
+    is yielded unchanged too, so workers keep its serial walkers, and so
+    is a graph without CSR arrays.  Any other CSR graph is copied into a
+    fresh segment that is closed and unlinked on exit.
     """
     if not isinstance(graph, CSRGraph) or isinstance(
-        graph, (SharedCSRGraph, MmapCSRGraph)
+        graph, (Graph, SharedCSRGraph, MmapCSRGraph)
     ):
         yield graph
         return

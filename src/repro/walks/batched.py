@@ -32,10 +32,10 @@ the estimator (:class:`repro.core.estimator.SRWSession` with
 statistically independent given independent starting draws because every
 lane consumes its own slice of the shared vectorized RNG stream.
 
-:func:`batch_support` reports whether a graph can ride the engine — the
-only requirement is the CSR substrate; non-CSR backends fall back to
-independent serial walkers, and the estimator warns once
-(:class:`BatchFallbackWarning`) when a multi-chain run degrades.
+:func:`batch_support` reports whether a graph's chains ride the engine:
+a CSR graph's do, while a list :class:`~repro.graphs.Graph` and a crawl
+wrapper run independent serial walkers, and the estimator warns once
+(:class:`BatchFallbackWarning`) when a multi-chain run takes them.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..graphs.csr import CSRGraph
+from ..graphs.graph import Graph
 from ..relgraph.fused import FusedD3Kernel
 from ..relgraph.vectorized import VectorSpace, vector_space
 
@@ -63,12 +64,15 @@ def batch_support(graph) -> Tuple[bool, Optional[str]]:
     Returns ``(supported, reason)``; ``reason`` names what is missing
     when unsupported (so callers can warn usefully instead of silently
     degrading to serial walkers).  Every walk dimension d has vectorized
-    kernels, so only the substrate matters: it must be CSR.
+    kernels, so only the type matters: a CSR graph batches its chains,
+    but a list :class:`Graph` (``backend="list"``) keeps one serial
+    walker per chain, as does a graph without CSR arrays (a crawl
+    wrapper).
     """
-    if not isinstance(graph, CSRGraph):
+    if isinstance(graph, Graph) or not isinstance(graph, CSRGraph):
         return False, (
-            f"the {type(graph).__name__} backend has no vectorized walk "
-            'kernels; convert with as_backend(graph, "csr") (or pass '
+            f"a {type(graph).__name__} runs one serial walker per chain; "
+            'convert with as_backend(graph, "csr") (or pass '
             'backend="csr") to batch chains'
         )
     return True, None

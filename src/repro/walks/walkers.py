@@ -135,9 +135,10 @@ def make_engine(
     """The vectorized multi-chain engine on G(d) over a CSR ``graph``.
 
     Its NumPy generator is seeded by one ``randrange(2**63)`` draw from
-    ``rng``.  A graph without vectorized kernels raises ``TypeError``;
-    multi-chain sessions on such a graph run serial per-chain walkers
-    instead (see :func:`~repro.walks.batched.batch_support`).
+    ``rng``.  A graph without CSR arrays raises ``TypeError``;
+    multi-chain sessions on such a graph, or on a list
+    :class:`~repro.graphs.Graph`, run serial per-chain walkers instead
+    (see :func:`~repro.walks.batched.batch_support`).
     """
     rng = rng if rng is not None else random.Random()
     np_rng = np.random.default_rng(rng.randrange(2**63))

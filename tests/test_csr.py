@@ -18,6 +18,7 @@ from repro.graphs import (
     DeltaCSRGraph,
     Graph,
     GraphError,
+    RestrictedGraph,
     as_backend,
     barabasi_albert,
     load_dataset,
@@ -164,8 +165,6 @@ class TestStructuralParity:
         assert np.allclose(transition_matrix(csr), transition_matrix(karate))
 
     def test_restricted_graph_conversion_rejected(self, karate):
-        from repro.graphs import RestrictedGraph
-
         with pytest.raises(GraphError, match="full adjacency access"):
             as_backend(RestrictedGraph(karate), "csr")
 
@@ -557,9 +556,11 @@ class TestBatchedEngine:
         assert forced_seen > 0  # the walk actually visited the pinned state
 
     def test_validation(self, karate):
+        # A list Graph is a CSRGraph; the crawl wrapper is the one graph
+        # without the arrays the engine gathers from.
         csr = CSRGraph.from_graph(karate)
         with pytest.raises(TypeError):
-            BatchedWalkEngine(karate, 1, 4, np.random.default_rng(0))
+            BatchedWalkEngine(RestrictedGraph(karate), 1, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
             BatchedWalkEngine(csr, 0, 4, np.random.default_rng(0))
         with pytest.raises(ValueError):
@@ -574,4 +575,4 @@ class TestBatchedEngine:
         engine = make_engine(csr, space, chains=4, rng=random.Random(0))
         assert isinstance(engine, BatchedWalkEngine)
         with pytest.raises(TypeError):
-            make_engine(karate, space, chains=4, rng=random.Random(0))
+            make_engine(RestrictedGraph(karate), space, chains=4, rng=random.Random(0))

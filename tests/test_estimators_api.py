@@ -24,7 +24,7 @@ from repro.core import (
     run_with_checkpoints,
 )
 from repro.exact import exact_concentrations
-from repro.graphs import GraphError, RestrictedGraph, barabasi_albert
+from repro.graphs import CSRGraph, GraphError, RestrictedGraph, barabasi_albert
 from repro.graphs.csr import as_backend
 
 
@@ -285,10 +285,12 @@ class TestBackendRouting:
         b = repro.estimate(karate, "srw2", k=4, budget=1_500, seed=6, backend="csr")
         assert np.array_equal(a.sums, b.sums)
 
+    @pytest.mark.filterwarnings("error::repro.walks.batched.BatchFallbackWarning")
     def test_unstreamed_csr_multichain_uses_vectorized_path(self, karate):
-        """A one-shot estimate() on CSR with chains keeps the batched
-        engine: bit-identical to run_estimation on the same backend."""
-        csr = as_backend(karate, "csr")
+        """A one-shot estimate() on a list graph with backend="csr" and
+        chains keeps the batched engine: bit-identical to run_estimation
+        on a CSRGraph built apart from as_backend, and no fallback."""
+        csr = CSRGraph.from_edges(karate.edges(), karate.num_nodes)
         spec = MethodSpec.parse("SRW2", 4)
         old = run_estimation(csr, spec, 4_000, rng=random.Random(5), chains=8)
         new = repro.estimate(karate, "srw2", k=4, budget=4_000, seed=5,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import numpy as np
@@ -9,8 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.graphs import CSRGraph, Graph, GraphError, barabasi_albert, read_edge_list
+from repro.graphs import csr as csr_module
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph
+from repro.walks import batch_support
 
 from reference import adjacency_lists
 
@@ -259,3 +263,58 @@ class TestArrayFirst:
             assert h == g
             assert self.built(h) == (False, False)
             assert [h.neighbors(v) for v in h.nodes()] == [g.neighbors(v) for v in g.nodes()]
+
+
+class TestOneStorageClass:
+    """A list Graph is a CSRGraph with Python scalar views: the storage is
+    one class, and the type decides only the walker family."""
+
+    def test_a_graph_is_a_csr_graph_that_walks_serially(self):
+        g = Graph(4, [(0, 1), (1, 2)])
+        assert isinstance(g, CSRGraph)
+        assert not batch_support(g)[0]
+        assert batch_support(CSRGraph.from_graph(g))[0]
+
+    def test_equal_with_equal_hashes_to_its_plain_form(self):
+        g = barabasi_albert(60, 3, seed=1)
+        plain = CSRGraph.from_graph(g)
+        assert type(plain) is CSRGraph
+        assert g == plain and plain == g and hash(g) == hash(plain)
+        assert g == CSRGraph.from_edges(g.edges(), g.num_nodes)
+        assert g != barabasi_albert(60, 3, seed=2)
+
+    def test_pickle_and_copies_keep_the_type_with_unbuilt_views(self):
+        g = barabasi_albert(60, 3, seed=1)
+        g.neighbors(0), g.has_edge(0, 1)  # build the lists and sets
+        for h in (pickle.loads(pickle.dumps(g)), g.copy(), copy.deepcopy(g)):
+            assert type(h) is Graph and h == g
+            assert TestArrayFirst.built(h) == (False, False)
+            assert not h.indices.flags.writeable
+        plain = CSRGraph.from_graph(g)
+        for h in (pickle.loads(pickle.dumps(plain)), plain.copy(), copy.deepcopy(plain)):
+            assert type(h) is CSRGraph and h == g
+
+    def test_to_graph_copies_the_arrays(self):
+        plain = CSRGraph.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+        g = plain.to_graph()
+        assert type(g) is Graph and g == plain
+        assert not np.shares_memory(g.indices, plain.indices)
+        assert [g.neighbors(v) for v in g.nodes()] == [[1, 2], [0, 2], [0, 1, 3], [2]]
+        assert g.to_graph() is g
+
+    def test_list_and_csr_runs_share_one_table_build(self, monkeypatch):
+        builds = []
+
+        class Counted(csr_module.EdgeTables):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(csr_module, "EdgeTables", Counted)
+        g = barabasi_albert(300, 4, seed=1)
+        kwargs = dict(k=4, budget=2_000, seed=1)
+        repro.estimate(g, "srw2", backend="list", **kwargs)
+        assert len(builds) == 1
+        repro.estimate(g, "srw2", backend="csr", chains=8, **kwargs)
+        g.has_edges(np.array([0]), np.array([1]))
+        assert len(builds) == 1

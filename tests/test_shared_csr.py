@@ -25,6 +25,7 @@ from repro.graphs import (
     Graph,
     GraphError,
     MmapCSRGraph,
+    RestrictedGraph,
     SharedCSRGraph,
     SharedGraphHandle,
     barabasi_albert,
@@ -128,8 +129,10 @@ class TestLifecycle:
         shared.unlink()
 
     def test_create_rejects_non_csr(self):
+        # A list Graph is a CSRGraph; the crawl wrapper is the one
+        # graph without arrays to publish.
         with pytest.raises(GraphError, match="needs a CSRGraph"):
-            SharedCSRGraph.create(load_dataset("karate"))
+            SharedCSRGraph.create(RestrictedGraph(load_dataset("karate")))
 
     def test_stale_handle_size_mismatch_raises(self):
         shared = CSRGraph.from_graph(Graph(3, [(0, 1)])).to_shared()
