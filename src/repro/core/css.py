@@ -195,7 +195,10 @@ class CSSWeightTable:
             ``(W,)`` labeled bitmasks, one per window.
         nodes:
             ``(W, k)`` sorted distinct node ids per window (the list the
-            bitmask is labeled over).
+            bitmask is labeled over).  Gathered column-major: the
+            transposed ``(k, W)`` sort buffer of
+            :func:`~repro.walks.windows.distinct_window_nodes`' column
+            path is read in place; a row-major array is copied once.
         degree_fn:
             Vectorized G(d) state degree: maps an ``(..., d)`` int array
             of node ids to the (possibly NB-nominal) degrees — see
@@ -205,7 +208,7 @@ class CSSWeightTable:
         counts = self._counts[masks]
         columns = self._columns[masks]
         out = np.zeros(masks.shape[0], dtype=np.float64)
-        flat_nodes = nodes.reshape(-1)
+        flat_nodes = nodes.T.reshape(-1)
         present = np.flatnonzero(np.bincount(counts))
         for count in present[present > 0].tolist():  # count 0 keeps weight 0
             group = np.flatnonzero(counts == count)
@@ -213,9 +216,10 @@ class CSSWeightTable:
             step = max(1, _GATHER_CHUNK // table.shape[0])
             for start in range(0, group.size, step):
                 rows = group[start : start + step]
-                # (count * (l-2) * d, n) flat indices into ``nodes``.
+                # (count * (l-2) * d, n) flat indices into ``nodes.T``.
                 pos = table.take(columns.take(rows), axis=1)
-                pos += rows * self.k
+                pos *= nodes.shape[0]
+                pos += rows
                 ids = flat_nodes.take(pos).reshape(count, self.n_middle, self.d, rows.size)
                 degrees = degree_fn(ids.transpose(0, 1, 3, 2))  # (count, l-2, n)
                 weight = 1.0 / degrees[:, 0]

@@ -292,9 +292,10 @@ class _VectorizedAccumulator:
     Its states come from a lockstep source — the batched engine, or
     serial walkers through :class:`_SerialLanes` — whose blocks of
     transitions it turns into ``t x B`` sliding windows at
-    once (:mod:`repro.walks.windows`): node multisets sort row-wise to
-    count distinct nodes, valid windows classify through batched
-    ``has_edges`` probes plus the dense
+    once (:mod:`repro.walks.windows`): windows of k node columns (d = 1,
+    and plain SRW on G(k)) run column-major straight from the stream,
+    wider ones sort row-wise, to count distinct nodes; valid windows
+    classify through batched ``has_edges`` probes plus the dense
     :func:`~repro.graphlets.signatures.classification_table`.  Only the
     pairs the window's states leave unproven are probed
     (:func:`~repro.walks.windows.walk_edge_columns`): for d <= 2 the
@@ -453,13 +454,10 @@ class _VectorizedAccumulator:
         # sliding view yields one extra row — the post-transition state,
         # whose window belongs to the *next* counted step).
         windows = windows_mod.sliding_windows(sub, l)[:t]  # (t, width, d, l)
-        node_rows = windows.reshape(t * width, d * l)
-        valid, uniq = windows_mod.distinct_window_nodes(node_rows, k)
+        valid, uniq = windows_mod.distinct_window_nodes(windows, k)
         if not np.any(valid):
             return
-        masks = windows_mod.induced_bitmasks(
-            self.graph, uniq, k, d, node_rows, valid
-        )
+        masks = windows_mod.induced_bitmasks(self.graph, windows, valid, uniq)
         types = self.classify[masks]
         if np.any(types < 0):  # pragma: no cover - windows are connected
             raise RuntimeError("sampled window classified as disconnected")

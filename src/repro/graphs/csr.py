@@ -309,8 +309,18 @@ class CSRGraph:
         return zip(np.arange(lo, hi, dtype=object)[rows - lo].tolist(), cols.tolist())
 
     def degree(self, v: int) -> int:
-        """Degree of node ``v``."""
-        return int(self._degrees[v])
+        """Degree of node ``v``.
+
+        Raises :class:`GraphError` for an id outside ``[0, num_nodes)``,
+        like every scalar read (a negative index would count from the
+        end).
+        """
+        if v < 0:
+            raise self._node_range_error(v)
+        try:
+            return int(self._degrees[v])
+        except IndexError:
+            raise self._node_range_error(v) from None
 
     def degrees(self) -> List[int]:
         """Degree of every node, indexed by node id."""
@@ -326,9 +336,15 @@ class CSRGraph:
 
         Supports ``len``, indexing and iteration — everything the walk
         spaces do with a list :class:`~repro.graphs.Graph`'s neighbor
-        lists.
+        lists.  Raises :class:`GraphError` for an id outside
+        ``[0, num_nodes)``.
         """
-        return self.indices[self.indptr[v] : self.indptr[v + 1]]
+        if v < 0:
+            raise self._node_range_error(v)
+        try:
+            return self.indices[self.indptr[v] : self.indptr[v + 1]]
+        except IndexError:
+            raise self._node_range_error(v) from None
 
     def neighbor_set(self, v: int) -> frozenset:
         """Neighbor set of ``v`` (memoized; bounded cache).
@@ -336,7 +352,8 @@ class CSRGraph:
         A list :class:`~repro.graphs.Graph` keeps these permanently; here
         they are made on demand for the d >= 3 walk spaces and graphlet
         classification, caching the most recently touched rows (walks
-        revisit hubs).
+        revisit hubs).  Only in-range ids are cached, so a miss goes
+        through :meth:`neighbors`' range check.
         """
         cached = self._nset_cache.get(v)
         if cached is None:

@@ -125,20 +125,41 @@ class Graph(CSRGraph):
     # ------------------------------------------------------------------
     def degree(self, v: int) -> int:
         """Degree of node ``v``."""
-        return len(self._adj[v])
+        if v < 0:
+            raise self._node_range_error(v)
+        try:
+            return len(self._adj[v])
+        except IndexError:
+            raise self._node_range_error(v) from None
 
     def neighbors(self, v: int) -> List[int]:
         """Sorted neighbor list of ``v``.
 
         The returned list is the graph's internal storage — callers must not
-        mutate it.
+        mutate it.  Raises :class:`GraphError` for an id outside
+        ``[0, num_nodes)``, like every scalar read (a negative index would
+        read a row from the end of the list).
         """
-        return self._adj[v]
+        if v < 0:
+            raise self._node_range_error(v)
+        try:
+            return self._adj[v]
+        except IndexError:
+            raise self._node_range_error(v) from None
 
     def neighbor_set(self, v: int) -> Set[int]:
         """Neighbor set of ``v`` (internal storage — do not mutate)."""
-        return self._adj_sets[v]
+        if v < 0:
+            raise self._node_range_error(v)
+        try:
+            return self._adj_sets[v]
+        except IndexError:
+            raise self._node_range_error(v) from None
 
     def has_edge(self, u: int, v: int) -> bool:
         """O(1) adjacency test."""
-        return v in self._adj_sets[u]
+        if v in self.neighbor_set(u):
+            return True
+        if not 0 <= v < len(self._adj_sets):  # built by the read of u's set
+            raise self._node_range_error(v)
+        return False

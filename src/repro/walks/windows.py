@@ -13,21 +13,32 @@ once:
 * :func:`sliding_windows` — a zero-copy ``(t, B, d, l)`` view over a
   state stream, one sliding window per (time, chain) pair;
 * :func:`distinct_window_nodes` — keeps only windows covering exactly k
-  distinct nodes.  When a window row has exactly k entries (every d = 1
-  window) its columns go through a compare-exchange sorting network and
-  a row is valid iff adjacent sorted columns differ; longer rows get a
-  row-wise sort + run-length dedup;
+  distinct nodes, and returns their sorted node lists;
 * :func:`induced_bitmasks` — the labeled induced-subgraph bitmask of
   every surviving window via the CSR backend's batched ``has_edges``
-  (one probe-ordered search of the global edge-key array per label pair
-  — no Python per-edge loops).  For d <= 2 the window's own states prove
-  k - 1 of its C(k, 2) pairs adjacent (:func:`walk_edge_columns`), so
-  only the remaining pairs are probed: 1 probe per window at k = 3, 3 at
-  k = 4, 6 at k = 5, instead of 3, 6 and 10;
+  (one probe-ordered search of the global edge-key array per probed
+  pair — no Python per-edge loops).  For d <= 2 the window's own states
+  prove k - 1 of its C(k, 2) pairs adjacent (:func:`walk_edge_columns`),
+  so only the remaining pairs are probed: 1 probe per window at k = 3, 3
+  at k = 4, 6 at k = 5, instead of 3, 6 and 10;
 * :func:`state_degrees` — G(d) degrees of whole state arrays (closed
   forms for d <= 2, the swap-frontier counts of deduplicated rows for
   d >= 3),
   with the NB-SRW nominal-degree variant.
+
+Both window functions take the ``(t, B, d, l)`` window block itself and
+split it two ways.  Windows of exactly k node columns — every d = 1
+window, and the l = 1 windows of plain SRW on G(k) — run column-major:
+column ``j`` of a d = 1 block is the stream's rows ``j .. j + t - 1``
+flattened, a view when the block spans whole stream rows.  Dedup sorts
+one ``(k, W)`` copy of the columns in place with a compare-exchange
+network; the bitmask ranks each original column among its window's
+sorted nodes once and ORs in one bit per column pair — from the walk
+when :func:`walk_edge_columns` proves the pair, else from one
+``has_edges`` call on the two columns.  Wider windows (d = 2 … k - 1)
+are copied to ``(W, d * l)`` node rows, sorted row-wise, and probed
+label pair by label pair where the walk left the pair unproven.  Both
+paths read a label pair's bit from one flat rank -> bit table.
 
 Everything here is estimator-agnostic: the functions know about graphs,
 states and bitmasks but not about alpha tables or CSS weights, so the
@@ -45,7 +56,7 @@ n_{k-1}``, bit ``b`` of the mask is the adjacency of the pair
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -82,39 +93,59 @@ def sliding_windows(stream: np.ndarray, l: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(stream, l, axis=0)
 
 
-def distinct_window_nodes(
-    node_rows: np.ndarray, k: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Filter window node multisets down to valid k-node windows.
+def _node_columns(windows: np.ndarray) -> List[np.ndarray]:
+    """The ``m = d * l`` node columns of a ``(t, B, d, l)`` window block.
 
-    ``node_rows`` is ``(W, m)`` — one row per window, the multiset of the
-    ``m = d * l`` node ids its states cover.  Returns ``(valid, uniq)``:
-    ``valid`` flags the rows covering exactly k distinct nodes and
-    ``uniq`` is the ``(valid.sum(), k)`` array of their sorted distinct
-    nodes — the exact node lists Algorithm 1's per-window loop derives
-    from its window's node multiset.
-
-    Rows of exactly k entries are sorted column-wise by
-    :func:`_sorting_network` on a private copy (``node_rows`` may be a
-    read-only view), and ``uniq`` is the sorted rows themselves; wider
-    rows keep the row-wise sort, which measured faster than a network
-    there.
+    Column ``c`` is the ``(t * B,)`` array of entry ``c`` of every
+    window's node row, windows in (time, chain) order; node rows list
+    their states d-major, so state ``p``'s nodes are columns ``p, l + p,
+    …``.  Each column is a view of the stream when the block spans whole
+    stream rows (for d = 1, column ``j`` is ``stream[j : j + t]``
+    flattened); a partial-row slice of chains is copied once.
     """
-    if node_rows.shape[1] == k:
-        # Column-major copy: each compare-exchange streams two contiguous
-        # columns; the rows handed back are C-ordered again.
-        srt = np.array(node_rows, order="F")
-        cols = [srt[:, j] for j in range(k)]
-        low = np.empty(srt.shape[0], dtype=srt.dtype)
+    t, b, d, l = windows.shape
+    grid = windows.transpose(2, 3, 0, 1).reshape(d, l, t * b)
+    return [grid[i, p] for i in range(d) for p in range(l)]
+
+
+def distinct_window_nodes(
+    windows: np.ndarray, k: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Filter a block of windows down to the valid k-node ones.
+
+    ``windows`` is a ``(t, B, d, l)`` block of window states — the
+    :func:`sliding_windows` view of a state stream, or a slice of it —
+    holding ``W = t * B`` windows whose node rows are the ``m = d * l``
+    ids their states cover.  Returns ``(valid, uniq)``: the ``(W,)`` flags
+    of the windows covering exactly k distinct nodes, and the
+    ``(valid.sum(), k)`` array of their sorted distinct nodes — the exact
+    node lists Algorithm 1's per-window loop derives from its window's
+    node multiset.
+
+    Windows of exactly k node columns (every d = 1 window, and plain SRW
+    on G(k)) run column-major: one ``(k, W)`` copy of the columns is
+    sorted in place by the compare-exchange network
+    :func:`_sorting_network`, a window is valid iff adjacent sorted
+    columns differ, and ``uniq`` is the transposed view of the sorted
+    columns — so ``uniq[:, j]`` is contiguous.  Wider windows are copied
+    to ``(W, m)`` rows and keep the row-wise sort plus run-length dedup,
+    which measured faster than a network there.  ``windows`` is never
+    written (a sliding view is read-only).
+    """
+    t, b, d, l = windows.shape
+    if d * l == k:
+        # The k node columns as one private (k, W) copy, sorted in place.
+        srt = np.array(windows.transpose(2, 3, 0, 1), order="C").reshape(k, t * b)
+        low = np.empty(t * b, dtype=srt.dtype)
         for i, j in _sorting_network(k):
-            np.minimum(cols[i], cols[j], out=low)
-            np.maximum(cols[i], cols[j], out=cols[j])
-            cols[i][...] = low
-        valid = np.ones(srt.shape[0], dtype=bool)
+            np.minimum(srt[i], srt[j], out=low)
+            np.maximum(srt[i], srt[j], out=srt[j])
+            srt[i] = low
+        valid = np.ones(t * b, dtype=bool)
         for j in range(k - 1):
-            valid &= cols[j] != cols[j + 1]
-        return valid, np.ascontiguousarray(srt) if valid.all() else srt[valid]
-    srt = np.sort(node_rows, axis=1)
+            valid &= srt[j] != srt[j + 1]
+        return valid, (srt if valid.all() else srt.compress(valid, axis=1)).T
+    srt = np.sort(windows.reshape(t * b, d * l), axis=1)
     fresh = np.ones(srt.shape, dtype=bool)
     fresh[:, 1:] = srt[:, 1:] != srt[:, :-1]
     valid = fresh.sum(axis=1) == k
@@ -133,14 +164,13 @@ def _sorting_network(k: int) -> Tuple[Tuple[int, int], ...]:
 def walk_edge_columns(d: int, l: int) -> Tuple[Tuple[int, int], ...]:
     """Column pairs of a window node row that the walk proves adjacent.
 
-    A node row lists its ``l`` states d-major (``sliding_windows``
-    reshaped to ``(W, d * l)``): state ``p``'s nodes sit at columns
-    ``p, l + p, …``.  For d = 1 consecutive states are the two ends of
-    the edge the walk just crossed, columns ``(p, p + 1)``; for d = 2
-    every state is an edge, columns ``(p, l + p)``.  In a valid window
-    these k - 1 edges span its k nodes.  For d >= 3 a state is a
-    connected d-subgraph whose edges the row does not name: no pair is
-    proven.
+    A node row lists its ``l`` states d-major (:func:`_node_columns`):
+    state ``p``'s nodes sit at columns ``p, l + p, …``.  For d = 1
+    consecutive states are the two ends of the edge the walk just
+    crossed, columns ``(p, p + 1)``; for d = 2 every state is an edge,
+    columns ``(p, l + p)``.  In a valid window these k - 1 edges span its
+    k nodes.  For d >= 3 a state is a connected d-subgraph whose edges
+    the row does not name: no pair is proven.
     """
     if d == 1:
         return tuple((p, p + 1) for p in range(l - 1))
@@ -151,63 +181,99 @@ def walk_edge_columns(d: int, l: int) -> Tuple[Tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _pair_bit_table(k: int) -> np.ndarray:
-    """``(k, k)`` table: entry ``[i, j]`` is the mask bit of labels ``i, j``."""
+    """Flat ``(k * k,)`` table: entry ``i * k + j`` is the mask bit of
+    labels ``i, j`` (0 on the diagonal)."""
     table = np.zeros((k, k), dtype=np.int64)
     for bit, (i, j) in enumerate(label_pairs(k)):
         table[i, j] = table[j, i] = 1 << bit
-    return table
+    return table.reshape(-1)
+
+
+def _label_ranks(uniq: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Label of every entry of a node column: its rank in its window's
+    ``uniq`` row, as ``int8``.  Every entry is one of the row's sorted
+    distinct nodes, so the rank is the count of ``uniq[:, 1:]`` entries
+    at most equal to it."""
+    rank = np.zeros(uniq.shape[0], dtype=np.int8)
+    for j in range(1, uniq.shape[1]):
+        rank += uniq[:, j] <= col
+    return rank
+
+
+def _pair_bits(rank_a: np.ndarray, rank_b: np.ndarray, k: int) -> np.ndarray:
+    """The mask bit of every label pair ``(rank_a[w], rank_b[w])``.
+
+    ``int8`` codes ``rank_a * k + rank_b`` stay below ``k * k``, exact
+    for every k a classification table covers."""
+    return _pair_bit_table(k).take(rank_a * k + rank_b)
+
+
+def _valid_columns(windows: np.ndarray, valid: np.ndarray) -> List[np.ndarray]:
+    """:func:`_node_columns` of the valid windows only."""
+    columns = _node_columns(windows)
+    if valid.all():
+        return columns
+    keep = np.flatnonzero(valid)
+    return [col.take(keep) for col in columns]
 
 
 def _proven_bits(
-    uniq: np.ndarray, k: int, d: int, node_rows: np.ndarray, valid: np.ndarray
+    uniq: np.ndarray,
+    windows: np.ndarray,
+    valid: np.ndarray,
+    pairs: Tuple[Tuple[int, int], ...],
 ) -> np.ndarray:
-    """Mask bits of every ``uniq`` row that its walk states prove set.
-
-    A column's label is its rank among the row's sorted distinct nodes
-    (an ``int8`` count of smaller entries); :func:`_pair_bit_table` maps
-    two ranks to their pair's bit.  All zero when nothing is proven.
-    """
+    """Mask bits of every ``uniq`` row that the walk-proven column
+    ``pairs`` set; all zero when nothing is proven."""
     proven = np.zeros(uniq.shape[0], dtype=np.int64)
-    pairs = walk_edge_columns(d, k - d + 1)
     if not pairs:
         return proven
-    rows = slice(None) if valid.all() else np.flatnonzero(valid)
-    ranks = []
-    for col in range(node_rows.shape[1]):  # for d <= 2 every column is paired
-        nodes = node_rows[rows, col]
-        rank = np.zeros(uniq.shape[0], dtype=np.int8)
-        for j in range(k):
-            rank += uniq[:, j] < nodes
-        ranks.append(rank)
-    table = _pair_bit_table(k)
+    k = uniq.shape[1]
+    # For d <= 2 every column is in a proven pair.
+    ranks = [_label_ranks(uniq, col) for col in _valid_columns(windows, valid)]
     for a, b in pairs:
-        proven |= table[ranks[a], ranks[b]]
+        proven |= _pair_bits(ranks[a], ranks[b], k)
     return proven
 
 
 def induced_bitmasks(
-    graph,
-    uniq: np.ndarray,
-    k: int,
-    d: int,
-    node_rows: np.ndarray,
-    valid: np.ndarray,
+    graph, windows: np.ndarray, valid: np.ndarray, uniq: np.ndarray
 ) -> np.ndarray:
     """Labeled induced-subgraph bitmask of every valid window of a G(d) walk.
 
-    ``node_rows`` are the ``(W, d * l)`` window node rows and ``valid``
-    the :func:`distinct_window_nodes` mask that produced the sorted
-    k-node rows ``uniq``.  The pairs :func:`walk_edge_columns` proves
-    adjacent are set without a probe; every other label pair is answered
-    by one batched ``graph.has_edges`` call over the rows where it is
-    still unknown (no call when there are none).  For d <= 2 that leaves
-    C(k, 2) - (k - 1) probes per window; for d >= 3 all C(k, 2).  The
+    ``windows`` is the ``(t, B, d, l)`` window block and ``valid``,
+    ``uniq`` the :func:`distinct_window_nodes` result for it.  The pairs
+    :func:`walk_edge_columns` proves adjacent are set without a probe;
+    the rest are answered by batched ``graph.has_edges`` calls over the
+    valid windows.  For d <= 2 that leaves C(k, 2) - (k - 1) probes per
+    window (1, 3 and 6 at k = 3, 4 and 5); for d >= 3 all C(k, 2).  The
     masks are those of probing every pair: every walk edge is an edge of
     ``graph``.  ``graph`` must expose the vectorized probe (the CSR
     backend).  Bit order follows :func:`label_pairs`, matching
     Algorithm 1's per-window classification.
+
+    Windows of exactly k node columns are classified column by column:
+    each column's label rank is computed once, and each column pair —
+    whose two labels differ in a valid window — sets the bit of its label
+    pair, from the walk when proven, else from one ``has_edges`` call on
+    the two columns.  Wider windows probe label pair by label pair, over
+    the windows where the walk left that pair unproven.
     """
-    bits = _proven_bits(uniq, k, d, node_rows, valid)
+    d, l = windows.shape[2:]
+    k = uniq.shape[1]
+    pairs = walk_edge_columns(d, l)
+    if d * l == k:
+        columns = _valid_columns(windows, valid)
+        ranks = [_label_ranks(uniq, col) for col in columns]
+        bits = np.zeros(uniq.shape[0], dtype=np.int64)
+        for a, b in label_pairs(k):
+            bit = _pair_bits(ranks[a], ranks[b], k)
+            if (a, b) in pairs:
+                bits |= bit
+            else:
+                np.bitwise_or(bits, bit, out=bits, where=graph.has_edges(columns[a], columns[b]))
+        return bits
+    bits = _proven_bits(uniq, windows, valid, pairs)
     for bit, (i, j) in enumerate(label_pairs(k)):
         unknown = (bits & (1 << bit)) == 0
         if not unknown.any():

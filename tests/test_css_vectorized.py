@@ -129,9 +129,11 @@ class TestVectorizedWindows:
     )
     @settings(max_examples=40, deadline=None)
     def test_distinct_window_nodes_matches_multiset_logic(self, k, rows):
-        """Row-wise dedup == the serial window's node-multiset dict."""
+        """Dedup of one-chain windows of four d = 1 states (the column
+        path at k = 4, the row path otherwise) == the serial window's
+        node-multiset dict."""
         arr = np.asarray(rows, dtype=np.int64)
-        valid, uniq = distinct_window_nodes(arr, k)
+        valid, uniq = distinct_window_nodes(arr[:, None, None, :], k)
         expected = [sorted(set(row)) for row in rows]
         assert list(valid) == [len(nodes) == k for nodes in expected]
         assert [list(r) for r in uniq] == [n for n in expected if len(n) == k]

@@ -145,6 +145,25 @@ class TestAccessors:
         assert Graph(3, [(0, 1)]) == Graph(3, [(1, 0)])
         assert Graph(3, [(0, 1)]) != Graph(3, [(0, 2)])
 
+    @pytest.mark.parametrize("form", ["list", "csr"])
+    def test_scalar_reads_reject_ids_out_of_range(self, karate, form):
+        """Regression: a negative id indexed from the end of the rows, so
+        the list graph answered ``has_edge(-1, 32)`` with node 33's row,
+        and the CSR form gave ``degree(-1) == 17`` but no neighbors."""
+        g = karate if form == "list" else CSRGraph.from_graph(karate)
+        n = g.num_nodes
+        for v in (-1, -n, n, n + 1):
+            for read in (g.degree, g.neighbors, g.neighbor_set):
+                with pytest.raises(GraphError, match=f"node id {v} out of range"):
+                    read(v)
+            for u, w in ((v, 0), (0, v), (v, 32), (32, v)):
+                with pytest.raises(GraphError, match=f"node id {v} out of range"):
+                    g.has_edge(u, w)
+        # In-range reads are unchanged, the last node included.
+        assert g.degree(n - 1) == 17 and list(g.neighbors(n - 1))[-1] == 32
+        assert 32 in g.neighbor_set(n - 1)
+        assert g.has_edge(n - 1, 32) and not g.has_edge(0, n - 1)
+
 
 class TestInducedSubgraphs:
     def test_induced_edges_triangle(self, k5):

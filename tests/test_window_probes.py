@@ -4,9 +4,13 @@ For d <= 2 a valid window's states are k - 1 edges of the graph that
 span its k nodes (d = 1: the edges the walk crossed; d = 2: the states
 themselves), so :func:`~repro.walks.windows.induced_bitmasks` sets those
 bits without a ``has_edges`` probe.  These tests pin the shortcut to the
-every-pair oracle (:func:`reference.full_probe_bitmasks`) on real
-``step_block`` windows, on a static CSR graph and on a delta overlay with
-uncompacted flips, and count the probes a vectorized run issues.
+row-sort dedup plus every-pair oracle (:func:`reference.row_sort_dedup`,
+:func:`reference.full_probe_bitmasks`) on real ``step_block`` windows —
+the column path of k-node windows (d = 1, and d = k) with invalid
+windows, all-invalid blocks and partial-row chain slices, and the row
+path of wider ones — on a static CSR graph and on a delta overlay with
+uncompacted flips, and count the probes a block and a vectorized run
+issue.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from reference import full_probe_bitmasks
+from reference import full_probe_bitmasks, row_sort_dedup
 
 from repro.core.alpha import alpha_table
 from repro.core.estimator import MethodSpec, _VectorizedAccumulator, split_budget
@@ -54,38 +58,28 @@ def delta(csr) -> DeltaCSRGraph:
     return overlay
 
 
-def walk_windows(graph, k, d, nb, steps=60, seed=0):
-    """Node rows of every sliding window of a real ``step_block`` run."""
+def walk_windows(graph, k, d, nb, steps=60, seed=0, cols=slice(None)):
+    """Every ``(t, B, d, l)`` sliding window of a real ``step_block`` run,
+    over the chains ``cols``."""
     engine = BatchedWalkEngine(
         graph, d, CHAINS, np.random.default_rng(seed), non_backtracking=nb
     )
     start = as_stream(engine.states().copy(), CHAINS, d)
     stream = np.concatenate([start, as_stream(engine.step_block(steps), CHAINS, d)])
-    l = k - d + 1
-    return sliding_windows(stream, l).reshape(-1, d * l)
+    return sliding_windows(stream[:, cols], k - d + 1)
 
 
-def test_proven_columns():
-    assert walk_edge_columns(1, 4) == ((0, 1), (1, 2), (2, 3))
-    assert walk_edge_columns(2, 3) == ((0, 3), (1, 4), (2, 5))
-    assert walk_edge_columns(3, 2) == ()
-
-
-@pytest.mark.parametrize("backend", ["csr", "delta"])
-@pytest.mark.parametrize("nb", [False, True], ids=["srw", "nb"])
-@pytest.mark.parametrize("k", [3, 4, 5])
-@pytest.mark.parametrize("d", [1, 2])
-def test_masks_equal_full_probe(request, backend, d, k, nb):
-    graph = request.getfixturevalue(backend)
-    node_rows = walk_windows(graph, k, d, nb)
-    valid, uniq = distinct_window_nodes(node_rows, k)
-    assert valid.any()
-    want = full_probe_bitmasks(graph, uniq, k)
-    got = induced_bitmasks(graph, uniq, k, d, node_rows, valid)
+def assert_masks_equal_oracle(graph, windows, k):
+    """Dedup and masks == the row-sort dedup plus every-pair probes;
+    returns ``valid``."""
+    t, b, d, l = windows.shape
+    valid, uniq = distinct_window_nodes(windows, k)
+    want_valid, want_uniq = row_sort_dedup(windows.reshape(t * b, d * l), k)
+    assert np.array_equal(valid, want_valid) and np.array_equal(uniq, want_uniq)
+    want = full_probe_bitmasks(graph, want_uniq, k)
+    got = induced_bitmasks(graph, windows, valid, uniq)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    kept = node_rows[valid]
-    all_valid = np.ones(len(kept), dtype=bool)
-    assert np.array_equal(induced_bitmasks(graph, uniq, k, d, kept, all_valid), want)
+    return valid
 
 
 @pytest.fixture
@@ -102,13 +96,95 @@ def probe_counter(monkeypatch):
     return probes
 
 
+def test_proven_columns():
+    assert walk_edge_columns(1, 4) == ((0, 1), (1, 2), (2, 3))
+    assert walk_edge_columns(2, 3) == ((0, 3), (1, 4), (2, 5))
+    assert walk_edge_columns(3, 2) == ()
+
+
+@pytest.mark.parametrize("backend", ["csr", "delta"])
+@pytest.mark.parametrize("nb", [False, True], ids=["srw", "nb"])
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("d", [1, 2])
+def test_masks_equal_full_probe(request, backend, d, k, nb):
+    graph = request.getfixturevalue(backend)
+    windows = walk_windows(graph, k, d, nb)
+    valid = assert_masks_equal_oracle(graph, windows, k)
+    assert valid.any()
+    # The valid windows alone, as one chain's block: every window valid.
+    kept = windows.reshape(-1, d * (k - d + 1))[valid].reshape(-1, 1, d, k - d + 1)
+    assert assert_masks_equal_oracle(graph, kept, k).all()
+
+
+@pytest.mark.parametrize("backend", ["csr", "delta"])
+@pytest.mark.parametrize("cols", [slice(5, 13), slice(0, 1), slice(31, 32)], ids=str)
+@pytest.mark.parametrize("k, d", [(3, 1), (4, 1), (5, 1), (4, 2), (3, 3)])
+def test_partial_row_slices_equal_full_probe(request, backend, k, d, cols):
+    """Streamed snapshots open a row mid-way: a chain slice whose
+    columns are copies, not views of the stream."""
+    graph = request.getfixturevalue(backend)
+    windows = walk_windows(graph, k, d, nb=False, cols=cols)
+    assert_masks_equal_oracle(graph, windows, k)
+
+
+@pytest.mark.parametrize("backend", ["csr", "delta"])
+@pytest.mark.parametrize("nb", [False, True], ids=["srw", "nb"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_d_equals_k_windows_equal_full_probe(request, backend, k, nb):
+    """Plain SRW on G(k): k node columns with no proven pair."""
+    graph = request.getfixturevalue(backend)
+    windows = walk_windows(graph, k, k, nb, steps=30)
+    assert windows.shape[2:] == (k, 1)
+    assert assert_masks_equal_oracle(graph, windows, k).all()
+
+
+def test_srw1_repeats_give_invalid_windows(csr):
+    """Without NB a d = 1 walk steps back, so some windows repeat a node."""
+    valid = assert_masks_equal_oracle(csr, walk_windows(csr, 3, 1, nb=False), 3)
+    assert valid.any() and not valid.all()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_all_invalid_block(csr, probe_counter, k):
+    """A walk bouncing along one edge: no window has k distinct nodes,
+    and classifying the block probes nothing."""
+    u, v = next(iter(csr.edges()))
+    stream = np.array([u, v] * 6)[:, None, None].repeat(CHAINS, axis=1)
+    windows = sliding_windows(stream, k)
+    assert not assert_masks_equal_oracle(csr, windows, k).any()
+    valid, uniq = distinct_window_nodes(windows, k)
+    probe_counter.clear()
+    assert induced_bitmasks(csr, windows, valid, uniq).shape == (0,)
+    assert sum(probe_counter) == 0
+
+
+@pytest.mark.parametrize("nb", [False, True], ids=["srw", "nb"])
+@pytest.mark.parametrize(
+    "k, d, probes_per_window",
+    [(3, 1, 1), (4, 1, 3), (5, 1, 6), (4, 2, 3), (5, 2, 6), (3, 3, 3), (4, 4, 6)],
+)
+def test_block_probes_per_valid_window(csr, probe_counter, k, d, nb, probes_per_window):
+    """One block: C(k,2) - (k-1) probes per valid window for d <= 2, all
+    C(k,2) for d = k; whole stream rows or a partial-row slice."""
+    for cols in (slice(None), slice(3, 20)):
+        windows = walk_windows(csr, k, d, nb, cols=cols)
+        valid, uniq = distinct_window_nodes(windows, k)
+        probe_counter.clear()
+        induced_bitmasks(csr, windows, valid, uniq)
+        assert valid.any()
+        assert sum(probe_counter) == probes_per_window * int(valid.sum())
+
+
 @pytest.mark.parametrize(
     "method, k, probes_per_window",
     [
         ("SRW1CSSNB", 3, 1),
+        ("SRW1", 3, 1),
         ("SRW1", 4, 3),
+        ("SRW1NB", 5, 6),
         ("SRW2CSS", 4, 3),
         ("SRW2", 5, 6),
+        ("SRW3", 3, comb(3, 2)),
         ("SRW3", 4, comb(4, 2)),
     ],
 )
