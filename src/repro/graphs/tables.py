@@ -17,8 +17,8 @@ every ``apply`` and ``compact``).  No pickle carries it.
   ``has_edges`` the bitmap does not answer.  A clear bit settles a probe
   as a non-edge; the filter fits in cache where the keys do not.
 * **G(3) tables** (:meth:`EdgeTables.build_g3`) — per-directed-edge
-  triangle counts, the adjacency bitmap and int32 candidate ids.  Only
-  the fused G(3) walk kernel asks for them, once per graph version.
+  triangle counts and the adjacency bitmap.  Only the fused G(3) walk
+  kernel asks for them, once per graph version.
   ``has_edges`` reads the bitmap once it exists but never builds it:
   at 10⁴ nodes it is already 12.5 MB.
 """
@@ -84,7 +84,6 @@ class EdgeTables:
         "tri",
         "bits",
         "words",
-        "cand",
     )
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, degs: np.ndarray) -> None:
@@ -105,7 +104,6 @@ class EdgeTables:
         self.tri: Optional[np.ndarray] = None
         self.bits: Optional[np.ndarray] = None
         self.words = 0
-        self.cand: Optional[np.ndarray] = None
 
     @property
     def num_nodes(self) -> int:
@@ -179,9 +177,6 @@ class EdgeTables:
         # The sentinel slot pairs with the keys' one: a probe that lands
         # on it reads a zero count.
         self.tri = np.concatenate([tri, [0]])
-        # Slim dtype on the candidate-gather hot path: node ids fit int32
-        # on every real graph.
-        self.cand = indices.astype(np.int32) if n < 2**31 else indices
         # Adjacency bitmap (memory-gated): one row-major uint32 word block
         # per node, so a probe is a single gather and a bit test.
         words = (n + 31) >> 5

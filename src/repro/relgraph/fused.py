@@ -24,19 +24,26 @@ finds that position also answers the adjacency probe (position hits an
 equal key iff the edge exists), so one batched search per transition
 yields the induced-edge mask *and* every adjacent-pair cap.  Non-adjacent
 pairs (the dropped node was a path middle) are rare per state — exactly
-the pairs the mask marks — and only those lanes pay a two-row gather.
+the pairs the mask marks — and only those lanes gather a row, the
+smaller of the two, and probe it against the other.
 
-Candidates are materialized solely for each lane's *chosen* segment (and,
-for NB-SRW, the reverse-move segment that sets the excluded rank), in the
-same canonical order as the generic frontier — swap-out position
-ascending, then swap-in node id ascending — so a fixed seed yields
+No segment is ever built either.  Its candidates, in the generic
+frontier's canonical order (swap-out position ascending, then swap-in
+node id ascending), are the members of a *pool* of two sorted lists
+minus the state nodes: ``N(b)`` and ``E``, where ``b`` is the pair's
+higher-degree end and ``E`` the part of the other end's row that
+``N(b)`` does not already cover (or, for a non-adjacent pair, that it
+does).  Only that smaller row is gathered and probed.  The chosen
+candidate is found by merge rank — state nodes skipped by their ranks,
+then one merge-path count over ``E`` — and, for NB-SRW, the reverse
+move's rank is three counts.  A fixed seed therefore yields
 bit-identical trajectories: the kernel consumes exactly one uniform per
 chain per transition, like :meth:`VectorSubgraphSpace.propose`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +62,7 @@ class FusedD3Kernel:
 
     Owned by the :class:`~repro.walks.batched.BatchedWalkEngine`.  The
     per-graph tables it reads — padded directed keys, triangle table,
-    adjacency bitmap, int32 candidate ids — live on the graph
+    adjacency bitmap — live on the graph
     (:class:`~repro.graphs.tables.EdgeTables`), so every engine on one
     graph version shares one build, and a
     :class:`~repro.graphs.delta.DeltaCSRGraph` drops them on every
@@ -73,7 +80,6 @@ class FusedD3Kernel:
         # versions and compaction keep it), so this is a constant.
         self._shift = max(int(csr.num_nodes - 1).bit_length(), 1)
         self._iota_buf: Optional[np.ndarray] = None
-        self._lane_cache: dict = {}
 
     def ready(self, csr) -> bool:
         """Whether the kernel can serve ``csr``'s current version; the
@@ -87,7 +93,7 @@ class FusedD3Kernel:
         return tables if tables.build_g3() else None
 
     # ------------------------------------------------------------------
-    # Per-segment candidate machinery
+    # Per-segment selection by rank
     # ------------------------------------------------------------------
     def _iota(self, n: int) -> np.ndarray:
         """Cached ``arange(n)`` prefix (every gather re-derives one)."""
@@ -98,124 +104,109 @@ class FusedD3Kernel:
             self._iota_buf = buf
         return buf[:n]
 
-    def _segment_candidates(
-        self,
-        t,
-        x: np.ndarray,
-        y: np.ndarray,
-        excl: np.ndarray,
-        inter: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Valid swap-in candidates of one ``(x, y)`` segment per lane.
+    def _smaller_row(self, t, x: np.ndarray, y: np.ndarray):
+        """Gather the smaller of each pair's two CSR rows and probe it
+        against the larger one.
 
-        ``excl`` is the ``(m, 3)`` state rows (state nodes are never
-        candidates); ``inter`` marks lanes whose pair is non-adjacent
-        (candidates = the intersection rather than the union).  Returns
-        ``(kept, counts, offsets)``: ``kept`` holds the surviving
-        *composite keys* ascending within each lane — the canonical
-        order — and callers unpack values (``key & mask``) only for the
-        elements they actually touch, which keeps the rank-``r``
-        selection path free of full-width extraction passes.
-
-        One composite sort does all the work: keys are
-        ``(lane << 1 | inter) << shift | node`` — int32 when the top
-        lane fits — so the post-sort passes are pure shift/mask ops with
-        no per-element gathers.  State-node exclusions are applied
-        *before* the sort by rewriting their keys to the dtype's max
-        sentinel (strictly above every valid key), which parks them in a
-        tail slice that is simply cut off.
+        Per lane, ``a`` is the lower-degree end of ``(x, y)`` (ties keep
+        ``x``) and ``b`` the other.  Returns ``(b, lane_of, vals, hits)``:
+        ``vals`` is every ``N(a)`` row back to back, ``lane_of`` each
+        entry's lane and ``hits`` whether it neighbors ``b``.
         """
-        m = x.size
-        shift = self._shift
-        nodes = np.empty(2 * m, dtype=np.int64)
-        nodes[0::2] = x
-        nodes[1::2] = y
-        sizes = t.degs[nodes]
-        csum = np.cumsum(sizes)
-        total = int(csum[-1])
-        adj = csum - sizes - t.indptr[nodes]
-        offs = self._iota(total) - np.repeat(adj, sizes)
-        vals = t.cand[offs]
-        slim = t.cand.dtype == np.int32 and (m << (shift + 1)) < 2**31
-        kdt = np.int32 if slim else np.int64
-        pre = self._lane_cache.get((m, slim))
-        if pre is None:
-            lane2 = np.arange(m, dtype=kdt) << 1
-            heads = np.arange(m + 1, dtype=kdt) << (shift + 1)
-            sent = kdt(np.iinfo(kdt).max)
-            self._lane_cache[(m, slim)] = pre = (lane2, heads, sent)
-        lane2, heads, sent = pre
-        lane_sizes = sizes.reshape(m, 2).sum(axis=1)
-        lane_flag = lane2 | inter.astype(kdt)
-        key = np.repeat(lane_flag << shift, lane_sizes)
-        key |= vals.astype(kdt, copy=False)
-        # State-node exclusion by direct probe: a state value occurs at
-        # most once per CSR row, so six key-table probes per lane
-        # (3 excluded values x 2 rows), searched as one batch, locate
-        # every excluded slot — no full-width compare passes over the
-        # gathered candidates.
-        probes = (nodes[:, None] * t.stride + np.repeat(excl, 2, axis=0)).ravel()
-        pos = t.search(probes)
-        hit = t.keys[pos] == probes
-        ndrop = int(np.count_nonzero(hit))
-        if ndrop:
-            key[(pos + np.repeat(adj, 3))[hit]] = sent
-        key.sort()
-        if ndrop:
-            key = key[: key.size - ndrop]
-        run = np.empty(key.size, dtype=bool)
-        if key.size:
-            run[0] = True
-            np.not_equal(key[1:], key[:-1], out=run[1:])
-        # Union lanes keep each distinct value (run heads); intersection
-        # lanes keep values both rows contain (the duplicate positions —
-        # CSR rows are distinct, so a key repeats at most twice): that is
-        # ``run XOR inter``.
-        keep = run ^ ((key & (kdt(1) << shift)) != 0)
-        kept = key[keep]
-        # ``kept`` stays lane-ascending, so per-lane extents fall out of
-        # m binary searches against the lane boundary keys instead of a
-        # full-array bincount (or materializing a lane column at all).
-        bounds = np.searchsorted(kept, heads)
-        counts = np.diff(bounds)
-        offsets = bounds[:-1]
-        return kept, counts, offsets
-
-    def _isect_count(self, t, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``|N(x) ∩ N(y)|`` per lane for *non-adjacent* pairs: probe the
-        smaller row's neighbors against the graph's adjacency tables (the
-        bitmap, else a batched binary search) instead of materializing
-        both rows."""
-        m = x.size
         swap = t.degs[y] < t.degs[x]
         a = np.where(swap, y, x)
         b = np.where(swap, x, y)
         sizes = t.degs[a]
         csum = np.cumsum(sizes)
         total = int(csum[-1])
-        offs = self._iota(total) + np.repeat(
-            t.indptr[a] - (csum - sizes), sizes
-        )
-        hits = t.has_edges(np.repeat(b, sizes), t.indices[offs])
-        lane_of = np.repeat(self._iota(m), sizes)
-        return np.bincount(lane_of[hits], minlength=m)
+        offs = self._iota(total) + np.repeat(t.indptr[a] - (csum - sizes), sizes)
+        vals = t.indices[offs]
+        lane_of = np.repeat(self._iota(x.size), sizes)
+        return b, lane_of, vals, t.has_edges(b[lane_of], vals)
+
+    def _pool(self, t, x, y, inter, nodes):
+        """A segment's pool, and where ``nodes`` sit in it, per lane.
+
+        The valid swap-ins of a segment are its *pool* minus the state
+        nodes.  With ``a``, ``b`` as in :meth:`_smaller_row`, an
+        intersection lane (``inter``: ``x !~ y``) pools
+        ``E = N(a) ∩ N(b)``; a union lane pools ``N(b) ⊔ E`` with
+        ``E = N(a) \\ N(b)``, two disjoint sorted lists.  Only ``N(a)``
+        is gathered; ``N(b)`` is read in place, ``indices[indptr[b] + j]``.
+
+        Returns ``(b, keys, start, present, rank)``: ``keys`` lists E as
+        ascending lane-composite keys ``lane << shift | node`` and
+        ``start`` each lane's first slot in it; ``present[:, c]`` says
+        whether the pool holds ``nodes[:, c]`` and ``rank[:, c]`` counts
+        the pool members below it.
+        """
+        m = x.size
+        shift = self._shift
+        b, lane_of, vals, hits = self._smaller_row(t, x, y)
+        keep = hits == inter[lane_of]
+        keys = np.empty(int(np.count_nonzero(keep)) + 1, dtype=np.int64)
+        np.bitwise_or((lane_of << shift)[keep], vals[keep], out=keys[:-1])
+        keys[-1] = np.iinfo(np.int64).max  # a search past the end reads a miss
+        # Column 0 (node 0 as the lowest possible id) finds each lane's
+        # first E slot; the rest locate ``nodes``, in one search.
+        lane_key = self._iota(m) << shift
+        probes = lane_key[:, None] | np.column_stack([np.zeros(m, np.int64), nodes])
+        at = np.searchsorted(keys, probes)
+        start = at[:, 0]
+        at = at[:, 1:]
+        present = keys[at] == probes[:, 1:]
+        rank = at - start[:, None]
+        union = ~inter[:, None]
+        row_probes = (b * t.stride)[:, None] + nodes
+        pos = t.search(row_probes)
+        present |= (t.keys[pos] == row_probes) & union
+        rank += (pos - t.indptr[b][:, None]) * union
+        return b, keys[:-1], start, present, rank
+
+    def _isect_count(self, t, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """``|N(x) ∩ N(y)|`` per lane for *non-adjacent* pairs: probe the
+        smaller row's neighbors against the graph's adjacency tables (the
+        bitmap, else a batched binary search) instead of materializing
+        both rows."""
+        _, lane_of, _, hits = self._smaller_row(t, x, y)
+        return np.bincount(lane_of[hits], minlength=x.size)
 
     def _segment_rank(self, t, x, y, excl, bound, inter) -> np.ndarray:
         """Per lane: how many valid candidates of the segment precede
         ``bound`` in the canonical (ascending id) order."""
-        kept, _, _ = self._segment_candidates(t, x, y, excl, inter)
-        shift = self._shift
-        lanes = kept >> (shift + 1)
-        values = kept & kept.dtype.type((1 << shift) - 1)
-        below = values < bound[lanes]
-        return np.bincount(lanes[below], minlength=x.size)
+        nodes = np.column_stack([excl, bound])
+        _, _, _, present, rank = self._pool(t, x, y, inter, nodes)
+        below = present[:, :3] & (excl < bound[:, None])
+        return rank[:, 3] - below.sum(axis=1)
 
     def _segment_select(self, t, x, y, excl, within, inter) -> np.ndarray:
-        """The ``within``-th valid candidate of the segment, per lane."""
-        kept, _, offsets = self._segment_candidates(t, x, y, excl, inter)
-        # Only the chosen element per lane is unpacked from its key.
-        mask = kept.dtype.type((1 << self._shift) - 1)
-        return (kept[offsets + within] & mask).astype(np.int64)
+        """The ``within``-th valid candidate of the segment, per lane.
+
+        ``within`` becomes a pool position ``idx`` by stepping over the
+        pool's state nodes in ascending order.  The pool's first
+        ``idx + 1`` members are then E's first ``q`` and ``N(b)``'s first
+        ``idx + 1 - q``, where E's ``i``-th member is among them iff
+        ``i <= idx`` and fewer than ``idx - i + 1`` members of ``N(b)``
+        are below it: the merge-path predicate, true for a prefix of
+        each lane's E.  Its count is ``q``, and the answer is the larger
+        of the two prefixes' last members.
+        """
+        b, keys, start, present, rank = self._pool(t, x, y, inter, excl)
+        nb = t.degs[b] * ~inter
+        idx = within.copy()
+        for j in range(3):
+            idx += present[:, j] & (rank[:, j] <= idx)
+        lane = keys >> self._shift
+        vals = keys & ((1 << self._shift) - 1)
+        k = idx[lane] - (self._iota(keys.size) - start[lane])
+        nb_e = nb[lane]
+        head = t.indptr[b]
+        beside = t.indices[head[lane] + np.clip(k, 0, np.maximum(nb_e - 1, 0))]
+        taken = (k >= 0) & ((k >= nb_e) | (vals < beside))
+        q = np.bincount(lane[taken], minlength=x.size)
+        last_e = np.where(q > 0, vals[start + q - 1], -1)
+        last_b = np.where(idx >= q, t.indices[head + np.maximum(idx - q, 0)], -1)
+        return np.maximum(last_e, last_b)
 
     # ------------------------------------------------------------------
     # Transition kernel

@@ -13,14 +13,18 @@ Python reference, with and without the fused kernel.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import CSRGraph, DeltaCSRGraph, Graph, load_dataset
+from repro.graphs import CSRGraph, DeltaCSRGraph, Graph, load_dataset, tables
 from repro.graphs.generators import barabasi_albert, complete_graph, path_graph
+from repro.relgraph.fused import _XI, _YI, FusedD3Kernel
 from repro.relgraph.spaces import WalkSpaceError
+from repro.relgraph.vectorized import VectorSubgraphSpace
 from repro.walks import BatchedWalkEngine
 
 from test_rejection_kernels import path_star
@@ -176,6 +180,108 @@ class TestBlockParity:
             assert np.array_equal(base.sums, alt.sums)
             assert np.array_equal(base.sample_counts, alt.sample_counts)
             assert base.samples == alt.samples
+
+
+def fresh_csr(graph: Graph) -> CSRGraph:
+    """A CSR copy of ``graph`` that shares no lookup tables with it."""
+    csr = CSRGraph.from_graph(graph)
+    return CSRGraph(np.array(csr.indptr), np.array(csr.indices))
+
+
+SEGMENT_GRAPHS = {
+    "karate": lambda: load_dataset("karate"),
+    "path-star": lambda: Graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6), (6, 7)]),
+    "k5": lambda: complete_graph(5),
+    # Two equal-degree hubs 0 and 1, adjacent, with private and shared
+    # leaves, plus a 4-cycle 2-6-7-8 whose opposite corners tie on degree.
+    "hubs": lambda: Graph(
+        9,
+        [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 5), (1, 6), (2, 6),
+         (6, 7), (7, 8), (8, 2), (3, 4)],
+    ),
+}
+
+
+def segment_cases(csr):
+    """Every connected 3-node state of ``csr``, and per swap-out position
+    its valid swap-ins in the generic frontier's order."""
+    n = csr.num_nodes
+    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
+    e = np.stack(
+        [csr.has_edges(triples[:, i], triples[:, j]) for i, j in ((0, 1), (0, 2), (1, 2))],
+        axis=1,
+    )
+    states = triples[e.sum(axis=1) >= 2]
+    counts, cand_row, cand_w, cand_outs = VectorSubgraphSpace(3).frontier(csr, states)
+    segments = {}
+    for i in range(states.shape[0]):
+        for j in range(3):
+            keep = (cand_row == i) & (((cand_outs >> j) & 1) == 1)
+            segments[i, j] = cand_w[keep]
+            assert segments[i, j].size == counts[i, j]
+    return states, segments
+
+
+class TestSegmentSelection:
+    """The fused kernel picks a segment's ``within``-th swap-in, and ranks
+    a bound in it, by merge rank over the smaller row of the remaining
+    pair: every answer equals the generic frontier's, on every state,
+    swap-out position, ``within`` and bound, with and without the
+    adjacency bitmap."""
+
+    @pytest.mark.parametrize("bitmap", [True, False])
+    def test_select_and_rank_equal_the_frontier_order(self, bitmap, monkeypatch):
+        if not bitmap:
+            monkeypatch.setattr(tables, "MAX_BITMAP_WORDS", 0)
+        seen = set()
+        for name, make in SEGMENT_GRAPHS.items():
+            csr = fresh_csr(make())
+            kernel = FusedD3Kernel(csr)
+            assert kernel.ready(csr)
+            t = kernel._tables(csr)
+            assert (t.bits is not None) == bitmap
+            states, segments = segment_cases(csr)
+            lanes, js, within, want = [], [], [], []
+            for (i, j), seg in segments.items():
+                lanes += [i] * seg.size
+                js += [j] * seg.size
+                within.append(np.arange(seg.size))
+                want.append(seg)
+            lanes, js = np.array(lanes, dtype=np.int64), np.array(js, dtype=np.int64)
+            x, y = states[lanes, _XI[js]], states[lanes, _YI[js]]
+            inter = ~csr.has_edges(x, y)
+            got = kernel._segment_select(
+                t, x, y, states[lanes], np.concatenate(within), inter
+            )
+            assert np.array_equal(got, np.concatenate(want)), name
+
+            # Every node as the bound, on every segment (empty ones too).
+            keys = list(segments)
+            lanes = np.repeat([i for i, _ in keys], csr.num_nodes)
+            js = np.repeat([j for _, j in keys], csr.num_nodes)
+            bound = np.tile(np.arange(csr.num_nodes), len(keys))
+            x, y = states[lanes, _XI[js]], states[lanes, _YI[js]]
+            inter = ~csr.has_edges(x, y)
+            got = kernel._segment_rank(t, x, y, states[lanes], bound, inter)
+            want = [np.searchsorted(segments[key], np.arange(csr.num_nodes)) for key in keys]
+            assert np.array_equal(got, np.concatenate(want)), name
+
+            # Which pool shapes the graphs exercised.
+            o = states[lanes, js]
+            a = np.where(t.degs[y] < t.degs[x], y, x)
+            b = x + y - a
+            o_a, o_b = csr.has_edges(o, a), csr.has_edges(o, b)
+            seen |= {("tie", bool(v)) for v in inter[t.degs[x] == t.degs[y]]}
+            seen |= {("inter",) + pair for pair in zip(o_a[inter], o_b[inter])}
+            seen |= {("union",) + pair for pair in zip(o_a[~inter], o_b[~inter])}
+        # Tied degrees on both lane kinds; a union lane's dropped node
+        # beside a only, b only or both.  An intersection lane's dropped
+        # node always neighbors both ends, and no dropped node of a
+        # connected state neighbors neither.
+        assert seen == {
+            ("tie", True), ("tie", False), ("inter", True, True),
+            ("union", True, False), ("union", False, True), ("union", True, True),
+        }
 
 
 def rejection_engine(csr, d, chains, nb, seed=7, **kwargs):

@@ -30,7 +30,7 @@ from repro.graphs import tables
 from repro.streaming import EdgeStreamSpec
 from repro.walks import BatchedWalkEngine
 
-TABLE_FIELDS = ("keys", "tri", "bits", "cand")
+TABLE_FIELDS = ("keys", "tri", "bits")
 
 
 def ba_csr(n=300, m=4, seed=1) -> CSRGraph:
@@ -142,6 +142,19 @@ class TestBitmapProbes:
         assert graph._edge_tables().build_g3() and graph._tables.bits is None
         us, vs = random_pairs(graph.num_nodes, 5_000)
         assert np.array_equal(graph.has_edges(us, vs), plain.has_edges(us, vs))
+
+    @pytest.mark.parametrize("nb", [False, True])
+    def test_graph_over_the_bitmap_cap_walks_like_the_unfused_engine(self, monkeypatch, nb):
+        monkeypatch.setattr(tables, "MAX_BITMAP_WORDS", 0)
+        graph = ba_csr()
+        fused, generic = (
+            BatchedWalkEngine(
+                graph, 3, 32, np.random.default_rng(5), non_backtracking=nb, fused=flag
+            )
+            for flag in (True, False)
+        )
+        assert np.array_equal(fused.step_block(60), generic.step_block(60))
+        assert graph._tables.g3 and graph._tables.bits is None
 
     def test_graph_over_the_probe_cap_walks_unfused(self, monkeypatch):
         monkeypatch.setattr(tables, "MAX_TRI_PROBES", 0)
